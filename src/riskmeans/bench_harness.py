@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,7 +60,6 @@ __all__ = [
     "compare_methods",
     "render_report",
     "render_comparison",
-    "worker_count",
 ]
 
 METHODS = ("kmeans", "lr")
@@ -243,16 +240,6 @@ class CvReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
-def worker_count() -> int:
-    """Fold workers from the RISKMEANS_THREADS env var; 0 or unset = sequential."""
-    raw = os.environ.get("RISKMEANS_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"RISKMEANS_THREADS must be an integer, got {raw!r}") from None
-    return max(0, n)
-
-
 def _mean_bundle(bundles) -> MetricBundle:
     k = len(bundles)
     return MetricBundle(
@@ -267,28 +254,20 @@ def _mean_bundle(bundles) -> MetricBundle:
 def run_pipeline(ds: Dataset, config: PipelineConfig) -> CvReport:
     """Cross-validate one method on one dataset.
 
-    Folds may run on a thread pool (see :func:`worker_count`); results are
-    always aggregated in fold-index order, so concurrency never changes the
-    report. Errors inside a fold are re-raised annotated with the fold index.
+    Folds run in index order. An error inside a fold propagates with its type
+    and message unchanged and a ``fold <i>`` note added.
     """
     plan = stratified_kfold(ds.labels, config.folds, derive_seed(config.seed, "folds"))
-
-    def one_fold(i: int) -> tuple[FoldFit, np.ndarray]:
+    start = time.perf_counter()
+    results = []
+    for i in range(plan.k):
         try:
             fold_seed = derive_seed(config.seed, f"fold:{i}")
             fit = fit_fold(ds, plan.train_indices(i), config, fold_seed, fold=i)
-            scores = score_fold(fit, ds, plan.test_indices[i], config)
-            return fit, scores
+            results.append((fit, score_fold(fit, ds, plan.test_indices[i], config)))
         except Exception as exc:
-            raise type(exc)(f"fold {i}: {exc}") from exc
-
-    start = time.perf_counter()
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_fold, range(plan.k)))
-    else:
-        results = [one_fold(i) for i in range(plan.k)]
+            exc.add_note(f"fold {i}")
+            raise
     wall = time.perf_counter() - start
 
     bundles = []

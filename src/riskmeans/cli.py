@@ -6,7 +6,8 @@ seed in its JSON outputs so any run can be reproduced from its report alone.
 
 Exit codes: 0 success, 1 runtime failure (malformed data, failed fit),
 2 usage or configuration error (bad flags, missing files, bad config values).
-The RISKMEANS_THREADS environment variable caps fold workers (0 = sequential).
+
+``train`` fits exactly as one ``run`` fold does (:func:`fit_fold`), on all rows.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .bench_harness import (
     METHODS,
     compare_methods,
+    fit_fold,
     render_comparison,
     render_report,
     roc_plot_data,
@@ -35,12 +39,7 @@ from .data_ingest import (
     write_processed,
 )
 from .feature_select import default_candidates, rfe, select_target_k
-from .kmeans_core import (
-    KMeansParams,
-    choose_k,
-    classifier_to_json,
-    fit_classifier,
-)
+from .kmeans_core import classifier_to_json
 from .seeding import derive_seed
 
 
@@ -176,30 +175,13 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     seed = args.seed
     ds = _load_dataset(cfg, seed)
-    proc, _ = preprocess(ds, scale=cfg.scale)
-    X, y = proc.features, proc.labels
-    selected = tuple(range(proc.d))
-    if cfg.rfe_target_k is not None:
-        selected = rfe(X, y, target_k=cfg.rfe_target_k, step=cfg.rfe_step).selected
-    Xs = X[:, selected]
-    carrier = KMeansParams(
-        k=2, max_iters=cfg.kmeans_max_iters, tol=cfg.kmeans_tol,
-        restarts=cfg.kmeans_restarts, seed=derive_seed(seed, "kmeans"),
-        init=cfg.kmeans_init,
-    )
-    if cfg.kmeans_k is not None:
-        k = cfg.kmeans_k
-    else:
-        k, _ = choose_k(Xs, range(2, min(cfg.kmeans_k_max, Xs.shape[0] - 1) + 1), carrier)
-    sub_schema = [proc.schema[j] for j in selected]
-    sub = dataclasses.replace(proc, features=Xs, schema=sub_schema)
-    clf = fit_classifier(sub, dataclasses.replace(carrier, k=k))
+    fit = fit_fold(ds, np.arange(ds.n), cfg.pipeline("kmeans", seed=seed), seed)
     out = _outdir(cfg)
     path = os.path.join(out, "model.json")
-    _write(path, classifier_to_json(clf, seed=seed,
+    _write(path, classifier_to_json(fit.kmeans, seed=seed,
                                     preprocess_fingerprint=cfg.fingerprint_hash()) + "\n")
-    print(f"trained k={k} cluster classifier on {ds.name} "
-          f"({len(selected)} of {proc.d} features)")
+    print(f"trained k={fit.chosen_k} cluster classifier on {ds.name} "
+          f"({len(fit.selected)} of {ds.d} features)")
     print(f"wrote {path}")
     return 0
 
@@ -265,6 +247,10 @@ def cmd_scan(args) -> int:
     seed = args.seed
     ds = _load_dataset(cfg, seed)
     proc, _ = preprocess(ds, scale=cfg.scale)
+    windows = cfg.scanner_windows
+    if not windows or not all(1 <= w <= proc.d for w in windows):
+        raise UsageError(f"--windows/[scanner] windows: need window sizes in [1, {proc.d}], "
+                         f"got {','.join(map(str, windows)) or 'none'}")
     scan_cfg = ScanConfig(
         input_dim=proc.d,
         windows=cfg.scanner_windows,
@@ -355,13 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="expand rows through sliding-window estimators")
     _add_common_data_flags(p)
-    p.add_argument("--windows", help="comma-separated window sizes")
+    p.add_argument("--windows", help="comma-separated window sizes, each in [1, d]")
     p.add_argument("--stride", type=int)
     p.add_argument("--estimators", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_scan)
 
     return parser
+
+
+def _print_error(exc: Exception) -> None:
+    """The message, then any notes (such as the failing fold) one per line."""
+    print(f"error: {exc}", file=sys.stderr)
+    for note in getattr(exc, "__notes__", ()):
+        print(f"  {note}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -373,10 +366,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, ConfigError, SchemaError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 2
     except (DataError, ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 1
 
 

@@ -17,8 +17,7 @@ Files are standard INI as read by :mod:`configparser`:
     step = 1
 
     [scanner]
-    enabled = false
-    windows = 100,200,300
+    windows = 5,10         ; required by the scan command; each in [1, d]
     stride = 1
     estimators = 2
 
@@ -32,13 +31,13 @@ Files are standard INI as read by :mod:`configparser`:
 
     [cv]
     folds = 5
-    seed = 0
 
     [output]
     dir = runs
 
 Every key is optional except [data] path and schema; unknown sections or keys
-are rejected so typos fail loudly. Command-line flags override file values.
+are rejected so typos fail loudly. Command-line flags override file values;
+the root seed comes only from each command's ``--seed`` flag.
 """
 
 from __future__ import annotations
@@ -57,12 +56,12 @@ class ConfigError(ValueError):
 
 
 _KNOWN = {
-    "data": {"path", "schema", "name", "subsample", "subsample_seed"},
+    "data": {"path", "schema", "name", "subsample"},
     "preprocess": {"scale"},
     "rfe": {"enabled", "target_k", "step"},
-    "scanner": {"enabled", "windows", "stride", "estimators"},
+    "scanner": {"windows", "stride", "estimators"},
     "kmeans": {"k", "k_max", "restarts", "tol", "max_iters", "init"},
-    "cv": {"folds", "seed"},
+    "cv": {"folds"},
     "output": {"dir"},
 }
 
@@ -75,13 +74,11 @@ class ExperimentConfig:
     schema_path: str = ""
     dataset_name: str = ""
     subsample: int = 0
-    subsample_seed: int = 0
     scale: bool = True
     rfe_enabled: bool = True
     rfe_target_k: int | None = None
     rfe_step: int = 1
-    scanner_enabled: bool = False
-    scanner_windows: tuple = (100, 200, 300)
+    scanner_windows: tuple = ()
     scanner_stride: int = 1
     scanner_estimators: int = 2
     kmeans_k: int | None = None
@@ -91,14 +88,13 @@ class ExperimentConfig:
     kmeans_max_iters: int = 300
     kmeans_init: str = INIT_KMEANSPP
     cv_folds: int = 5
-    cv_seed: int = 0
     output_dir: str = "runs"
 
-    def pipeline(self, method: str, seed: int | None = None) -> PipelineConfig:
+    def pipeline(self, method: str, seed: int) -> PipelineConfig:
         return PipelineConfig(
             method=method,
             folds=self.cv_folds,
-            seed=self.cv_seed if seed is None else seed,
+            seed=seed,
             scale=self.scale,
             rfe_enabled=self.rfe_enabled,
             rfe_target_k=self.rfe_target_k,
@@ -186,9 +182,6 @@ def load_config(path) -> ExperimentConfig:
         kw["dataset_name"] = get("data", "name")
     if get("data", "subsample") is not None:
         kw["subsample"] = _parse_int(path, "data", "subsample", get("data", "subsample"))
-    if get("data", "subsample_seed") is not None:
-        kw["subsample_seed"] = _parse_int(path, "data", "subsample_seed",
-                                          get("data", "subsample_seed"))
     if get("preprocess", "scale") is not None:
         kw["scale"] = _parse_bool(path, "preprocess", "scale", get("preprocess", "scale"))
     if get("rfe", "enabled") is not None:
@@ -198,9 +191,6 @@ def load_config(path) -> ExperimentConfig:
                                         allow_auto=True)
     if get("rfe", "step") is not None:
         kw["rfe_step"] = _parse_int(path, "rfe", "step", get("rfe", "step"))
-    if get("scanner", "enabled") is not None:
-        kw["scanner_enabled"] = _parse_bool(path, "scanner", "enabled",
-                                            get("scanner", "enabled"))
     if get("scanner", "windows") is not None:
         kw["scanner_windows"] = _parse_int_list(path, "scanner", "windows",
                                                 get("scanner", "windows"))
@@ -231,8 +221,6 @@ def load_config(path) -> ExperimentConfig:
         kw["kmeans_init"] = init
     if get("cv", "folds") is not None:
         kw["cv_folds"] = _parse_int(path, "cv", "folds", get("cv", "folds"))
-    if get("cv", "seed") is not None:
-        kw["cv_seed"] = _parse_int(path, "cv", "seed", get("cv", "seed"))
     if get("output", "dir") is not None:
         kw["output_dir"] = get("output", "dir")
 

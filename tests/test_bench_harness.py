@@ -1,4 +1,4 @@
-"""Benchmark harness: fold isolation, aggregation, rendering, concurrency."""
+"""Benchmark harness: fold isolation, aggregation, rendering, fold errors."""
 
 from __future__ import annotations
 
@@ -19,9 +19,10 @@ from riskmeans.bench_harness import (
     render_report,
     roc_plot_data,
     run_pipeline,
-    worker_count,
 )
+from riskmeans import bench_harness
 from riskmeans.cv import stratified_kfold
+from riskmeans.data_ingest import AllMissingColumnError, CellParseError
 from riskmeans.metrics import MetricBundle
 
 from conftest import make_labeled_blobs, mixed_raw_dataset, numeric_dataset
@@ -102,31 +103,34 @@ def test_to_dict_timing_toggle():
     assert set(report.timing) == {"wall_seconds", "wall_minutes"}
 
 
-def test_thread_pool_matches_sequential(monkeypatch):
-    ds = _bench_dataset()
-    monkeypatch.setenv("RISKMEANS_THREADS", "0")
-    seq = run_pipeline(ds, _config())
-    monkeypatch.setenv("RISKMEANS_THREADS", "3")
-    par = run_pipeline(ds, _config())
-    assert seq.to_json(include_timing=False) == par.to_json(include_timing=False)
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("RISKMEANS_THREADS", raising=False)
-    assert worker_count() == 0
-    monkeypatch.setenv("RISKMEANS_THREADS", "5")
-    assert worker_count() == 5
-    monkeypatch.setenv("RISKMEANS_THREADS", "-2")
-    assert worker_count() == 0
-    monkeypatch.setenv("RISKMEANS_THREADS", "many")
-    with pytest.raises(ValueError, match="RISKMEANS_THREADS"):
-        worker_count()
-
-
 def test_fold_errors_carry_fold_index():
     # k larger than any training fold forces a per-fold failure
-    with pytest.raises(ValueError, match="fold 0: "):
+    with pytest.raises(ValueError) as info:
         run_pipeline(_bench_dataset(n_per=10), _config(kmeans_k=64))
+    assert info.value.__notes__ == ["fold 0"]
+    assert "fold 0" not in str(info.value)
+
+
+def test_fold_error_keeps_type_and_message_all_missing():
+    ds = _bench_dataset()
+    ds.features[:, 1] = np.nan
+    with pytest.raises(AllMissingColumnError) as info:
+        run_pipeline(ds, _config())
+    assert str(info.value) == str(AllMissingColumnError("f1"))
+    assert info.value.column == "f1"
+    assert info.value.__notes__ == ["fold 0"]
+
+
+def test_fold_error_keeps_type_and_message_cell_parse(monkeypatch):
+    def failing_score(fit, ds, test_indices, config):
+        raise CellParseError(row=4, column="amount", token="x?")
+
+    monkeypatch.setattr(bench_harness, "score_fold", failing_score)
+    with pytest.raises(CellParseError) as info:
+        run_pipeline(_bench_dataset(), _config())
+    assert str(info.value) == str(CellParseError(row=4, column="amount", token="x?"))
+    assert (info.value.row, info.value.column) == (4, "amount")
+    assert info.value.__notes__ == ["fold 0"]
 
 
 def test_fold_fit_ignores_test_rows():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
-import pytest
+import numpy as np
 
+from riskmeans.bench_harness import fit_fold
 from riskmeans.cli import main
+from riskmeans.config import load_config
+from riskmeans.data_ingest import load_with_schema
 from riskmeans.mg_scanner import window_count
 
 from conftest import write_toy_files
@@ -106,12 +110,27 @@ def test_train_writes_model(tmp_path, capsys):
     assert main(["train", "--config", str(config), "--k", "3", "--seed", "2"]) == 0
     capsys.readouterr()
     model = _read_json(tmp_path / "out" / "model.json")
+    # train fits exactly as one run fold does on all rows, target size included
+    ds = load_with_schema(data, schema, name="toy")
+    pcfg = dataclasses.replace(load_config(config).pipeline("kmeans", seed=2), kmeans_k=3)
+    fit = fit_fold(ds, np.arange(ds.n), pcfg, 2)
     assert model["k"] == 3
-    assert model["d"] == 3
+    assert model["d"] == len(fit.selected)
+    assert model["centroids"] == fit.kmeans.model.centroids.tolist()
     assert len(model["centroids"]) == 3
     assert len(model["posteriors"]) == 3
     assert model["seed"] == 2
     assert model["threshold"] == 0.5
+
+
+def test_train_honours_rfe_disabled(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    config.write_text(config.read_text(encoding="utf-8") + "\n[rfe]\nenabled = false\n",
+                      encoding="utf-8")
+    assert main(["train", "--config", str(config), "--k", "2",
+                 "--target-k", "2", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert _read_json(tmp_path / "out" / "model.json")["d"] == 3
 
 
 def test_run_requires_seed(tmp_path, capsys):
@@ -194,6 +213,31 @@ def test_scan_writes_window_features(tmp_path, capsys):
     assert len(lines) == 151
     assert len(lines[0].split(",")) == expect
     assert lines[0].split(",")[0] == "w2:win0:e0:c0"
+
+
+def test_scan_without_windows_exits_two(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["scan", "--config", str(config), "--seed", "1"]) == 2
+    assert "--windows/[scanner] windows: need window sizes in [1, 3], got none" \
+        in capsys.readouterr().err
+
+
+def test_scan_window_out_of_range_exits_two(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["scan", "--config", str(config), "--windows", "2,4",
+                 "--seed", "1"]) == 2
+    assert "--windows/[scanner] windows: need window sizes in [1, 3], got 2,4" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scan_meta.json").exists()
+
+
+def test_fold_error_names_fold(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["run", "--config", str(config), "--seed", "1",
+                 "--k", "500"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("error: ") and "fold" not in lines[0]
+    assert lines[1:] == ["  fold 0"]
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

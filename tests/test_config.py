@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import pathlib
+import textwrap
 
 import pytest
 
+from riskmeans import config as config_module
 from riskmeans.config import ConfigError, ExperimentConfig, load_config
+
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -45,7 +50,6 @@ init = uniform
 
 [cv]
 folds = 4
-seed = 17
 
 [output]
 dir = out
@@ -65,7 +69,7 @@ def test_full_file_round_trip(tmp_path):
     assert cfg.kmeans_k == 3 and cfg.kmeans_k_max == 8
     assert cfg.kmeans_restarts == 6 and cfg.kmeans_tol == 1e-5
     assert cfg.kmeans_max_iters == 200 and cfg.kmeans_init == "uniform"
-    assert cfg.cv_folds == 4 and cfg.cv_seed == 17
+    assert cfg.cv_folds == 4
     assert cfg.output_dir == "out"
 
 
@@ -92,6 +96,21 @@ def test_unknown_key_rejected(tmp_path):
     p = _write(tmp_path, "[kmeans]\nsprocket = 3\n")
     with pytest.raises(ConfigError, match=r"\[kmeans\] unknown key 'sprocket'"):
         load_config(p)
+
+
+@pytest.mark.parametrize("name", ["german.ini", "australian.ini"])
+def test_shipped_configs_parse(name):
+    cfg = load_config(CONFIGS / name)
+    assert cfg.data_path and cfg.schema_path
+
+
+def test_docstring_example_parses(tmp_path):
+    doc = config_module.__doc__
+    block = doc[doc.index("    [data]"):doc.index("\nEvery key")]
+    cfg = load_config(_write(tmp_path, textwrap.dedent(block)))
+    assert cfg.dataset_name == "german"
+    assert cfg.scanner_windows == (5, 10)
+    assert cfg.output_dir == "runs"
 
 
 def test_bad_int_names_file_section_key(tmp_path):
@@ -144,7 +163,7 @@ def test_missing_file_raises_file_not_found(tmp_path):
 def test_fingerprint_hash_tracks_content():
     a = ExperimentConfig()
     b = ExperimentConfig()
-    c = dataclasses.replace(a, cv_seed=1)
+    c = dataclasses.replace(a, cv_folds=4)
     assert a.fingerprint_hash() == b.fingerprint_hash()
     assert a.fingerprint_hash() != c.fingerprint_hash()
     assert len(a.fingerprint_hash()) == 16
@@ -161,5 +180,3 @@ def test_pipeline_mapping(tmp_path):
     assert p.rfe_target_k == 7 and p.rfe_step == 2
     assert p.kmeans_k == 3 and p.kmeans_restarts == 6
     assert p.kmeans_init == "uniform"
-    default_seed = cfg.pipeline("kmeans")
-    assert default_seed.seed == 17
