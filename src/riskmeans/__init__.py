@@ -81,6 +81,6 @@ from .mg_scanner import (
     transform_vector,
     window_count,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 
 __version__ = "0.1.0"

@@ -174,13 +174,13 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
             seed=derive_seed(fold_seed, "kmeans"), init=config.kmeans_init,
         )
         if config.kmeans_k is not None:
-            chosen_k = config.kmeans_k
+            chosen_k, model = config.kmeans_k, None
         else:
             k_hi = min(config.kmeans_k_max, Xs.shape[0] - 1)
-            chosen_k, _ = choose_k(Xs, range(2, k_hi + 1), carrier)
+            chosen_k, _, model = choose_k(Xs, range(2, k_hi + 1), carrier)
         sub_schema = [train_proc.schema[j] for j in selected]
         sub_ds = Dataset(features=Xs, labels=y, schema=sub_schema, name=ds.name)
-        km = fit_classifier(sub_ds, replace(carrier, k=chosen_k))
+        km = fit_classifier(sub_ds, replace(carrier, k=chosen_k), model=model)
         if config.threshold != km.threshold:
             km = replace(km, threshold=config.threshold)
     else:

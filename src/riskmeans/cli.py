@@ -150,7 +150,8 @@ def cmd_select_features(args) -> int:
     else:
         candidates = (_int_list_flag("--candidates", args.candidates)
                       if args.candidates else default_candidates(proc.d))
-        target = select_target_k(X, y, candidates, cv_folds=args.cv_folds, seed=seed)
+        target = select_target_k(X, y, candidates, cv_folds=args.cv_folds,
+                                 seed=derive_seed(seed, "target_k"))
     result = rfe(X, y, target_k=target, step=cfg.rfe_step)
     names = proc.column_names()
     out = _outdir(cfg)

@@ -108,7 +108,10 @@ class ExperimentConfig:
         )
 
     def fingerprint(self) -> dict:
-        return asdict(self)
+        """Every field that can change a result; ``output_dir`` never does."""
+        d = asdict(self)
+        del d["output_dir"]
+        return d
 
     def fingerprint_hash(self) -> str:
         canon = json.dumps(self.fingerprint(), sort_keys=True)

@@ -21,7 +21,7 @@ order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -225,30 +225,29 @@ def silhouette_score(points: np.ndarray, assignment: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def choose_k(points: np.ndarray, k_range, params: KMeansParams) -> tuple[int, list[tuple[int, float]]]:
+def choose_k(points: np.ndarray, k_range,
+             params: KMeansParams) -> tuple[int, list[tuple[int, float]], KMeansModel]:
     """Fit every k in the inclusive range and pick the silhouette argmax.
 
-    Ties break to the smallest k. Returns (chosen k, per-k silhouette table).
+    Ties break to the smallest k. Returns (chosen k, per-k silhouette table,
+    the chosen k's fitted model), so the winner need not be fitted again.
     """
-    ks = list(k_range)
+    ks = sorted(k_range)
     if not ks:
         raise ValueError("empty k range")
     n = np.asarray(points).shape[0]
-    for k in ks:
-        if k < 2 or k > n - 1:
-            raise ValueError(f"k={k} outside the valid range [2, {n - 1}]")
+    if ks[0] < 2 or ks[-1] > n - 1:
+        bad = ks[0] if ks[0] < 2 else ks[-1]
+        raise ValueError(f"k={bad} outside the valid range [2, {n - 1}]")
     table: list[tuple[int, float]] = []
-    best_k, best_score = None, -np.inf
-    for k in sorted(ks):
-        model = lloyd_fit(points, KMeansParams(
-            k=k, max_iters=params.max_iters, tol=params.tol,
-            restarts=params.restarts, seed=params.seed, init=params.init,
-        ))
+    best_k, best_score, best_model = None, -np.inf, None
+    for k in ks:
+        model = lloyd_fit(points, replace(params, k=k))
         score = silhouette_score(points, assign_many(model, points))
         table.append((k, score))
         if score > best_score:
-            best_k, best_score = k, score
-    return best_k, table
+            best_k, best_score, best_model = k, score, model
+    return best_k, table, best_model
 
 
 @dataclass(frozen=True)
@@ -272,18 +271,22 @@ class ClusterClassifier:
         object.__setattr__(self, "posteriors", p)
 
 
-def fit_classifier(train: Dataset, params: KMeansParams) -> ClusterClassifier:
+def fit_classifier(train: Dataset, params: KMeansParams,
+                   model: KMeansModel | None = None) -> ClusterClassifier:
     """Cluster the training features, then attach smoothed class posteriors.
 
     Cluster j's posterior is (positives_j + 1) / (members_j + 2); the score
     bandwidth is the mean distance of training points to their centroids (1.0
-    if that collapses to zero).
+    if that collapses to zero). A ``model`` already fitted on these features
+    (such as :func:`choose_k`'s winner) is used as is instead of fitting one
+    with ``params``.
     """
     X = np.asarray(train.features, dtype=float)
     y = np.asarray(train.labels)
     if np.unique(y).size < 2:
         raise ValueError("training set must contain both classes")
-    model = lloyd_fit(X, params)
+    if model is None:
+        model = lloyd_fit(X, params)
     labels = assign_many(model, X)
     posteriors = np.empty(model.k)
     for j in range(model.k):

@@ -7,8 +7,11 @@ size is therefore window_count * m * c, and outputs for different window
 sizes stay separate (keyed by w) so downstream stages can choose how to
 combine them.
 
-Estimators are pluggable: anything with fit(windows, labels) and
-transform(window) -> c probabilities works. The default is a small K-means
+Windowing is one strided view over the whole input matrix (the
+multi-grained scanning of Zhou & Feng, "Deep Forest", IJCAI 2017), so each
+estimator sees every window of one size in a single call. Estimators are
+pluggable: anything with fit(windows, labels) and transform_many(windows) ->
+(count, c) probabilities works. The default is a small K-means
 cluster-posterior classifier; a constant stub exists for exercising the
 dimension contract without any fitting.
 """
@@ -19,6 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_ingest import ColumnSpec, Dataset, NUMERIC
 from .kmeans_core import (
@@ -71,12 +75,14 @@ def window_count(L: int, w: int, s: int) -> int:
 
 
 def scan(x: np.ndarray, w: int, s: int = 1) -> np.ndarray:
-    """All contiguous slices x[i*s : i*s + w], stacked in order."""
+    """Stride-s windows of width w over the last axis: window i is
+    x[..., i*s : i*s + w]. A vector gives (count, w); an (n, L) matrix gives
+    (n, count, w). The result is a read-only view of x."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("scan expects a 1-D vector")
-    count = window_count(x.shape[0], w, s)
-    return np.stack([x[i * s:i * s + w] for i in range(count)])
+    if x.ndim < 1:
+        raise ValueError("scan expects a vector or a matrix")
+    window_count(x.shape[-1], w, s)
+    return sliding_window_view(x, w, axis=-1)[..., ::s, :]
 
 
 class WindowEstimator(ABC):
@@ -88,11 +94,8 @@ class WindowEstimator(ABC):
         ...
 
     @abstractmethod
-    def transform(self, window: np.ndarray) -> np.ndarray:
-        ...
-
     def transform_many(self, windows: np.ndarray) -> np.ndarray:
-        return np.stack([self.transform(w) for w in np.asarray(windows, dtype=float)])
+        """(count, w) windows -> (count, c) class probabilities."""
 
 
 class ConstantProbEstimator(WindowEstimator):
@@ -109,9 +112,6 @@ class ConstantProbEstimator(WindowEstimator):
 
     def fit(self, windows, labels):
         return self
-
-    def transform(self, window):
-        return self.probs.copy()
 
     def transform_many(self, windows):
         return np.tile(self.probs, (np.asarray(windows).shape[0], 1))
@@ -133,9 +133,6 @@ class KMeansWindowEstimator(WindowEstimator):
         self.classifier = fit_classifier(ds, self.params)
         return self
 
-    def transform(self, window):
-        return self.transform_many(np.asarray(window, dtype=float)[None, :])[0]
-
     def transform_many(self, windows):
         if self.classifier is None:
             raise RuntimeError("estimator not fitted")
@@ -148,8 +145,8 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0,
     """Fit config.estimators K-means window models per window size.
 
     For each w, every training row is sliced into its windows and the slices
-    pooled (each inheriting the row label); the m estimators differ only in
-    their derived seeds.
+    pooled in row order (each inheriting the row label); the m estimators
+    differ only in their derived seeds.
     """
     X = np.asarray(train.features, dtype=float)
     if X.shape[1] != config.input_dim:
@@ -162,9 +159,8 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0,
     y = np.asarray(train.labels)
     fitted: dict[int, list[WindowEstimator]] = {}
     for w in config.windows:
-        count = window_count(config.input_dim, w, config.stride)
-        pool = np.concatenate([scan(row, w, config.stride) for row in X])
-        pool_labels = np.repeat(y, count)
+        pool = scan(X, w, config.stride).reshape(-1, w)
+        pool_labels = np.repeat(y, window_count(config.input_dim, w, config.stride))
         fitted[w] = [
             KMeansWindowEstimator(
                 replace(base, seed=derive_seed(seed, f"scan:w{w}:e{e}"))
@@ -174,43 +170,37 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0,
     return fitted
 
 
-def _check_fitted(config: ScanConfig, fitted: dict) -> None:
+def transform_matrix(X: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
+    """Expand each row of an (n, L) matrix: {w: (n, window_count*m*c) matrix}.
+
+    Layout per w: window index outer, estimator next, class innermost, so the
+    flat column index is win*m*c + est*c + cls. Each estimator sees all n *
+    window_count windows of one size in a single call.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != config.input_dim:
+        raise ValueError(f"expected a matrix with {config.input_dim} columns, got {X.shape}")
     for w in config.windows:
         if w not in fitted or len(fitted[w]) != config.estimators:
             raise ValueError(f"missing fitted estimators for window size {w}")
+    n, m, c = X.shape[0], config.estimators, config.classes
+    # outputs first, temporaries after: keeps the peak heap small
+    out = {w: np.empty((n, config.output_dim(w))) for w in config.windows}
+    for w in config.windows:
+        windows = scan(X, w, config.stride).reshape(-1, w)
+        probs = out[w].reshape(windows.shape[0], m, c)
+        np.stack([est.transform_many(windows) for est in fitted[w]], axis=1, out=probs)
+        if np.any(np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL):
+            raise ValueError("estimator probabilities do not sum to 1")
+    return out
 
 
 def transform_vector(x: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
-    """Expand one L-vector into {w: concatenated probability features}.
-
-    Layout per w: window index outer, estimator next, class innermost, so the
-    flat index is win*m*c + est*c + cls.
-    """
+    """One L-vector through :func:`transform_matrix`: {w: feature vector}."""
     x = np.asarray(x, dtype=float)
     if x.shape != (config.input_dim,):
         raise ValueError(f"expected a vector of length {config.input_dim}, got {x.shape}")
-    _check_fitted(config, fitted)
-    out: dict[int, np.ndarray] = {}
-    for w in config.windows:
-        windows = scan(x, w, config.stride)
-        per_est = [est.transform_many(windows) for est in fitted[w]]  # m x (count, c)
-        stacked = np.stack(per_est, axis=1)  # (count, m, c)
-        if np.max(np.abs(stacked.sum(axis=2) - 1.0)) > PROB_TOL:
-            raise ValueError("estimator probabilities do not sum to 1")
-        vec = stacked.ravel()
-        assert vec.shape[0] == config.output_dim(w)
-        out[w] = vec
-    return out
-
-
-def transform_matrix(X: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
-    """Row-wise :func:`transform_vector`: {w: (n, window_count*m*c) matrix}."""
-    X = np.asarray(X, dtype=float)
-    out = {w: np.empty((X.shape[0], config.output_dim(w))) for w in config.windows}
-    for i, row in enumerate(X):
-        for w, vec in transform_vector(row, config, fitted).items():
-            out[w][i] = vec
-    return out
+    return {w: m[0] for w, m in transform_matrix(x[None, :], config, fitted).items()}
 
 
 def feature_names(config: ScanConfig, w: int) -> list[str]:

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root: int, tag: str) -> int:
     """Map (root seed, stage tag) to a stable 63-bit seed."""
     digest = hashlib.sha256(f"{root}:{tag}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
 
-
-def rng_for(root: int, tag: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root, tag))

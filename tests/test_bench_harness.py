@@ -21,6 +21,7 @@ from riskmeans.bench_harness import (
     run_pipeline,
 )
 from riskmeans import bench_harness
+from riskmeans import kmeans_core as kc
 from riskmeans.cv import stratified_kfold
 from riskmeans.data_ingest import AllMissingColumnError, CellParseError
 from riskmeans.metrics import MetricBundle
@@ -157,6 +158,34 @@ def test_fold_fit_ignores_test_rows():
     assert np.array_equal(fit1.kmeans.model.centroids, fit2.kmeans.model.centroids)
     assert np.array_equal(fit1.kmeans.posteriors, fit2.kmeans.posteriors)
     assert fit1.kmeans.bandwidth == fit2.kmeans.bandwidth
+
+
+def test_fit_fold_reuses_sweep_winner(monkeypatch):
+    # with k = auto, Lloyd runs once per swept k (plus the target search's
+    # own probe fits) and the winner's model is reused, not refitted
+    ds = _bench_dataset()
+    config = _config(rfe_target_k=None, kmeans_k=None, kmeans_k_max=5)
+    real_lloyd, real_search = kc.lloyd_fit, bench_harness.select_target_k
+    calls = {"search": 0, "sweep": 0}
+    searching = []
+
+    def lloyd(points, params):
+        calls["search" if searching else "sweep"] += 1
+        return real_lloyd(points, params)
+
+    def search(*args, **kwargs):
+        searching.append(True)
+        try:
+            return real_search(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(kc, "lloyd_fit", lloyd)
+    monkeypatch.setattr(bench_harness, "select_target_k", search)
+    fit = fit_fold(ds, np.arange(ds.n), config, fold_seed=5)
+    assert calls["search"] > 0
+    assert calls["sweep"] == len(range(2, 6))
+    assert 2 <= fit.chosen_k <= 5 and fit.kmeans.model.k == fit.chosen_k
 
 
 def test_compare_methods_assembles_table():

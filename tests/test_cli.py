@@ -7,11 +7,13 @@ import json
 
 import numpy as np
 
+from riskmeans import bench_harness, cli
 from riskmeans.bench_harness import fit_fold
 from riskmeans.cli import main
 from riskmeans.config import load_config
 from riskmeans.data_ingest import load_with_schema
 from riskmeans.mg_scanner import window_count
+from riskmeans.seeding import derive_seed
 
 from conftest import write_toy_files
 
@@ -123,6 +125,44 @@ def test_train_writes_model(tmp_path, capsys):
     assert model["threshold"] == 0.5
 
 
+def test_train_model_does_not_depend_on_out_dir(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    args = ["train", "--config", str(config), "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "a" / "model.json").read_bytes()
+            == (tmp_path / "b" / "model.json").read_bytes())
+
+
+def test_select_features_and_train_pick_the_same_target(tmp_path, capsys, monkeypatch):
+    data, schema, config = write_toy_files(tmp_path)
+    real_search = bench_harness.select_target_k
+    seeds = {}
+    fits = []
+
+    def recording_search(command):
+        def search(*args, **kwargs):
+            seeds[command] = kwargs["seed"]
+            return real_search(*args, **kwargs)
+        return search
+
+    def recording_fit(*args, **kwargs):
+        fits.append(fit_fold(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(cli, "select_target_k", recording_search("select-features"))
+    monkeypatch.setattr(bench_harness, "select_target_k", recording_search("train"))
+    monkeypatch.setattr(cli, "fit_fold", recording_fit)
+    assert main(["select-features", "--config", str(config), "--seed", "4"]) == 0
+    assert main(["train", "--config", str(config), "--seed", "4"]) == 0
+    capsys.readouterr()
+    assert seeds == {"select-features": derive_seed(4, "target_k"),
+                     "train": derive_seed(4, "target_k")}
+    selection = _read_json(tmp_path / "out" / "selection.json")
+    assert selection["selected_indices"] == list(fits[0].selected)
+
+
 def test_train_honours_rfe_disabled(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     config.write_text(config.read_text(encoding="utf-8") + "\n[rfe]\nenabled = false\n",
@@ -159,9 +199,6 @@ def test_run_writes_report_and_rerun_matches(tmp_path, capsys):
     rb = _read_json(tmp_path / "b" / "report_kmeans.json")
     ra.pop("timing")
     rb.pop("timing")
-    # output_dir differs by construction; everything else must match bit for bit
-    ra["fingerprint"]["config"].pop("output_dir", None)
-    rb["fingerprint"]["config"].pop("output_dir", None)
     assert ra == rb
     assert ra["fingerprint"]["config"]["folds"] == 3
 

@@ -190,28 +190,32 @@ def test_silhouette_singletons_contribute_zero():
 
 def test_choose_k_three_blobs():
     points = make_blobs(30, [[0, 0], [12, 0], [0, 12]], spread=0.5, seed=2)
-    k, table = choose_k(points, range(2, 7), KMeansParams(k=2, restarts=4, seed=0))
+    params = KMeansParams(k=2, restarts=4, seed=0)
+    k, table, model = choose_k(points, range(2, 7), params)
     assert k == 3
     assert len(table) == 5 and table[1][0] == 3
+    # the returned model is the winner's fit, identical to fitting k=3 alone
+    refit = lloyd_fit(points, KMeansParams(k=3, restarts=4, seed=0))
+    assert model.centroids.tobytes() == refit.centroids.tobytes()
 
 
 def test_choose_k_single_candidate():
     points = make_blobs(10, [[0, 0], [8, 8]], seed=1)
-    k, _ = choose_k(points, range(2, 3), KMeansParams(k=2, restarts=2, seed=0))
-    assert k == 2
+    k, _, model = choose_k(points, range(2, 3), KMeansParams(k=2, restarts=2, seed=0))
+    assert k == 2 and model.k == 2
 
 
 def test_choose_k_two_blobs():
     points = make_blobs(25, [[0, 0], [10, 0]], spread=0.5, seed=4)
-    k, _ = choose_k(points, range(2, 5), KMeansParams(k=2, restarts=4, seed=0))
+    k, _, _ = choose_k(points, range(2, 5), KMeansParams(k=2, restarts=4, seed=0))
     assert k == 2
 
 
 def test_choose_k_tie_breaks_to_smallest(monkeypatch):
     monkeypatch.setattr(kc, "silhouette_score", lambda p, a: 0.5)
     points = make_blobs(10, [[0, 0], [9, 9]], seed=0)
-    k, table = choose_k(points, range(2, 6), KMeansParams(k=2, restarts=2, seed=0))
-    assert k == 2
+    k, table, model = choose_k(points, range(2, 6), KMeansParams(k=2, restarts=2, seed=0))
+    assert k == 2 and model.k == 2
     assert all(s == 0.5 for _, s in table)
 
 
@@ -231,6 +235,16 @@ def test_fit_classifier_posterior_smoothing(blob_dataset):
         pos = int(blob_dataset.labels[members].sum())
         assert clf.posteriors[j] == (pos + 1) / (int(members.sum()) + 2)
     assert (clf.posteriors.min() < 0.2) and (clf.posteriors.max() > 0.8)
+
+
+def test_fit_classifier_uses_given_model(blob_dataset):
+    params = KMeansParams(k=2, restarts=4, seed=0)
+    X = np.asarray(blob_dataset.features, dtype=float)
+    given = fit_classifier(blob_dataset, params, model=lloyd_fit(X, params))
+    fitted = fit_classifier(blob_dataset, params)
+    assert given.model.centroids.tobytes() == fitted.model.centroids.tobytes()
+    assert given.posteriors.tobytes() == fitted.posteriors.tobytes()
+    assert given.bandwidth == fitted.bandwidth
 
 
 def test_fit_classifier_pure_cluster_posterior():

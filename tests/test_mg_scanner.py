@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from riskmeans.mg_scanner import (
     transform_vector,
     window_count,
 )
+from riskmeans.seeding import derive_seed
 
 from conftest import numeric_dataset
 
@@ -62,6 +65,19 @@ def test_scan_index_arithmetic_oracle():
         assert out.shape == (window_count(37, w, s), w)
         for i in range(out.shape[0]):
             assert (out[i] == x[i * s:i * s + w]).all()
+
+
+def test_scan_matrix_windows_every_row():
+    X = np.random.default_rng(6).normal(size=(4, 11))
+    for w, s in ((1, 1), (3, 2), (5, 3), (11, 1)):
+        out = scan(X, w, s)
+        assert out.shape == (4, window_count(11, w, s), w)
+        for i in range(4):
+            assert out[i].tobytes() == scan(X[i], w, s).tobytes()
+    with pytest.raises(ValueError, match="exceeds"):
+        scan(X, 12, 1)
+    with pytest.raises(ValueError):
+        scan(np.float64(1.0), 1)
 
 
 def test_scan_lossless_when_stride_at_most_window():
@@ -138,7 +154,7 @@ def test_constant_stub_validates_distribution():
 def test_unfitted_estimator_rejected():
     est = KMeansWindowEstimator()
     with pytest.raises(RuntimeError, match="not fitted"):
-        est.transform(np.zeros(4))
+        est.transform_many(np.zeros((1, 4)))
 
 
 def test_estimator_seeds_give_distinct_centroids():
@@ -175,6 +191,90 @@ def test_missing_fitted_estimators_rejected():
     fitted = {3: [ConstantProbEstimator(), ConstantProbEstimator()]}
     with pytest.raises(ValueError, match="window size 4"):
         transform_vector(np.zeros(8), config, fitted)
+
+
+def _reference_windows(row, w, s):
+    """One row's windows, sliced one at a time."""
+    return np.stack([row[i * s:i * s + w] for i in range(window_count(row.size, w, s))])
+
+
+def _reference_transform(X, config, fitted):
+    """The per-row loop: slice one row at a time and stack its estimator outputs."""
+    out = {}
+    for w in config.windows:
+        rows = []
+        for row in X:
+            windows = _reference_windows(row, w, config.stride)
+            rows.append(np.stack([est.transform_many(windows) for est in fitted[w]],
+                                 axis=1).ravel())
+        out[w] = np.array(rows).reshape(X.shape[0], config.output_dim(w))
+    return out
+
+
+def _fit_scanner(windows, stride, estimators):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(24, 9))
+    y = np.array([0, 1] * 12)
+    config = ScanConfig(input_dim=9, windows=windows, stride=stride,
+                        estimators=estimators)
+    fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=2)
+    return X, y, config, fitted, rng.normal(size=(17, 9))
+
+
+# every setting leaves at least two windows per row; see the one-window test
+@pytest.mark.parametrize("windows,stride,estimators", [
+    ((3,), 1, 2), ((2, 5), 2, 1), ((4, 6), 3, 3), ((8,), 1, 2),
+])
+def test_matrix_path_matches_per_row_loop_bitwise(windows, stride, estimators):
+    X, y, config, fitted, Xt = _fit_scanner(windows, stride, estimators)
+    base = KMeansParams(k=2, restarts=2, max_iters=100)
+    for w in windows:
+        pool = np.concatenate([_reference_windows(row, w, stride) for row in X])
+        labels = np.repeat(y, window_count(9, w, stride))
+        for e, est in enumerate(fitted[w]):
+            ref = KMeansWindowEstimator(
+                replace(base, seed=derive_seed(2, f"scan:w{w}:e{e}"))).fit(pool, labels)
+            assert (est.classifier.model.centroids.tobytes()
+                    == ref.classifier.model.centroids.tobytes())
+    got = transform_matrix(Xt, config, fitted)
+    want = _reference_transform(Xt, config, fitted)
+    for w in windows:
+        assert got[w].shape == (17, config.output_dim(w))
+        assert got[w].tobytes() == want[w].tobytes()
+        assert transform_vector(Xt[5], config, fitted)[w].tobytes() == want[w][5].tobytes()
+
+
+def test_one_window_per_row_matches_per_row_loop_to_an_ulp():
+    # A row with a single window made the per-row loop score a one-row
+    # matrix, which numpy multiplies with a dot kernel rather than the
+    # matrix-vector kernel used for taller inputs; the last bit may differ.
+    # A single vector still takes the one-row path and stays bitwise equal.
+    for windows, stride in (((9,), 1), ((7,), 3)):
+        X, y, config, fitted, Xt = _fit_scanner(windows, stride, 2)
+        w = windows[0]
+        got = transform_matrix(Xt, config, fitted)[w]
+        want = _reference_transform(Xt, config, fitted)[w]
+        assert np.abs(got - want).max() <= np.finfo(float).eps
+        assert transform_vector(Xt[5], config, fitted)[w].tobytes() == want[5].tobytes()
+
+
+def test_transform_matrix_with_no_rows():
+    X = np.random.default_rng(9).normal(size=(20, 6))
+    y = np.array([0, 1] * 10)
+    config = ScanConfig(input_dim=6, windows=(2, 6), stride=2)
+    fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=0)
+    out = transform_matrix(np.zeros((0, 6)), config, fitted)
+    for w in config.windows:
+        assert out[w].shape == (0, config.output_dim(w))
+
+
+def test_transform_matrix_rejects_wrong_width():
+    config = ScanConfig(input_dim=8, windows=(3,))
+    fitted = {3: [ConstantProbEstimator(), ConstantProbEstimator()]}
+    with pytest.raises(ValueError, match="8 columns"):
+        transform_matrix(np.zeros((4, 5)), config, fitted)
+    with pytest.raises(ValueError, match="8 columns"):
+        transform_matrix(np.zeros(8), config, fitted)
 
 
 def test_fit_and_transform_deterministic():
