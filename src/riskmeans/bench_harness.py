@@ -173,10 +173,14 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
             restarts=config.kmeans_restarts,
             seed=derive_seed(fold_seed, "kmeans"), init=config.kmeans_init,
         )
+        distinct = np.unique(Xs, axis=0).shape[0]  # a larger k repeats centroids
         if config.kmeans_k is not None:
+            if config.kmeans_k > distinct:
+                raise ValueError(f"k={config.kmeans_k} exceeds the {distinct} "
+                                 "distinct training rows")
             chosen_k, model = config.kmeans_k, None
         else:
-            k_hi = min(config.kmeans_k_max, Xs.shape[0] - 1)
+            k_hi = min(config.kmeans_k_max, Xs.shape[0] - 1, distinct)
             chosen_k, _, model = choose_k(Xs, range(2, k_hi + 1), carrier)
         sub_schema = [train_proc.schema[j] for j in selected]
         sub_ds = Dataset(features=Xs, labels=y, schema=sub_schema, name=ds.name)

@@ -3,14 +3,16 @@
 The logistic model doubles as the "lr" benchmark baseline, so it is trained
 by deterministic full-batch gradient descent rather than anything stochastic:
 zero-initialized weights, fixed learning rate, L2 penalty on weights only.
-Rankings use |weight| on internally standardized columns so magnitudes are
-comparable across features.
+Each epoch computes only the gradient, through a helper shared with
+:func:`logistic_loss_and_grad`; the loss is computed once, after the last
+epoch. Rankings use |weight| on internally standardized columns so
+magnitudes are comparable across features.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,24 +25,20 @@ PROB_FLOOR = 1e-12
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function (exponentiates negative magnitudes only)."""
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-safe logistic function: with e = exp(-|z|), 1/(1+e) for z >= 0
+    and e/(1+e) otherwise, so only negative magnitudes are exponentiated."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Weights and bias of a fitted logistic regression plus training meta."""
+    """Fitted weights and bias, the epoch count and the loss after the last epoch."""
 
     weights: np.ndarray
     bias: float
     iterations: int
     final_loss: float
-    loss_trace: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -65,14 +63,18 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray,
     The bias is unpenalized. Probabilities are clipped only inside the log,
     so the gradient stays the textbook (1/n)·Xᵀ(p−y) + l2·w form.
     """
-    z = X @ w + b
-    p = _sigmoid(z)
+    p = _sigmoid(X @ w + b)
     pc = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    n = X.shape[0]
     loss = float(-np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc))
                  + 0.5 * l2 * float(w @ w))
-    resid = (p - y) / n
-    return loss, X.T @ resid + l2 * w, float(resid.sum())
+    return (loss, *_logistic_grad(p, w, X, y, l2))
+
+
+def _logistic_grad(p: np.ndarray, w: np.ndarray, X: np.ndarray, y: np.ndarray,
+                   l2: float) -> tuple[np.ndarray, float]:
+    """Gradient (weights, bias) of the penalized log-loss at probabilities p."""
+    resid = (p - y) / X.shape[0]
+    return X.T @ resid + l2 * w, float(resid.sum())
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
@@ -93,16 +95,13 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
         raise ValueError("lr must be positive and l2 non-negative")
     w = np.zeros(X.shape[1])
     b = 0.0
-    trace: list[float] = []
     for _ in range(epochs):
-        loss, gw, gb = logistic_loss_and_grad(w, b, X, y, l2)
-        trace.append(loss)
+        gw, gb = _logistic_grad(_sigmoid(X @ w + b), w, X, y, l2)
         w = w - lr * gw
         b = b - lr * gb
     final_loss = logistic_loss_and_grad(w, b, X, y, l2)[0]
-    trace.append(final_loss)
     return LogisticModel(weights=w, bias=b, iterations=epochs,
-                         final_loss=final_loss, loss_trace=tuple(trace))
+                         final_loss=final_loss)
 
 
 @dataclass(frozen=True)

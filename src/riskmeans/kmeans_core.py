@@ -15,7 +15,8 @@ Brier score need; hard labels come from thresholding at 0.5 by default.
 
 Determinism contracts: ties in assignment break to the lowest cluster index,
 restart seeds derive from the model seed, and all means are reduced in row
-order.
+order (Lloyd's update sums each column with one ``np.bincount``). The
+silhouette sums each cluster's columns of a chunked distance block per row.
 """
 
 from __future__ import annotations
@@ -122,15 +123,13 @@ def _lloyd_single(points: np.ndarray, params: KMeansParams, seed: int) -> KMeans
         trace.append(float(d2[np.arange(points.shape[0]), labels].sum()))
         iterations += 1
 
-        new_centers = np.empty_like(centers)
-        for j in range(params.k):
-            members = labels == j
-            if members.any():
-                new_centers[j] = points[members].mean(axis=0)
-            else:
-                # empty-cluster repair: reseed at the point farthest from the
-                # stale centroid; keeps k constant and is deterministic
-                new_centers[j] = points[np.argmax(d2[:, j])]
+        counts = np.bincount(labels, minlength=params.k)
+        sums = [np.bincount(labels, weights=col, minlength=params.k) for col in points.T]
+        new_centers = np.stack(sums, axis=1) / np.maximum(counts, 1)[:, None]
+        for j in np.flatnonzero(counts == 0):
+            # empty-cluster repair: reseed at the point farthest from the
+            # stale centroid; keeps k constant and is deterministic
+            new_centers[j] = points[np.argmax(d2[:, j])]
 
         shift = np.max(
             np.linalg.norm(new_centers - centers, axis=1)
@@ -204,24 +203,22 @@ def silhouette_score(points: np.ndarray, assignment: np.ndarray) -> float:
     if clusters.size < 2:
         raise ValueError("silhouette undefined for a single cluster")
 
-    sizes = {int(c): int(np.sum(assignment == c)) for c in clusters}
+    own = np.searchsorted(clusters, assignment)  # cluster position per point
+    sizes = np.bincount(own)
     scores = np.zeros(n)
     chunk = 512
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         block = np.sqrt(_sq_dists(points[start:stop], points))  # (chunk, n)
-        for i_local, i in enumerate(range(start, stop)):
-            own = int(assignment[i])
-            if sizes[own] == 1:
-                continue  # singleton contributes 0
-            row = block[i_local]
-            a = row[assignment == own].sum() / (sizes[own] - 1)
-            b = min(
-                row[assignment == c].mean() for c in clusters if c != own
-            )
-            denom = max(a, b)
-            if denom > 0:
-                scores[i] = (b - a) / denom
+        sums = np.stack([block[:, own == c].sum(axis=1) for c in range(sizes.size)], axis=1)
+        rows, mine = np.arange(stop - start), own[start:stop]
+        a = sums[rows, mine] / np.maximum(sizes[mine] - 1, 1)
+        means = sums / sizes
+        means[rows, mine] = np.inf  # b is over the other clusters only
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        ok = (sizes[mine] > 1) & (denom > 0)  # singletons and a = b = 0 give 0
+        scores[start:stop][ok] = (b[ok] - a[ok]) / denom[ok]
     return float(scores.mean())
 
 

@@ -188,6 +188,36 @@ def test_fit_fold_reuses_sweep_winner(monkeypatch):
     assert 2 <= fit.chosen_k <= 5 and fit.kmeans.model.k == fit.chosen_k
 
 
+def _three_distinct_rows(n_each=20):
+    """Three distinct rows, each repeated with both labels."""
+    rows = np.repeat([[0.0, 1.0], [4.0, -2.0], [1.0, 5.0]], n_each, axis=0)
+    return numeric_dataset(rows, np.tile([0, 1], 3 * n_each // 2))
+
+
+def test_auto_k_sweep_capped_at_distinct_rows(monkeypatch):
+    real_choose = bench_harness.choose_k
+    swept = []
+
+    def choose(points, k_range, params):
+        swept.append(list(k_range))
+        return real_choose(points, k_range, params)
+
+    monkeypatch.setattr(bench_harness, "choose_k", choose)
+    ds = _three_distinct_rows()
+    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, kmeans_k=None,
+                                                kmeans_k_max=10), fold_seed=3)
+    assert swept == [[2, 3]]
+    assert fit.chosen_k in (2, 3)
+
+
+def test_fixed_k_above_distinct_rows_rejected():
+    ds = _three_distinct_rows()
+    with pytest.raises(ValueError, match="k=5 exceeds the 3 distinct training rows"):
+        fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, kmeans_k=5), fold_seed=3)
+    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, kmeans_k=3), fold_seed=3)
+    assert fit.kmeans.model.k == 3
+
+
 def test_compare_methods_assembles_table():
     result = compare_methods(_bench_dataset(), ["kmeans", "lr"], _config())
     assert [m for m, _ in result.computed] == ["kmeans", "lr"]

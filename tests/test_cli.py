@@ -277,6 +277,18 @@ def test_fold_error_names_fold(tmp_path, capsys):
     assert lines[1:] == ["  fold 0"]
 
 
+def test_k_above_distinct_rows_exits_one(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    rows = ["0.5,1.0,p", "-1.0,2.0,q", "2.0,-0.5,p"]
+    data.write_text("x0,x1,grade,outcome\n" + "".join(
+        f"{rows[i % 3]},{'bad' if i % 2 else 'good'}\n" for i in range(60)),
+        encoding="utf-8")
+    assert main(["train", "--config", str(config), "--k", "5",
+                 "--target-k", "3"]) == 1
+    assert "k=5 exceeds the 3 distinct training rows" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def test_flag_overrides_config_file(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["run", "--config", str(config), "--seed", "5",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from riskmeans.feature_select import (
+    _sigmoid,
     default_candidates,
     fit_logistic,
     logistic_loss_and_grad,
@@ -61,10 +62,58 @@ def test_loss_non_increasing_small_lr():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 3))
     y = rng.integers(0, 2, size=40)
-    model = fit_logistic(X, y, lr=0.01, epochs=200)
-    trace = np.array(model.loss_trace)
-    assert (np.diff(trace) <= 1e-12).all()
-    assert model.final_loss == trace[-1]
+    losses = np.array([fit_logistic(X, y, lr=0.01, epochs=e).final_loss
+                       for e in range(201)])
+    assert (np.diff(losses) <= 1e-12).all()
+    assert losses[0] == logistic_loss_and_grad(np.zeros(3), 0.0, X, y, 1e-4)[0]
+
+
+def _loop_sigmoid(z):
+    """The masked-scatter logistic function fit_logistic used to call."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _loop_fit_logistic(X, y, lr=0.1, epochs=500, l2=1e-4):
+    """Reference descent: the gradient written out inline, the masked sigmoid."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w, b, n = np.zeros(X.shape[1]), 0.0, X.shape[0]
+    for _ in range(epochs):
+        p = _loop_sigmoid(X @ w + b)
+        resid = (p - y) / n
+        gw, gb = X.T @ resid + l2 * w, float(resid.sum())
+        w = w - lr * gw
+        b = b - lr * gb
+    return w, b
+
+
+@pytest.mark.parametrize("n,d,scale", [(40, 3, 1.0), (300, 8, 5.0), (800, 20, 1.0),
+                                        (50, 1, 100.0)])
+def test_fit_matches_per_epoch_loss_loop_bitwise(n, d, scale):
+    rng = np.random.default_rng(n + d)
+    X = scale * rng.normal(size=(n, d))
+    y = rng.integers(0, 2, size=n)
+    w, b = _loop_fit_logistic(X, y)
+    model = fit_logistic(X, y)
+    assert model.weights.tobytes() == w.tobytes() and model.bias == b
+    assert model.final_loss == logistic_loss_and_grad(w, b, X, y, 1e-4)[0]
+
+
+def test_fit_matches_loop_at_huge_margins_bitwise():
+    # |z| reaches about 1000, where exp(-|z|) underflows to 0
+    X = np.array([[-1000.0], [-999.5], [998.0], [1000.0]])
+    y = np.array([0, 0, 1, 1])
+    z = np.array([-1000.0, -710.0, -1.5, -0.0, 0.0, 2.5, 745.0, 1000.0])
+    assert _sigmoid(z).tobytes() == _loop_sigmoid(z).tobytes()
+    for epochs in (1, 50):
+        w, b = _loop_fit_logistic(X, y, epochs=epochs)
+        model = fit_logistic(X, y, epochs=epochs)
+        assert model.weights.tobytes() == w.tobytes() and model.bias == b
 
 
 def test_single_class_rejected():

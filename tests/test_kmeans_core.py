@@ -26,6 +26,7 @@ from riskmeans.kmeans_core import (
     silhouette_score,
     uniform_init,
 )
+from riskmeans.seeding import derive_seed
 
 from conftest import make_blobs, make_labeled_blobs, numeric_dataset
 
@@ -93,6 +94,66 @@ def test_lloyd_rejects_non_finite():
 def test_lloyd_rejects_n_below_k():
     with pytest.raises(ValueError):
         lloyd_fit(np.zeros((2, 2)), KMeansParams(k=3))
+
+
+def _loop_update(points, labels, d2, k):
+    """Reference centroid update: one boolean-mask mean per cluster."""
+    centers = np.empty((k, points.shape[1]))
+    for j in range(k):
+        members = labels == j
+        if members.any():
+            centers[j] = points[members].mean(axis=0)
+        else:
+            centers[j] = points[np.argmax(d2[:, j])]
+    return centers
+
+
+def _one_update_both_ways(points, k, seed):
+    """Centroids after one Lloyd step, from lloyd_fit and from the loop."""
+    params = KMeansParams(k=k, restarts=1, max_iters=1, seed=seed)
+    init = kmeanspp_init(points, k, np.random.default_rng(derive_seed(seed, "restart:0")))
+    d2 = ((points[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    return lloyd_fit(points, params).centroids, _loop_update(points, labels, d2, k), labels
+
+
+def _update_cases(d):
+    rng = np.random.default_rng(d)
+    for n, k in ((7, 2), (60, 3), (500, 5), (2000, 8)):
+        yield rng.normal(size=(n, d)) * rng.uniform(0.5, 50) + rng.normal(size=d), k
+    # three distinct rows and k = 5: two centers repeat a row and start empty
+    yield np.repeat(rng.normal(size=(3, d)), 10, axis=0), 5
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_lloyd_update_matches_mask_mean_loop_bitwise(d):
+    saw_empty = False
+    for points, k in _update_cases(d):
+        for seed in range(3):
+            got, want, labels = _one_update_both_ways(points, k, seed)
+            saw_empty |= np.bincount(labels, minlength=k).min() == 0
+            assert got.tobytes() == want.tobytes()
+    assert saw_empty
+
+
+def test_lloyd_update_one_column_within_summation_error():
+    # a one-column mean was a pairwise sum and is now a sequential one, so
+    # the two may differ by the rounding error of summing m terms
+    eps = np.finfo(float).eps
+    saw_empty = False
+    for points, k in _update_cases(1):
+        for seed in range(3):
+            got, want, labels = _one_update_both_ways(points, k, seed)
+            counts = np.bincount(labels, minlength=k)
+            saw_empty |= counts.min() == 0
+            for j in range(k):
+                col = points[labels == j, 0]
+                if col.size == 0:
+                    assert got[j, 0] == want[j, 0]
+                    continue
+                bound = (col.size - 1) * eps * np.abs(col).mean() + np.spacing(abs(want[j, 0]))
+                assert abs(got[j, 0] - want[j, 0]) <= bound
+    assert saw_empty
 
 
 def test_wcss_trace_non_increasing():
@@ -186,6 +247,52 @@ def test_silhouette_singletons_contribute_zero():
     s0 = (50.0 - 1.0) / 50.0
     s1 = (49.0 - 1.0) / 49.0
     assert s == pytest.approx((s0 + s1 + 0.0) / 3, abs=1e-9)
+
+
+def _loop_silhouette(points, assignment):
+    """Reference silhouette: one Python iteration per point over full rows."""
+    clusters = np.unique(assignment)
+    sizes = {c: int(np.sum(assignment == c)) for c in clusters}
+    scores = np.zeros(points.shape[0])
+    for i, x in enumerate(points):
+        row = np.sqrt(((points - x) ** 2).sum(axis=1))
+        own = assignment[i]
+        if sizes[own] == 1:
+            continue
+        a = row[assignment == own].sum() / (sizes[own] - 1)
+        b = min(row[assignment == c].mean() for c in clusters if c != own)
+        if max(a, b) > 0:
+            scores[i] = (b - a) / max(a, b)
+    return float(scores.mean())
+
+
+def test_silhouette_matches_per_point_loop():
+    rng = np.random.default_rng(23)
+    for n, d, k in ((3, 1, 2), (40, 2, 3), (513, 3, 4), (1100, 5, 9)):
+        points = rng.normal(size=(n, d))
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = np.arange(k)
+        labels[-1] = k  # a singleton cluster, with a label gap before it
+        labels = np.where(labels == 1, 7, labels)
+        assert abs(silhouette_score(points, labels) - _loop_silhouette(points, labels)) <= 1e-15
+    # coincident points give a = b = 0 and contribute 0
+    points = np.array([[0.0], [0.0], [0.0], [0.0]])
+    assert silhouette_score(points, np.array([0, 0, 1, 1])) == 0.0
+
+
+def test_choose_k_winner_matches_loop_silhouette(monkeypatch):
+    sweeps = [
+        make_blobs(40, [[0, 0], [6, 0], [0, 6], [6, 6]], spread=1.5, seed=3),
+        make_blobs(60, [[0, 0, 0], [4, 0, 0], [0, 4, 0]], spread=1.2, seed=8),
+        np.random.default_rng(5).normal(size=(300, 4)),
+    ]
+    params = KMeansParams(k=2, restarts=2, seed=1)
+    got = [choose_k(points, range(2, 8), params)[:2] for points in sweeps]
+    monkeypatch.setattr(kc, "silhouette_score", _loop_silhouette)
+    want = [choose_k(points, range(2, 8), params)[:2] for points in sweeps]
+    for (k_got, table_got), (k_want, table_want) in zip(got, want):
+        assert k_got == k_want
+        assert all(abs(a - b) <= 1e-15 for (_, a), (_, b) in zip(table_got, table_want))
 
 
 def test_choose_k_three_blobs():
