@@ -23,13 +23,10 @@ from .data_ingest import (
     PreprocessReport,
     apply_report,
     balanced_subsample,
-    encode_categories,
-    impute,
     load_csv,
     load_with_schema,
     preprocess,
     read_schema,
-    standardize,
 )
 from .feature_select import (
     LogisticModel,

@@ -1,22 +1,21 @@
 """Dataset loading and preprocessing for delimited credit-risk tables.
 
-Pipeline: :func:`load_csv` -> :func:`impute` -> :func:`encode_categories`
--> :func:`standardize`. Every fitted quantity (imputation values, category
-code tables, column moments) is recorded in a :class:`PreprocessReport`;
-:func:`apply_report` replays a report on raw data, which both reproduces the
-processed matrix bit-identically and lets test folds reuse train-fold
-statistics without refitting.
-
-Missing cells are NaN (numeric) or None (categorical) until imputation.
-Feature matrices use dtype ``object`` while categorical strings remain and
-become float64 after encoding.
+:func:`load_csv` reads a table into an object-dtype feature matrix in which
+missing cells are NaN (numeric columns) or None (categorical columns).
+:func:`preprocess` fits a :class:`PreprocessReport` on such a table, one
+column at a time: the fill for missing cells (mean or mode), the category
+code table (first appearance) and, when scaling, the column mean and
+population std. It returns the float64 matrix together with the report.
+:func:`apply_report` replays a report on raw rows without refitting. Both
+produce their matrices through one column transform, so replaying the
+training rows reproduces the processed matrix bit for bit and held-out rows
+are transformed with train-side statistics only.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -308,117 +307,84 @@ def load_with_schema(data_path, schema_path, name: str = "") -> Dataset:
     )
 
 
-def _is_missing(value) -> bool:
-    return value is None or (isinstance(value, float) and np.isnan(value))
+def _missing(col: np.ndarray) -> np.ndarray:
+    """Mask of missing cells: None or NaN."""
+    return np.equal(col, None) | (col != col)
 
 
-def impute(ds: Dataset, report: PreprocessReport | None = None) -> tuple[Dataset, PreprocessReport]:
-    """Fill numeric gaps with the column mean, categorical gaps with the mode.
+def _zscale(vals: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+    return np.zeros_like(vals) if sigma == 0.0 else (vals - mu) / sigma
 
-    Mode ties break to the lexicographically smallest category. Imputation
-    values are recorded per column even when nothing was missing, so replays
-    stay independent of which cells happened to be observed.
+
+def _transform_column(col: np.ndarray, spec: ColumnSpec, report: PreprocessReport,
+                      scale: bool) -> np.ndarray:
+    """Map one raw column to floats through the report's recorded statistics.
+
+    Missing cells take the column's fill; categories, compared as strings,
+    become their code, with categories absent from the code table sharing
+    the overflow code ``len(codes)``; with ``scale`` the result is z-scaled
+    by the recorded mean and std.
     """
-    report = report or PreprocessReport()
-    out = ds.features.copy()
-    for j, spec in enumerate(ds.schema):
-        col = out[:, j]
-        observed = [v for v in col if not _is_missing(v)]
-        if not observed:
-            raise AllMissingColumnError(spec.name)
-        if spec.kind == NUMERIC:
-            fill = float(np.mean(np.array(observed, dtype=float)))
-        else:
-            counts = Counter(observed)
-            top = max(counts.values())
-            fill = min(c for c, k in counts.items() if k == top)
-        report.imputation[spec.name] = fill
-        for i in range(out.shape[0]):
-            if _is_missing(out[i, j]):
-                out[i, j] = fill
-    return replace(ds, features=out), report
-
-
-def encode_categories(ds: Dataset, report: PreprocessReport | None = None) -> tuple[Dataset, PreprocessReport]:
-    """Map each categorical column to integer codes 0,1,2,... by first appearance.
-
-    Expects imputation to have run (no missing cells). The resulting matrix is
-    float64; code tables go into the report.
-    """
-    report = report or PreprocessReport()
-    out = np.empty(ds.features.shape, dtype=float)
-    for j, spec in enumerate(ds.schema):
-        col = ds.features[:, j]
-        if spec.kind == NUMERIC:
-            out[:, j] = col.astype(float)
-            continue
-        table: dict[str, int] = {}
-        for v in col:
-            if _is_missing(v):
-                raise DataError(f"column {spec.name!r} still has missing cells; impute first")
-            if v not in table:
-                table[v] = len(table)
-        report.codes[spec.name] = list(table.keys())
-        out[:, j] = [table[v] for v in col]
-    return replace(ds, features=out), report
-
-
-def standardize(ds: Dataset, report: PreprocessReport | None = None) -> tuple[Dataset, PreprocessReport]:
-    """Center and scale every column to mean 0, population std 1.
-
-    Constant columns map to all-zeros. Recorded means and stds let test folds
-    reuse the train fold's transform.
-    """
-    report = report or PreprocessReport()
-    X = np.asarray(ds.features, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise DataError("standardize requires a fully numeric, finite matrix")
-    out = np.empty_like(X)
-    for j, spec in enumerate(ds.schema):
-        mu = float(np.mean(X[:, j]))
-        sigma = float(np.std(X[:, j]))  # population std
-        report.means[spec.name] = mu
-        report.stds[spec.name] = sigma
-        out[:, j] = 0.0 if sigma == 0.0 else (X[:, j] - mu) / sigma
-    return replace(ds, features=out), report
+    name = spec.name
+    if name not in report.imputation or (scale and name not in report.means):
+        raise SchemaError(f"preprocess report has no entry for column {name!r}")
+    filled = np.where(_missing(col), report.imputation[name], col)
+    if spec.kind == NUMERIC:
+        vals = filled.astype(float)
+    else:
+        cats, inverse = np.unique(filled.astype(str), return_inverse=True)
+        table = {c: i for i, c in enumerate(report.codes.get(name, []))}
+        vals = np.array([table.get(c, len(table)) for c in cats], dtype=float)[inverse]
+    if scale:
+        vals = _zscale(vals, report.means[name], report.stds[name])
+    return vals
 
 
 def preprocess(ds: Dataset, scale: bool = True) -> tuple[Dataset, PreprocessReport]:
-    """impute -> encode -> (optionally) standardize, sharing one report."""
-    out, report = impute(ds)
-    out, report = encode_categories(out, report)
-    if scale:
-        out, report = standardize(out, report)
-    return out, report
+    """Fit a :class:`PreprocessReport` on ``ds`` and return the processed copy.
 
-
-def apply_report(ds: Dataset, report: PreprocessReport, scale: bool = True) -> Dataset:
-    """Replay recorded preprocessing on raw data without refitting anything.
-
-    Categories unseen when the code table was built share a single overflow
-    code equal to the table length.
+    Numeric gaps take the column mean and categorical gaps the mode (ties to
+    the lexicographically smallest category); fills are recorded even when
+    nothing is missing. Categories are coded by first appearance in the
+    filled column. With ``scale`` every column is then centred and divided by
+    its population std, and constant columns become zeros. The matrix comes
+    from the same column transform that :func:`apply_report` replays.
     """
+    report = PreprocessReport()
     out = np.empty(ds.features.shape, dtype=float)
     for j, spec in enumerate(ds.schema):
         col = ds.features[:, j]
+        missing = _missing(col)
+        observed = col[~missing]
+        if observed.size == 0:
+            raise AllMissingColumnError(spec.name)
         if spec.kind == NUMERIC:
-            fill = report.imputation.get(spec.name)
-            vals = np.array(
-                [fill if _is_missing(v) else float(v) for v in col], dtype=float
-            )
+            report.imputation[spec.name] = float(np.mean(observed.astype(float)))
         else:
-            fill = report.imputation.get(spec.name)
-            table = {c: i for i, c in enumerate(report.codes.get(spec.name, []))}
-            overflow = len(table)
-            vals = np.array(
-                [table.get(fill if _is_missing(v) else v, overflow) for v in col],
-                dtype=float,
-            )
-        if scale:
-            mu = report.means[spec.name]
-            sigma = report.stds[spec.name]
-            vals = np.zeros_like(vals) if sigma == 0.0 else (vals - mu) / sigma
-        out[:, j] = vals
+            cats, counts = np.unique(observed.astype(str), return_counts=True)
+            fill = report.imputation[spec.name] = str(cats[np.argmax(counts)])
+            cats, first = np.unique(np.where(missing, fill, col).astype(str),
+                                    return_index=True)
+            report.codes[spec.name] = cats[np.argsort(first)].tolist()
+        out[:, j] = _transform_column(col, spec, report, scale=False)
+    if scale:
+        if not np.all(np.isfinite(out)):
+            raise DataError("standardize requires a fully numeric, finite matrix")
+        for j, spec in enumerate(ds.schema):
+            mu = report.means[spec.name] = float(np.mean(out[:, j]))
+            sigma = report.stds[spec.name] = float(np.std(out[:, j]))  # population std
+            out[:, j] = _zscale(out[:, j], mu, sigma)
+    return replace(ds, features=out), report
+
+
+def apply_report(ds: Dataset, report: PreprocessReport, scale: bool = True) -> Dataset:
+    """Replay a fitted report on raw data without refitting anything.
+
+    A schema column the report does not cover raises :class:`SchemaError`.
+    """
+    out = np.empty(ds.features.shape, dtype=float)
+    for j, spec in enumerate(ds.schema):
+        out[:, j] = _transform_column(ds.features[:, j], spec, report, scale)
     return replace(ds, features=out)
 
 

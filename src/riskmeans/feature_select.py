@@ -12,7 +12,7 @@ magnitudes are comparable across features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,13 +78,11 @@ def _logistic_grad(p: np.ndarray, w: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
-                 epochs: int = 500, l2: float = 1e-4, seed: int = 0) -> LogisticModel:
+                 epochs: int = 500, l2: float = 1e-4) -> LogisticModel:
     """Full-batch gradient descent from zero-initialized parameters.
 
-    The seed is accepted for interface uniformity but unused: zero init plus
-    full-batch updates make the fit deterministic on its own.
+    Zero init plus full-batch updates make the fit deterministic without a seed.
     """
-    del seed
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -176,7 +174,7 @@ def _as_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
 
 
 def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
-                    seed: int = 0, kmeans_params: KMeansParams | None = None) -> int:
+                    seed: int = 0) -> int:
     """Pick the candidate feature count with the best K-means-classifier CV accuracy.
 
     For every candidate: run rfe to that size, then cross-validate a small
@@ -193,13 +191,13 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
     for c in candidates:
         if not 1 <= c <= d:
             raise ValueError(f"candidate {c} outside [1, {d}]")
-    base = kmeans_params or KMeansParams(k=2, restarts=2, max_iters=100)
     plan = _cv.stratified_kfold(y, cv_folds, derive_seed(seed, "target_k:folds"))
 
     scored: list[tuple[int, int]] = []  # (candidate, pooled correct count)
     for cand in candidates:
         sel = list(rfe(X, y, target_k=cand).selected)
-        params = replace(base, seed=derive_seed(seed, f"target_k:{cand}"))
+        params = KMeansParams(k=2, restarts=2, max_iters=100,
+                              seed=derive_seed(seed, f"target_k:{cand}"))
         correct = 0
         for fold in range(plan.k):
             tr, te = plan.train_indices(fold), plan.test_indices[fold]

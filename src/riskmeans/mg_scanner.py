@@ -19,7 +19,7 @@ dimension contract without any fitting.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -140,8 +140,7 @@ class KMeansWindowEstimator(WindowEstimator):
         return np.column_stack([1.0 - s, s])
 
 
-def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0,
-                          kmeans_params: KMeansParams | None = None) -> dict:
+def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0) -> dict:
     """Fit config.estimators K-means window models per window size.
 
     For each w, every training row is sliced into its windows and the slices
@@ -155,7 +154,6 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0,
         )
     if config.classes != 2:
         raise ValueError("the K-means window estimator is binary (classes=2)")
-    base = kmeans_params or KMeansParams(k=2, restarts=2, max_iters=100)
     y = np.asarray(train.labels)
     fitted: dict[int, list[WindowEstimator]] = {}
     for w in config.windows:
@@ -163,7 +161,8 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0,
         pool_labels = np.repeat(y, window_count(config.input_dim, w, config.stride))
         fitted[w] = [
             KMeansWindowEstimator(
-                replace(base, seed=derive_seed(seed, f"scan:w{w}:e{e}"))
+                KMeansParams(k=2, restarts=2, max_iters=100,
+                             seed=derive_seed(seed, f"scan:w{w}:e{e}"))
             ).fit(pool, pool_labels)
             for e in range(config.estimators)
         ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +22,10 @@ from riskmeans.data_ingest import (
     SchemaError,
     apply_report,
     balanced_subsample,
-    encode_categories,
-    impute,
     load_csv,
     load_with_schema,
     preprocess,
     read_schema,
-    standardize,
     write_processed,
 )
 
@@ -186,75 +185,81 @@ def _tiny(features, kinds):
 
 def test_impute_numeric_mean():
     ds = _tiny([[1.0], [np.nan], [3.0]], ["numeric"])
-    out, report = impute(ds)
+    out, report = preprocess(ds, scale=False)
     assert list(out.features[:, 0]) == [1.0, 2.0, 3.0]
     assert report.imputation["c0"] == 2.0
 
 
 def test_impute_categorical_mode():
-    ds = _tiny([["a"], ["a"], [None]], ["categorical"])
-    out, report = impute(ds)
-    assert list(out.features[:, 0]) == ["a", "a", "a"]
+    ds = _tiny([["b"], ["a"], ["a"], [None]], ["categorical"])
+    out, report = preprocess(ds, scale=False)
+    assert list(out.features[:, 0]) == [0.0, 1.0, 1.0, 1.0]
     assert report.imputation["c0"] == "a"
 
 
 def test_impute_mode_tie_lexicographic():
     ds = _tiny([["b"], ["a"], [None]], ["categorical"])
-    out, _ = impute(ds)
-    assert out.features[2, 0] == "a"
+    out, report = preprocess(ds, scale=False)
+    assert report.imputation["c0"] == "a"
+    assert out.features[2, 0] == out.features[1, 0] == 1.0
 
 
 def test_impute_no_missing_unchanged():
     ds = _tiny([[1.0, "x"], [2.0, "y"]], ["numeric", "categorical"])
-    out, report = impute(ds)
-    assert (out.features == ds.features).all()
+    out, report = preprocess(ds, scale=False)
+    assert out.features.tolist() == [[1.0, 0.0], [2.0, 1.0]]
     # fills recorded anyway, so replay is independent of missingness pattern
     assert report.imputation["c0"] == 1.5 and report.imputation["c1"] == "x"
 
 
 def test_impute_all_missing_column():
-    ds = _tiny([[np.nan], [np.nan]], ["numeric"])
-    with pytest.raises(AllMissingColumnError, match="c0"):
-        impute(ds)
+    for kind, cell in (("numeric", np.nan), ("categorical", None)):
+        ds = _tiny([[1.0, cell], [2.0, cell]], ["numeric", kind])
+        with pytest.raises(AllMissingColumnError) as err:
+            preprocess(ds)
+        assert str(err.value) == "column 'c1' has no observed values to impute from"
 
 
 def test_encode_first_appearance():
     ds = _tiny([["red"], ["blue"], ["red"]], ["categorical"])
-    out, report = encode_categories(ds)
+    out, report = preprocess(ds, scale=False)
     assert list(out.features[:, 0]) == [0.0, 1.0, 0.0]
     assert report.codes["c0"] == ["red", "blue"]
 
 
 def test_encode_first_appearance_second_example():
     ds = _tiny([["b"], ["a"], ["b"], ["c"]], ["categorical"])
-    out, _ = encode_categories(ds)
+    out, _ = preprocess(ds, scale=False)
     assert list(out.features[:, 0]) == [0.0, 1.0, 0.0, 2.0]
+
+
+def test_encode_first_appearance_counts_filled_cells():
+    # the gap in row 0 is filled with the mode "a" before codes are assigned
+    ds = _tiny([[None], ["b"], ["a"], ["a"]], ["categorical"])
+    out, report = preprocess(ds, scale=False)
+    assert report.codes["c0"] == ["a", "b"]
+    assert list(out.features[:, 0]) == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_encode_all_numeric_unchanged():
     ds = _tiny([[1.5], [2.5]], ["numeric"])
-    out, report = encode_categories(ds)
+    out, report = preprocess(ds, scale=False)
     assert list(out.features[:, 0]) == [1.5, 2.5]
     assert report.codes == {}
 
 
-def test_encode_requires_imputation_first():
-    ds = _tiny([["a"], [None]], ["categorical"])
-    with pytest.raises(DataError, match="impute"):
-        encode_categories(ds)
-
-
 def test_standardize_two_points():
     ds = _tiny([[0.0], [2.0]], ["numeric"])
-    out, report = standardize(ds)
+    out, report = preprocess(ds)
     assert list(out.features[:, 0]) == [-1.0, 1.0]
     assert report.means["c0"] == 1.0 and report.stds["c0"] == 1.0
 
 
 def test_standardize_constant_column_zeros():
-    ds = _tiny([[5.0], [5.0], [5.0]], ["numeric"])
-    out, _ = standardize(ds)
-    assert (out.features[:, 0] == 0.0).all()
+    ds = _tiny([[5.0, "a"], [5.0, "a"], [5.0, None]], ["numeric", "categorical"])
+    out, report = preprocess(ds)
+    assert (out.features == 0.0).all()
+    assert report.stds == {"c0": 0.0, "c1": 0.0}
 
 
 def test_standardize_random_moments():
@@ -263,7 +268,7 @@ def test_standardize_random_moments():
     schema = [ColumnSpec(f"c{j}", "numeric") for j in range(4)]
     ds = Dataset(features=X.astype(object), labels=np.zeros(200, dtype=int),
                  schema=schema)
-    out, _ = standardize(ds)
+    out, _ = preprocess(ds)
     Z = np.asarray(out.features, dtype=float)
     assert np.abs(Z.mean(axis=0)).max() < 1e-12
     assert np.abs(Z.std(axis=0) - 1.0).max() < 1e-12
@@ -271,8 +276,16 @@ def test_standardize_random_moments():
 
 def test_standardize_uses_population_std():
     ds = _tiny([[0.0], [1.0]], ["numeric"])
-    _, report = standardize(ds)
+    _, report = preprocess(ds)
     assert report.stds["c0"] == 0.5  # population, not sample (which would be ~0.707)
+
+
+def test_standardize_rejects_infinite_cells():
+    ds = _tiny([[1.0], [np.inf]], ["numeric"])
+    with pytest.raises(DataError, match="finite matrix"):
+        preprocess(ds)
+    out, _ = preprocess(ds, scale=False)
+    assert out.features[1, 0] == np.inf
 
 
 def test_preprocess_leaves_no_missing(raw_dataset):
@@ -283,9 +296,9 @@ def test_preprocess_leaves_no_missing(raw_dataset):
 
 def test_replay_reproduces_processed_matrix(raw_dataset):
     out, report = preprocess(raw_dataset)
-    replayed = apply_report(raw_dataset, report)
-    assert np.array_equal(np.asarray(out.features, dtype=float),
-                          np.asarray(replayed.features, dtype=float))
+    replayed = apply_report(raw_dataset, PreprocessReport.from_json(report.to_json()))
+    assert replayed.features.dtype == out.features.dtype == np.float64
+    assert replayed.features.tobytes() == out.features.tobytes()
 
 
 def test_replay_without_scaling(raw_dataset):
@@ -297,10 +310,22 @@ def test_replay_without_scaling(raw_dataset):
 
 def test_replay_unseen_category_gets_overflow_code():
     train = _tiny([["a"], ["b"]], ["categorical"])
-    _, report = preprocess(train, scale=False)
     test = _tiny([["c"], ["a"]], ["categorical"])
-    replayed = apply_report(test, report, scale=False)
-    assert list(replayed.features[:, 0]) == [2.0, 0.0]
+    _, report = preprocess(train, scale=False)
+    assert list(apply_report(test, report, scale=False).features[:, 0]) == [2.0, 0.0]
+    _, report = preprocess(train)
+    assert report.means["c0"] == 0.5 and report.stds["c0"] == 0.5
+    assert list(apply_report(test, report).features[:, 0]) == [3.0, -1.0]
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_replay_report_missing_a_column_names_it(scale):
+    _, report = preprocess(_tiny([[1.0], [2.0]], ["numeric"]), scale=scale)
+    ds = Dataset(features=np.array([[1.0, 1.0], [3.0, 2.0]], dtype=object),
+                 labels=np.zeros(2, dtype=int),
+                 schema=[ColumnSpec("a", "numeric"), ColumnSpec("c0", "numeric")])
+    with pytest.raises(SchemaError, match="'a'"):
+        apply_report(ds, report, scale=scale)
 
 
 def test_report_json_round_trip(raw_dataset):
@@ -355,14 +380,26 @@ def test_write_processed_round_trips_floats(tmp_path, raw_dataset):
 
 @st.composite
 def raw_tables(draw):
-    n = draw(st.integers(min_value=2, max_value=15))
-    num = draw(st.lists(
-        st.one_of(st.floats(min_value=-50, max_value=50,
-                            allow_nan=False, allow_infinity=False),
-                  st.none()),
-        min_size=n, max_size=n))
-    cat = draw(st.lists(st.one_of(st.sampled_from(["a", "b", "c"]), st.none()),
-                        min_size=n, max_size=n))
+    """(numeric cells, categorical cells) of one table, None marking a gap.
+
+    Half the tables give every category the same count (a mode tie), half
+    have a constant numeric column, and a third use a single category.
+    """
+    categories = draw(st.sampled_from(["a", "ab", "abc"]))
+    if draw(st.booleans()):
+        per = draw(st.integers(min_value=2, max_value=4))
+        gaps = draw(st.integers(min_value=0, max_value=3))
+        cat = draw(st.permutations(list(categories) * per + [None] * gaps))
+    else:
+        n = draw(st.integers(min_value=2, max_value=15))
+        cat = draw(st.lists(st.one_of(st.sampled_from(categories), st.none()),
+                            min_size=n, max_size=n))
+    n = len(cat)
+    numbers = st.floats(min_value=-50, max_value=50,
+                        allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        numbers = st.just(draw(numbers))
+    num = draw(st.lists(st.one_of(numbers, st.none()), min_size=n, max_size=n))
     if all(v is None for v in num):
         num[0] = 1.0
     if all(v is None for v in cat):
@@ -370,18 +407,90 @@ def raw_tables(draw):
     return num, cat
 
 
-@given(raw_tables())
-@settings(deadline=None, max_examples=60)
-def test_replay_property_random_tables(table):
+def _table_dataset(table) -> Dataset:
     num, cat = table
     n = len(num)
     feat = np.empty((n, 2), dtype=object)
     for i in range(n):
         feat[i, 0] = np.nan if num[i] is None else float(num[i])
         feat[i, 1] = cat[i]
-    ds = Dataset(features=feat, labels=np.zeros(n, dtype=int),
-                 schema=[ColumnSpec("x", "numeric"), ColumnSpec("g", "categorical")])
-    out, report = preprocess(ds)
-    replayed = apply_report(ds, report)
-    assert np.array_equal(np.asarray(out.features, dtype=float),
-                          np.asarray(replayed.features, dtype=float))
+    return Dataset(features=feat, labels=np.zeros(n, dtype=int),
+                   schema=[ColumnSpec("x", "numeric"), ColumnSpec("g", "categorical")])
+
+
+@given(raw_tables(), st.booleans())
+@settings(deadline=None, max_examples=60)
+def test_replay_property_random_tables(table, scale):
+    ds = _table_dataset(table)
+    out, report = preprocess(ds, scale=scale)
+    replayed = apply_report(ds, report, scale=scale)
+    assert replayed.features.tobytes() == out.features.tobytes()
+
+
+# Reference: the per-cell impute -> encode -> standardize chain that
+# preprocess replaced, kept to check that the whole-column transform gives
+# the same bytes.
+
+def _ref_is_missing(value) -> bool:
+    return value is None or (isinstance(value, float) and np.isnan(value))
+
+
+def _ref_preprocess(ds: Dataset, scale: bool):
+    report = PreprocessReport()
+    out = ds.features.copy()
+    for j, spec in enumerate(ds.schema):
+        col = out[:, j]
+        observed = [v for v in col if not _ref_is_missing(v)]
+        if not observed:
+            raise AllMissingColumnError(spec.name)
+        if spec.kind == "numeric":
+            fill = float(np.mean(np.array(observed, dtype=float)))
+        else:
+            counts = Counter(observed)
+            top = max(counts.values())
+            fill = min(c for c, k in counts.items() if k == top)
+        report.imputation[spec.name] = fill
+        for i in range(out.shape[0]):
+            if _ref_is_missing(out[i, j]):
+                out[i, j] = fill
+    X = np.empty(out.shape, dtype=float)
+    for j, spec in enumerate(ds.schema):
+        col = out[:, j]
+        if spec.kind == "numeric":
+            X[:, j] = col.astype(float)
+            continue
+        table: dict[str, int] = {}
+        for v in col:
+            if v not in table:
+                table[v] = len(table)
+        report.codes[spec.name] = list(table.keys())
+        X[:, j] = [table[v] for v in col]
+    if not scale:
+        return X, report
+    Z = np.empty_like(X)
+    for j, spec in enumerate(ds.schema):
+        mu = float(np.mean(X[:, j]))
+        sigma = float(np.std(X[:, j]))
+        report.means[spec.name] = mu
+        report.stds[spec.name] = sigma
+        Z[:, j] = 0.0 if sigma == 0.0 else (X[:, j] - mu) / sigma
+    return Z, report
+
+
+@given(raw_tables(), st.booleans())
+@settings(deadline=None, max_examples=200)
+def test_preprocess_matches_per_cell_reference_bitwise(table, scale):
+    ds = _table_dataset(table)
+    out, report = preprocess(ds, scale=scale)
+    ref_X, ref_report = _ref_preprocess(ds, scale)
+    assert out.features.tobytes() == ref_X.tobytes()
+    assert report.to_json() == ref_report.to_json()
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_preprocess_matches_per_cell_reference_on_mixed_table(scale):
+    ds = mixed_raw_dataset(n=500, seed=7, missing_rate=0.2)
+    out, report = preprocess(ds, scale=scale)
+    ref_X, ref_report = _ref_preprocess(ds, scale)
+    assert out.features.tobytes() == ref_X.tobytes()
+    assert report.to_json() == ref_report.to_json()
