@@ -107,8 +107,6 @@ class PipelineConfig:
     kmeans_max_iters: int = 300
     kmeans_tol: float = 1e-6
     kmeans_init: str = INIT_KMEANSPP
-    lr_rate: float = 0.1
-    lr_epochs: int = 500
     lr_l2: float = 1e-4
     threshold: float = 0.5
 
@@ -188,8 +186,7 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
         if config.threshold != km.threshold:
             km = replace(km, threshold=config.threshold)
     else:
-        lm = fit_logistic(Xs, y, lr=config.lr_rate,
-                          epochs=config.lr_epochs, l2=config.lr_l2)
+        lm = fit_logistic(Xs, y, l2=config.lr_l2)
     return FoldFit(fold=fold, train_indices=np.asarray(train_indices),
                    preprocess=report, selected=selected, chosen_k=chosen_k,
                    kmeans=km, logistic=lm)

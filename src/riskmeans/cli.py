@@ -77,6 +77,7 @@ def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "estimators", None) is not None:
         overrides["scanner_estimators"] = args.estimators
     cfg = dataclasses.replace(cfg, **overrides)
+    cfg.check_ranges("command line")
     if not cfg.data_path or not cfg.schema_path:
         raise UsageError("a data file and schema are required (--data/--schema "
                          "or a config file with a [data] section)")
@@ -140,6 +141,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_select_features(args) -> int:
+    if args.cv_folds < 2:
+        raise UsageError("--cv-folds must be >= 2")
     cfg = _resolve_config(args)
     seed = args.seed
     ds = _load_dataset(cfg, seed)

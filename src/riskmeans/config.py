@@ -107,6 +107,13 @@ class ExperimentConfig:
             kmeans_init=self.kmeans_init,
         )
 
+    def check_ranges(self, source: str) -> None:
+        """Reject out-of-range values, whether a file or a flag set them."""
+        if self.cv_folds < 2:
+            raise ConfigError(f"{source}: --folds/[cv] folds must be >= 2")
+        if self.subsample < 0:
+            raise ConfigError(f"{source}: --subsample/[data] subsample must be >= 0")
+
     def fingerprint(self) -> dict:
         """Every field that can change a result; ``output_dir`` never does."""
         d = asdict(self)
@@ -228,8 +235,5 @@ def load_config(path) -> ExperimentConfig:
         kw["output_dir"] = get("output", "dir")
 
     cfg = ExperimentConfig(**kw)
-    if cfg.cv_folds < 2:
-        raise ConfigError(f"{path}: [cv] folds must be >= 2")
-    if cfg.subsample < 0:
-        raise ConfigError(f"{path}: [data] subsample must be >= 0")
+    cfg.check_ranges(str(path))
     return cfg

@@ -78,6 +78,22 @@ def test_lr_method_runs_and_separates():
     assert all(det["chosen_k"] is None for det in report.fold_details)
 
 
+def test_lr_method_separates_unscaled_large_magnitude_columns():
+    # raw credit-amount and duration scales; the logistic fit must not diverge
+    rng = np.random.default_rng(0)
+    n = 200
+    y = np.array([0, 1] * (n // 2))
+    X = np.column_stack([
+        3000.0 + 1500.0 * y + 1000.0 * rng.normal(size=n),
+        20.0 + 8.0 * y + 10.0 * rng.normal(size=n),
+        35.0 + 10.0 * rng.normal(size=n),
+    ])
+    ds = numeric_dataset(X, y, name="raw-magnitudes")
+    report = run_pipeline(ds, _config(method="lr", scale=False, rfe_enabled=False))
+    assert report.mean.auc > 0.85
+    assert all(fit.logistic.final_loss < np.log(2) for fit in report.fits)
+
+
 def test_rfe_disabled_keeps_all_columns():
     report = run_pipeline(_bench_dataset(), _config(rfe_enabled=False))
     for det in report.fold_details:

@@ -6,6 +6,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from riskmeans import bench_harness, cli
 from riskmeans.bench_harness import fit_fold
@@ -287,6 +288,18 @@ def test_k_above_distinct_rows_exits_one(tmp_path, capsys):
                  "--target-k", "3"]) == 1
     assert "k=5 exceeds the 3 distinct training rows" in capsys.readouterr().err
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["run", "--seed", "1", "--folds", "1"], "folds"),
+    (["train", "--subsample", "-1"], "subsample"),
+    (["select-features", "--target-k", "auto", "--cv-folds", "1"], "--cv-folds"),
+])
+def test_out_of_range_flag_exits_two(tmp_path, capsys, argv, needle):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "must be >=" in err
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

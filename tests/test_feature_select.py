@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from riskmeans.feature_select import (
+    NEWTON_MAX_STEPS,
     _sigmoid,
     default_candidates,
     fit_logistic,
@@ -50,24 +51,6 @@ def test_separable_one_dimensional_data_fits_perfectly():
     assert (model.predict(X) == y).all()
 
 
-def test_zero_epochs_gives_half_probabilities():
-    X = np.array([[1.0], [-1.0]])
-    y = np.array([1, 0])
-    model = fit_logistic(X, y, epochs=0)
-    assert (model.weights == 0).all() and model.bias == 0.0
-    assert (model.predict_proba(X) == 0.5).all()
-
-
-def test_loss_non_increasing_small_lr():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(40, 3))
-    y = rng.integers(0, 2, size=40)
-    losses = np.array([fit_logistic(X, y, lr=0.01, epochs=e).final_loss
-                       for e in range(201)])
-    assert (np.diff(losses) <= 1e-12).all()
-    assert losses[0] == logistic_loss_and_grad(np.zeros(3), 0.0, X, y, 1e-4)[0]
-
-
 def _loop_sigmoid(z):
     """The masked-scatter logistic function fit_logistic used to call."""
     out = np.empty_like(z, dtype=float)
@@ -79,7 +62,7 @@ def _loop_sigmoid(z):
 
 
 def _loop_fit_logistic(X, y, lr=0.1, epochs=500, l2=1e-4):
-    """Reference descent: the gradient written out inline, the masked sigmoid."""
+    """The fixed-step gradient descent fit_logistic used to run, as a loss reference."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     w, b, n = np.zeros(X.shape[1]), 0.0, X.shape[0]
@@ -92,28 +75,46 @@ def _loop_fit_logistic(X, y, lr=0.1, epochs=500, l2=1e-4):
     return w, b
 
 
+def _max_gradient(model, X, y, l2=1e-4):
+    _, gw, gb = logistic_loss_and_grad(model.weights, model.bias, X, y, l2)
+    return max(np.abs(gw).max(), abs(gb))
+
+
 @pytest.mark.parametrize("n,d,scale", [(40, 3, 1.0), (300, 8, 5.0), (800, 20, 1.0),
                                         (50, 1, 100.0)])
-def test_fit_matches_per_epoch_loss_loop_bitwise(n, d, scale):
+def test_newton_fit_is_stationary_and_beats_gd_loop(n, d, scale):
     rng = np.random.default_rng(n + d)
     X = scale * rng.normal(size=(n, d))
     y = rng.integers(0, 2, size=n)
-    w, b = _loop_fit_logistic(X, y)
     model = fit_logistic(X, y)
-    assert model.weights.tobytes() == w.tobytes() and model.bias == b
-    assert model.final_loss == logistic_loss_and_grad(w, b, X, y, 1e-4)[0]
+    assert model.final_loss == logistic_loss_and_grad(model.weights, model.bias,
+                                                      X, y, 1e-4)[0]
+    w, b = _loop_fit_logistic(X, y)
+    assert model.final_loss <= logistic_loss_and_grad(w, b, X, y, 1e-4)[0]
+    assert _max_gradient(model, X, y) < 1e-8
+    assert 1 <= model.iterations <= NEWTON_MAX_STEPS
 
 
-def test_fit_matches_loop_at_huge_margins_bitwise():
+def test_newton_fit_is_stationary_at_huge_margins():
     # |z| reaches about 1000, where exp(-|z|) underflows to 0
     X = np.array([[-1000.0], [-999.5], [998.0], [1000.0]])
     y = np.array([0, 0, 1, 1])
     z = np.array([-1000.0, -710.0, -1.5, -0.0, 0.0, 2.5, 745.0, 1000.0])
     assert _sigmoid(z).tobytes() == _loop_sigmoid(z).tobytes()
-    for epochs in (1, 50):
-        w, b = _loop_fit_logistic(X, y, epochs=epochs)
-        model = fit_logistic(X, y, epochs=epochs)
-        assert model.weights.tobytes() == w.tobytes() and model.bias == b
+    model = fit_logistic(X, y)
+    assert (model.predict(X) == y).all()
+    assert _max_gradient(model, X, y) < 1e-8
+
+
+def test_newton_fit_damps_overshooting_steps():
+    # one high-leverage row makes undamped Newton steps overshoot until the
+    # weights saturate every probability and the Hessian is singular
+    X = np.array([[520.0, 700.0], [-2.0, 4.0], [2.0, -15.0], [-4.0, -3.0],
+                  [9.0, 6.0], [-11.0, -1.0], [-3.0, 3.0]])
+    y = np.array([0, 1, 0, 1, 0, 1, 1])
+    model = fit_logistic(X, y)
+    assert (model.predict(X) == y).all()
+    assert _max_gradient(model, X, y) < 1e-8
 
 
 def test_single_class_rejected():
@@ -123,16 +124,14 @@ def test_single_class_rejected():
 
 def test_bad_hyperparameters_rejected():
     X, y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
-    with pytest.raises(ValueError):
-        fit_logistic(X, y, lr=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="l2"):
         fit_logistic(X, y, l2=-1.0)
 
 
 def test_probabilities_stay_in_open_interval():
     X = np.array([[-1000.0], [1000.0]])
     y = np.array([0, 1])
-    model = fit_logistic(X, y, epochs=50)
+    model = fit_logistic(X, y)
     p = model.predict_proba(X)
     assert (p > 0).all() and (p < 1).all()
 
