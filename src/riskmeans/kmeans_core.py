@@ -15,7 +15,11 @@ Brier score need; hard labels come from thresholding at 0.5 by default.
 
 Determinism contracts: ties in assignment break to the lowest cluster index,
 restart seeds derive from the model seed, and all means are reduced in row
-order (Lloyd's update sums each column with one ``np.bincount``). The
+order (Lloyd's update sums each column with one ``np.bincount``). Every
+squared distance adds its d column terms left to right in column order, and
+a score normalises and mixes its k cluster terms in cluster order, so a
+row's distances, label and score depend on that row alone: not on how many
+rows share the call, nor on the memory order of either matrix. The
 silhouette sums each cluster's columns of a chunked distance block per row.
 """
 
@@ -76,8 +80,34 @@ class KMeansModel:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance matrix, points x centers."""
-    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """Squared Euclidean distances, points x centers, as a column-major view.
+
+    Entry (i, j) adds ``(p_i0 - c_j0)**2 + (p_i1 - c_j1)**2 + ...`` left to
+    right for any shapes and memory orders; a plain sum over the column axis
+    would turn pairwise whenever that axis became the inner loop.
+    """
+    if points.ndim != 2 or points.shape[1] != centers.shape[1]:
+        raise ValueError(f"expected a matrix with {centers.shape[1]} columns, "
+                         f"got shape {points.shape}")
+    if points.shape[1] == 0:
+        return np.zeros((points.shape[0], centers.shape[0]))
+    cols = np.ascontiguousarray(points.T)  # (d, n): one contiguous row per column
+    sq = np.subtract(cols[:, None, :], centers.T[:, :, None], order="C")  # (d, k, n)
+    out = np.square(sq, out=sq)[0]
+    for term in sq[1:]:
+        out += term
+    return out.T
+
+
+def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centre labels and squared distances of a :func:`_sq_dists`
+    matrix, from one pass over its columns; ties go to the lowest index."""
+    labels = np.zeros(d2.shape[0], dtype=np.intp)
+    best = d2[:, 0].copy()
+    for j in range(1, d2.shape[1]):
+        labels = np.where(d2[:, j] < best, j, labels)
+        np.minimum(best, d2[:, j], out=best)
+    return labels, best
 
 
 def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,8 +149,8 @@ def _lloyd_single(points: np.ndarray, params: KMeansParams, seed: int) -> KMeans
     converged = False
     for _ in range(params.max_iters):
         d2 = _sq_dists(points, centers)
-        labels = np.argmin(d2, axis=1)  # ties -> lowest index
-        trace.append(float(d2[np.arange(points.shape[0]), labels].sum()))
+        labels, nearest = _nearest(d2)
+        trace.append(float(nearest.sum()))
         iterations += 1
 
         counts = np.bincount(labels, minlength=params.k)
@@ -140,9 +170,7 @@ def _lloyd_single(points: np.ndarray, params: KMeansParams, seed: int) -> KMeans
             converged = True
             break
 
-    d2 = _sq_dists(points, centers)
-    labels = np.argmin(d2, axis=1)
-    wcss = float(d2[np.arange(points.shape[0]), labels].sum())
+    wcss = float(_nearest(_sq_dists(points, centers))[1].sum())
     trace.append(wcss)
     return KMeansModel(
         centroids=centers,
@@ -159,7 +187,7 @@ def lloyd_fit(points: np.ndarray, params: KMeansParams) -> KMeansModel:
     Restart r uses the derived seed ``(params.seed, "restart:r")``, so single
     restarts can be reproduced in isolation.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.asfortranarray(points, dtype=float)  # contiguous columns
     if points.ndim != 2:
         raise ValueError("points must be a 2-D matrix")
     if not np.all(np.isfinite(points)):
@@ -179,12 +207,12 @@ def assign(model: KMeansModel, x: np.ndarray) -> int:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
         raise ValueError(f"expected a vector of length {model.d}, got shape {x.shape}")
-    return int(np.argmin(((model.centroids - x) ** 2).sum(axis=1)))
+    return int(assign_many(model, x[None, :])[0])
 
 
 def assign_many(model: KMeansModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    return np.argmin(_sq_dists(X, model.centroids), axis=1)
+    return _nearest(_sq_dists(X, model.centroids))[0]
 
 
 def silhouette_score(points: np.ndarray, assignment: np.ndarray) -> float:
@@ -284,13 +312,12 @@ def fit_classifier(train: Dataset, params: KMeansParams,
         raise ValueError("training set must contain both classes")
     if model is None:
         model = lloyd_fit(X, params)
-    labels = assign_many(model, X)
+    labels, nearest = _nearest(_sq_dists(X, model.centroids))
     posteriors = np.empty(model.k)
     for j in range(model.k):
         members = labels == j
         posteriors[j] = (int(y[members].sum()) + 1) / (int(members.sum()) + 2)
-    dists = np.sqrt(((X - model.centroids[labels]) ** 2).sum(axis=1))
-    sigma = float(dists.mean())
+    sigma = float(np.sqrt(nearest).mean())
     return ClusterClassifier(model=model, posteriors=posteriors,
                              bandwidth=sigma if sigma > 0 else 1.0)
 
@@ -304,14 +331,23 @@ def predict_score(clf: ClusterClassifier, x: np.ndarray) -> float:
 
 
 def predict_scores(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`predict_score`: softmax cluster weights times posteriors."""
+    """Vectorized :func:`predict_score`: softmax cluster weights times posteriors.
+
+    The weights are normalised and mixed by adding the k clusters' terms in
+    order, so each row's score depends on that row alone.
+    """
     X = np.asarray(X, dtype=float)
-    d2 = _sq_dists(X, clf.model.centroids)
-    logits = -d2 / (2.0 * clf.bandwidth**2)
-    logits -= logits.max(axis=1, keepdims=True)
+    logits = -_sq_dists(X, clf.model.centroids).T / (2.0 * clf.bandwidth**2)  # (k, n)
+    logits -= logits.max(axis=0)
     w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ clf.posteriors
+    total = w[0].copy()
+    for row in w[1:]:
+        total += row
+    w /= total
+    scores = w[0] * clf.posteriors[0]
+    for row, p in zip(w[1:], clf.posteriors[1:]):
+        scores += row * p
+    return scores
 
 
 def predict_labels(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:

@@ -96,6 +96,55 @@ def test_lloyd_rejects_n_below_k():
         lloyd_fit(np.zeros((2, 2)), KMeansParams(k=3))
 
 
+def _loop_sq_dists(points, centers):
+    """Reference distances: one squared column difference at a time, added
+    left to right in column order."""
+    out = np.zeros((points.shape[0], centers.shape[0]))
+    for j in range(points.shape[1]):
+        out += (points[:, j, None] - centers[None, :, j]) ** 2
+    return out
+
+
+def _layouts(a):
+    """C-ordered, F-ordered and sliced-view copies of one matrix."""
+    n, d = a.shape
+    big = np.zeros((2 * n + 1, d + 3))
+    big[1::2, 2:d + 2] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "view": big[1::2, 2:d + 2]}
+
+
+@pytest.mark.parametrize("d", [0, 1, 5, 7, 8, 9, 20, 33])
+def test_sq_dists_matches_column_loop_bitwise(d):
+    rng = np.random.default_rng(d)
+    for n, k in itertools.product((0, 1, 2, 700), (1, 2, 7, 800)):
+        points = rng.normal(size=(n, d)) * rng.uniform(0.1, 100, size=d)
+        centers = rng.normal(size=(k, d)) * rng.uniform(0.1, 100, size=d)
+        want = _loop_sq_dists(points, centers).tobytes()
+        for p, c in itertools.product(_layouts(points).values(), _layouts(centers).values()):
+            got = kc._sq_dists(p, c)
+            assert got.shape == (n, k)
+            assert got.tobytes() == want
+
+
+def test_sq_dists_one_point_one_center_adds_in_column_order():
+    # 1 + 8 * 1e-16 is 1 added left to right, but a plain add.reduce over
+    # these nine squares sums them pairwise and rounds up to 1 + 2**-52
+    x = np.array([[1.0] + [1e-8] * 8])
+    sq = x[0] ** 2
+    assert np.add.reduce(sq) > 1.0
+    assert kc._sq_dists(x, np.zeros((1, 9))).tobytes() == np.array([[1.0]]).tobytes()
+
+
+def test_sq_dists_rejects_a_column_count_mismatch():
+    clf = _manual_clf(np.zeros((2, 5)), [0.2, 0.8])
+    for X in (np.zeros((4, 3)), np.zeros((4, 6)), np.zeros(5)):
+        with pytest.raises(ValueError, match="5 columns"):
+            predict_scores(clf, X)
+        with pytest.raises(ValueError, match="5 columns"):
+            assign_many(clf.model, X)
+
+
 def _loop_update(points, labels, d2, k):
     """Reference centroid update: one boolean-mask mean per cluster."""
     centers = np.empty((k, points.shape[1]))
@@ -216,6 +265,17 @@ def test_assign_dimension_mismatch():
                         iterations_run=1, converged=True)
     with pytest.raises(ValueError):
         assign(model, np.zeros(2))
+
+
+def test_assign_matches_assign_many_on_every_row():
+    rng = np.random.default_rng(12)
+    cents = rng.normal(size=(5, 12)) * 3
+    model = KMeansModel(centroids=cents, wcss=0.0, iterations_run=1, converged=True)
+    # midpoints of centre pairs are near-ties, decided by rounding
+    mids = (cents[:, None, :] + cents[None, :, :]).reshape(-1, 12) / 2
+    X = np.concatenate([rng.normal(size=(200, 12)) * 3, mids])
+    labels = assign_many(model, X)
+    assert [assign(model, x) for x in X] == labels.tolist()
 
 
 def test_silhouette_hand_oracle_line():
@@ -423,6 +483,43 @@ def test_predict_score_dimension_mismatch():
     clf = _manual_clf([[0.0, 0.0]], [0.5])
     with pytest.raises(ValueError):
         predict_score(clf, np.zeros(3))
+
+
+def _wide_problem(n=600, d=12):
+    """A labelled matrix with d >= 8, where a summation order shows."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.5, 20, size=d)
+    y = (X[:, 0] + rng.normal(size=n) * 5 > 0).astype(int)
+    return X, y
+
+
+@pytest.mark.parametrize("k", [4, 9])  # k >= 8 is where a one-row sum over k turns pairwise
+def test_predict_scores_are_row_exact_and_layout_free(k):
+    X, y = _wide_problem()
+    clf = fit_classifier(numeric_dataset(X, y), KMeansParams(k=k, restarts=2, seed=3))
+    want = predict_scores(clf, X).tobytes()
+    assert predict_scores(clf, np.asfortranarray(X)).tobytes() == want
+    one = np.concatenate([predict_scores(clf, X[i:i + 1]) for i in range(X.shape[0])])
+    assert one.tobytes() == want
+    assert np.array([predict_score(clf, x) for x in X]).tobytes() == want
+    chunks = np.concatenate([predict_scores(clf, X[i:i + 7]) for i in range(0, X.shape[0], 7)])
+    assert chunks.tobytes() == want
+
+
+def test_fits_are_layout_free():
+    X, y = _wide_problem()
+    XF = np.asfortranarray(X)
+    params = KMeansParams(k=4, restarts=2, seed=3)
+    a, b = lloyd_fit(X, params), lloyd_fit(XF, params)
+    assert a.centroids.tobytes() == b.centroids.tobytes()
+    assert (a.wcss, a.wcss_trace, a.iterations_run) == (b.wcss, b.wcss_trace, b.iterations_run)
+    # the bandwidth is the mean root of each row's nearest kernel distance
+    sigma = np.sqrt(_loop_sq_dists(X, a.centroids).min(axis=1)).mean()
+    assert fit_classifier(numeric_dataset(X, y), params, model=a).bandwidth == sigma
+    assert fit_classifier(numeric_dataset(XF, y), params, model=a).bandwidth == sigma
+    labels = assign_many(a, X)
+    assert labels.tobytes() == assign_many(a, XF).tobytes()
+    assert silhouette_score(X, labels) == silhouette_score(XF, labels)
 
 
 def test_translation_equivariance():

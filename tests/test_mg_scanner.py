@@ -244,17 +244,16 @@ def test_matrix_path_matches_per_row_loop_bitwise(windows, stride, estimators):
         assert transform_vector(Xt[5], config, fitted)[w].tobytes() == want[w][5].tobytes()
 
 
-def test_one_window_per_row_matches_per_row_loop_to_an_ulp():
-    # A row with a single window made the per-row loop score a one-row
-    # matrix, which numpy multiplies with a dot kernel rather than the
-    # matrix-vector kernel used for taller inputs; the last bit may differ.
-    # A single vector still takes the one-row path and stays bitwise equal.
+def test_one_window_per_row_matches_per_row_loop_bitwise():
+    # With a single window per row the per-row loop scores one-row matrices;
+    # each score depends on its own row alone, so they match the whole
+    # matrix's scores bit for bit.
     for windows, stride in (((9,), 1), ((7,), 3)):
         X, y, config, fitted, Xt = _fit_scanner(windows, stride, 2)
         w = windows[0]
         got = transform_matrix(Xt, config, fitted)[w]
         want = _reference_transform(Xt, config, fitted)[w]
-        assert np.abs(got - want).max() <= np.finfo(float).eps
+        assert got.tobytes() == want.tobytes()
         assert transform_vector(Xt[5], config, fitted)[w].tobytes() == want[5].tobytes()
 
 
