@@ -19,8 +19,10 @@ order (Lloyd's update sums each column with one ``np.bincount``). Every
 squared distance adds its d column terms left to right in column order, and
 a score normalises and mixes its k cluster terms in cluster order, so a
 row's distances, label and score depend on that row alone: not on how many
-rows share the call, nor on the memory order of either matrix. The
-silhouette sums each cluster's columns of a chunked distance block per row.
+rows share the call, nor on the memory order of either matrix.
+:func:`choose_k` builds one pairwise distance matrix per sweep, in 512-row
+blocks, and every k's silhouette sums each cluster's columns of those same
+row blocks, so it equals a silhouette computed from the points alone.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ from .seeding import derive_seed
 
 INIT_KMEANSPP = "kmeanspp"
 INIT_UNIFORM = "uniform"
+
+# k·n from which _sq_dists adds its column terms one (k, n) slab at a time
+_COLUMN_LOOP_MIN = 2**16
+# rows per block of the silhouette's distance matrix
+_SILHOUETTE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,12 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Entry (i, j) adds ``(p_i0 - c_j0)**2 + (p_i1 - c_j1)**2 + ...`` left to
     right for any shapes and memory orders; a plain sum over the column axis
-    would turn pairwise whenever that axis became the inner loop.
+    would turn pairwise whenever that axis became the inner loop. Two
+    strategies add the terms in that one order, picked by k·n. Below
+    ``_COLUMN_LOOP_MIN`` all the terms are squared in one (d, k, n) block
+    (faster for Lloyd's and the scorer's few centres); from there on they are
+    added one at a time into a (k, n) buffer (faster for the silhouette's big
+    blocks, and with no d-fold temporary).
     """
     if points.ndim != 2 or points.shape[1] != centers.shape[1]:
         raise ValueError(f"expected a matrix with {centers.shape[1]} columns, "
@@ -92,10 +104,17 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     if points.shape[1] == 0:
         return np.zeros((points.shape[0], centers.shape[0]))
     cols = np.ascontiguousarray(points.T)  # (d, n): one contiguous row per column
-    sq = np.subtract(cols[:, None, :], centers.T[:, :, None], order="C")  # (d, k, n)
-    out = np.square(sq, out=sq)[0]
-    for term in sq[1:]:
-        out += term
+    ct = centers.T[:, :, None]  # (d, k, 1)
+    if centers.shape[0] * points.shape[0] < _COLUMN_LOOP_MIN:
+        sq = np.subtract(cols[:, None, :], ct, order="C")  # (d, k, n)
+        out = np.square(sq, out=sq)[0]
+        for term in sq[1:]:
+            out += term
+    else:
+        out = np.square(np.subtract(cols[0], ct[0]))  # (k, n)
+        term = np.empty_like(out)
+        for col, c in zip(cols[1:], ct[1:]):
+            out += np.square(np.subtract(col, c, out=term), out=term)
     return out.T
 
 
@@ -105,28 +124,35 @@ def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels = np.zeros(d2.shape[0], dtype=np.intp)
     best = d2[:, 0].copy()
     for j in range(1, d2.shape[1]):
-        labels = np.where(d2[:, j] < best, j, labels)
+        np.putmask(labels, d2[:, j] < best, j)
         np.minimum(best, d2[:, j], out=best)
     return labels, best
 
 
 def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-weighted center selection: each next center is drawn with probability
-    proportional to its squared distance from the nearest existing center."""
+    proportional to its squared distance from the nearest existing center.
+
+    The nearest squared distances are a running minimum that takes in only
+    the newest center's column; ``min`` is exact, so the draws equal those
+    from a fresh minimum over all chosen centers.
+    """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     centers = np.empty((k, points.shape[1]), dtype=float)
     centers[0] = points[rng.integers(n)]
+    d2 = _sq_dists(points, centers[:1])[:, 0]
     for j in range(1, k):
-        d2 = _sq_dists(points, centers[:j]).min(axis=1)
         total = d2.sum()
         if total > 0:
             centers[j] = points[rng.choice(n, p=d2 / total)]
         else:
             # all rows coincide with existing centers (duplicate-heavy input)
             centers[j] = points[rng.integers(n)]
+        if j < k - 1:
+            np.minimum(d2, _sq_dists(points, centers[j:j + 1])[:, 0], out=d2)
     return centers
 
 
@@ -154,12 +180,15 @@ def _lloyd_single(points: np.ndarray, params: KMeansParams, seed: int) -> KMeans
         iterations += 1
 
         counts = np.bincount(labels, minlength=params.k)
-        sums = [np.bincount(labels, weights=col, minlength=params.k) for col in points.T]
-        new_centers = np.stack(sums, axis=1) / np.maximum(counts, 1)[:, None]
-        for j in np.flatnonzero(counts == 0):
-            # empty-cluster repair: reseed at the point farthest from the
-            # stale centroid; keeps k constant and is deterministic
-            new_centers[j] = points[np.argmax(d2[:, j])]
+        new_centers = np.empty((params.k, points.shape[1]))
+        for c, col in enumerate(points.T):
+            new_centers[:, c] = np.bincount(labels, weights=col, minlength=params.k)
+        new_centers /= np.maximum(counts, 1)[:, None]
+        if counts.min() == 0:
+            for j in np.flatnonzero(counts == 0):
+                # empty-cluster repair: reseed at the point farthest from the
+                # stale centroid; keeps k constant and is deterministic
+                new_centers[j] = points[np.argmax(d2[:, j])]
 
         shift = np.max(
             np.linalg.norm(new_centers - centers, axis=1)
@@ -215,16 +244,37 @@ def assign_many(model: KMeansModel, X: np.ndarray) -> np.ndarray:
     return _nearest(_sq_dists(X, model.centroids))[0]
 
 
-def silhouette_score(points: np.ndarray, assignment: np.ndarray) -> float:
+def _distance_matrix(points: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances, built in the silhouette's row blocks."""
+    n = points.shape[0]
+    out = np.empty((n, n), order="F")
+    for start in range(0, n, _SILHOUETTE_ROWS):
+        stop = min(start + _SILHOUETTE_ROWS, n)
+        np.sqrt(_sq_dists(points[start:stop], points), out=out[start:stop])
+    return out
+
+
+def silhouette_score(points: np.ndarray, assignment: np.ndarray, *,
+                     distances: np.ndarray | None = None) -> float:
     """Mean of (b - a) / max(a, b) over points.
 
     a is the mean distance to the point's own cluster (excluding itself); b is
     the smallest mean distance to any other cluster. Singleton-cluster points
-    contribute 0.
+    contribute 0. ``distances``, when given, is the (n, n) Euclidean distance
+    matrix of ``points``, read instead of computed; built as :func:`choose_k`
+    builds it once per sweep, it gives the same score to the bit.
     """
     points = np.asarray(points, dtype=float)
     assignment = np.asarray(assignment)
     n = points.shape[0]
+    if assignment.shape != (n,):
+        raise ValueError(f"assignment of shape {assignment.shape} does not match "
+                         f"{n} points")
+    if distances is not None:
+        distances = np.asarray(distances, dtype=float)
+        if distances.shape != (n, n):
+            raise ValueError(f"distances of shape {distances.shape} do not match "
+                             f"{n} points")
     if n < 3:
         raise ValueError("silhouette needs at least 3 points")
     clusters = np.unique(assignment)
@@ -234,10 +284,12 @@ def silhouette_score(points: np.ndarray, assignment: np.ndarray) -> float:
     own = np.searchsorted(clusters, assignment)  # cluster position per point
     sizes = np.bincount(own)
     scores = np.zeros(n)
-    chunk = 512
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = np.sqrt(_sq_dists(points[start:stop], points))  # (chunk, n)
+    for start in range(0, n, _SILHOUETTE_ROWS):
+        stop = min(start + _SILHOUETTE_ROWS, n)
+        if distances is None:
+            block = np.sqrt(_sq_dists(points[start:stop], points))  # (rows, n)
+        else:
+            block = distances[start:stop]
         sums = np.stack([block[:, own == c].sum(axis=1) for c in range(sizes.size)], axis=1)
         rows, mine = np.arange(stop - start), own[start:stop]
         a = sums[rows, mine] / np.maximum(sizes[mine] - 1, 1)
@@ -254,21 +306,27 @@ def choose_k(points: np.ndarray, k_range,
              params: KMeansParams) -> tuple[int, list[tuple[int, float]], KMeansModel]:
     """Fit every k in the inclusive range and pick the silhouette argmax.
 
-    Ties break to the smallest k. Returns (chosen k, per-k silhouette table,
-    the chosen k's fitted model), so the winner need not be fitted again.
+    Ties break to the smallest k. The pairwise distance matrix is built once
+    and shared by every k's silhouette. Returns (chosen k, per-k silhouette
+    table, the chosen k's fitted model), so the winner need not be fitted
+    again.
     """
     ks = sorted(k_range)
     if not ks:
         raise ValueError("empty k range")
-    n = np.asarray(points).shape[0]
+    points = np.asfortranarray(points, dtype=float)  # one copy for every lloyd_fit
+    n = points.shape[0]
     if ks[0] < 2 or ks[-1] > n - 1:
         bad = ks[0] if ks[0] < 2 else ks[-1]
         raise ValueError(f"k={bad} outside the valid range [2, {n - 1}]")
     table: list[tuple[int, float]] = []
     best_k, best_score, best_model = None, -np.inf, None
+    distances = None  # built once the first fit has validated the points
     for k in ks:
         model = lloyd_fit(points, replace(params, k=k))
-        score = silhouette_score(points, assign_many(model, points))
+        if distances is None:
+            distances = _distance_matrix(points)
+        score = silhouette_score(points, assign_many(model, points), distances=distances)
         table.append((k, score))
         if score > best_score:
             best_k, best_score, best_model = k, score, model

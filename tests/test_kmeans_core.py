@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +55,41 @@ def test_kmeanspp_deterministic_given_seed():
     a = kmeanspp_init(points, 3, np.random.default_rng(42))
     b = kmeanspp_init(points, 3, np.random.default_rng(42))
     assert (a == b).all()
+
+
+def _loop_kmeanspp_init(points, k, rng):
+    """Reference k-means++: each draw takes a fresh minimum over the
+    distances to every center chosen so far."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    for j in range(1, k):
+        d2 = kc._sq_dists(points, centers[:j]).min(axis=1)
+        total = d2.sum()
+        if total > 0:
+            centers[j] = points[rng.choice(n, p=d2 / total)]
+        else:
+            centers[j] = points[rng.integers(n)]
+    return centers
+
+
+def test_kmeanspp_running_minimum_matches_full_minimum_bitwise():
+    rng = np.random.default_rng(31)
+    cases = [rng.normal(size=(n, d)) * rng.uniform(0.1, 50, size=d)
+             for n, d in ((12, 1), (200, 3), (800, 10))]
+    dup = np.repeat(rng.normal(size=(3, 4)), 7, axis=0)  # three distinct rows
+    for points in cases + [dup]:
+        for p, k, seed in itertools.product((np.ascontiguousarray(points),
+                                             np.asfortranarray(points)),
+                                            range(1, 11), range(5)):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = kmeanspp_init(p, k, got_rng)
+            assert got.tobytes() == _loop_kmeanspp_init(p, k, want_rng).tobytes()
+            assert got_rng.random() == want_rng.random()  # same draws consumed
+    # past three centers every row sits on one: the total == 0 branch
+    centers = kmeanspp_init(dup, 5, np.random.default_rng(0))
+    assert len(np.unique(centers, axis=0)) == 3
 
 
 def test_kmeanspp_k_exceeds_n():
@@ -114,10 +151,16 @@ def _layouts(a):
             "view": big[1::2, 2:d + 2]}
 
 
+# (n, k) with k·n just below, at and just above the column-loop threshold
+_THRESHOLD_SHAPES = ((255, 257), (256, 256), (257, 256))
+
+
 @pytest.mark.parametrize("d", [0, 1, 5, 7, 8, 9, 20, 33])
 def test_sq_dists_matches_column_loop_bitwise(d):
+    assert [np.sign(n * k - kc._COLUMN_LOOP_MIN) for n, k in _THRESHOLD_SHAPES] == [-1, 0, 1]
     rng = np.random.default_rng(d)
-    for n, k in itertools.product((0, 1, 2, 700), (1, 2, 7, 800)):
+    shapes = itertools.product((0, 1, 2, 700), (1, 2, 7, 800))
+    for n, k in itertools.chain(shapes, _THRESHOLD_SHAPES):
         points = rng.normal(size=(n, d)) * rng.uniform(0.1, 100, size=d)
         centers = rng.normal(size=(k, d)) * rng.uniform(0.1, 100, size=d)
         want = _loop_sq_dists(points, centers).tobytes()
@@ -340,6 +383,32 @@ def test_silhouette_matches_per_point_loop():
     assert silhouette_score(points, np.array([0, 0, 1, 1])) == 0.0
 
 
+def test_silhouette_rejects_an_assignment_of_another_length():
+    points = np.arange(12, dtype=float).reshape(6, 2)
+    for assignment in ([0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1]):
+        message = f"assignment of shape ({len(assignment)},) does not match 6 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            silhouette_score(points, np.array(assignment))
+
+
+def test_silhouette_rejects_distances_of_another_shape():
+    points = np.arange(12, dtype=float).reshape(6, 2)
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    for shape in ((6, 5), (5, 6), (36,)):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape} do not match 6 points")):
+            silhouette_score(points, labels, distances=np.zeros(shape))
+
+
+def test_choose_k_table_equals_silhouette_without_distances():
+    # 1100 rows: two full 512-row blocks of the shared matrix and a ragged one
+    points = np.random.default_rng(11).normal(size=(1100, 4))
+    params = KMeansParams(k=2, restarts=1, seed=2)
+    _, table, _ = choose_k(points, range(2, 7), params)
+    for k, score in table:
+        labels = assign_many(lloyd_fit(points, replace(params, k=k)), points)
+        assert score == silhouette_score(points, labels)
+
+
 def test_choose_k_winner_matches_loop_silhouette(monkeypatch):
     sweeps = [
         make_blobs(40, [[0, 0], [6, 0], [0, 6], [6, 6]], spread=1.5, seed=3),
@@ -348,7 +417,8 @@ def test_choose_k_winner_matches_loop_silhouette(monkeypatch):
     ]
     params = KMeansParams(k=2, restarts=2, seed=1)
     got = [choose_k(points, range(2, 8), params)[:2] for points in sweeps]
-    monkeypatch.setattr(kc, "silhouette_score", _loop_silhouette)
+    monkeypatch.setattr(kc, "silhouette_score",
+                        lambda p, a, *, distances=None: _loop_silhouette(p, a))
     want = [choose_k(points, range(2, 8), params)[:2] for points in sweeps]
     for (k_got, table_got), (k_want, table_want) in zip(got, want):
         assert k_got == k_want
@@ -379,7 +449,7 @@ def test_choose_k_two_blobs():
 
 
 def test_choose_k_tie_breaks_to_smallest(monkeypatch):
-    monkeypatch.setattr(kc, "silhouette_score", lambda p, a: 0.5)
+    monkeypatch.setattr(kc, "silhouette_score", lambda p, a, *, distances=None: 0.5)
     points = make_blobs(10, [[0, 0], [9, 9]], seed=0)
     k, table, model = choose_k(points, range(2, 6), KMeansParams(k=2, restarts=2, seed=0))
     assert k == 2 and model.k == 2
