@@ -27,13 +27,7 @@ import numpy as np
 
 from .cv import FoldPlan, stratified_kfold
 from .data_ingest import Dataset, PreprocessReport, apply_report, preprocess
-from .feature_select import (
-    LogisticModel,
-    default_candidates,
-    fit_logistic,
-    rfe,
-    select_target_k,
-)
+from .feature_select import LogisticModel, fit_logistic, select_features
 from .kmeans_core import (
     INIT_KMEANSPP,
     ClusterClassifier,
@@ -108,7 +102,6 @@ class PipelineConfig:
     kmeans_tol: float = 1e-6
     kmeans_init: str = INIT_KMEANSPP
     lr_l2: float = 1e-4
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -148,18 +141,12 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
     train_proc, report = preprocess(train_raw, scale=config.scale)
     X = np.asarray(train_proc.features, dtype=float)
     y = np.asarray(train_proc.labels)
-    d = X.shape[1]
 
     if config.rfe_enabled:
-        target = config.rfe_target_k
-        if target is None:
-            target = select_target_k(
-                X, y, default_candidates(d), cv_folds=3,
-                seed=derive_seed(fold_seed, "target_k"),
-            )
-        selected = rfe(X, y, target_k=target, step=config.rfe_step).selected
+        selected = select_features(X, y, target_k=config.rfe_target_k,
+                                   step=config.rfe_step, seed=fold_seed).selected
     else:
-        selected = tuple(range(d))
+        selected = tuple(range(X.shape[1]))
     Xs = X[:, selected]
 
     chosen_k = None
@@ -183,8 +170,6 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
         sub_schema = [train_proc.schema[j] for j in selected]
         sub_ds = Dataset(features=Xs, labels=y, schema=sub_schema, name=ds.name)
         km = fit_classifier(sub_ds, replace(carrier, k=chosen_k), model=model)
-        if config.threshold != km.threshold:
-            km = replace(km, threshold=config.threshold)
     else:
         lm = fit_logistic(Xs, y, l2=config.lr_l2)
     return FoldFit(fold=fold, train_indices=np.asarray(train_indices),
@@ -279,7 +264,7 @@ def run_pipeline(ds: Dataset, config: PipelineConfig) -> CvReport:
     for i, (fit, scores) in enumerate(results):
         test_idx = plan.test_indices[i]
         y_test = ds.labels[test_idx]
-        bundles.append(compute_bundle(y_test, scores, threshold=config.threshold))
+        bundles.append(compute_bundle(y_test, scores))
         oof_scores[test_idx] = scores
         oof_labels[test_idx] = y_test
         fits.append(fit)

@@ -8,6 +8,9 @@ Exit codes: 0 success, 1 runtime failure (malformed data, failed fit),
 2 usage or configuration error (bad flags, missing files, bad config values).
 
 ``train`` fits exactly as one ``run`` fold does (:func:`fit_fold`), on all rows.
+``select-features`` selects through the same :func:`select_features` call as
+that fit, so with the default ``--candidates`` and ``--cv-folds`` both keep the
+same columns for the same seed and settings.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .data_ingest import (
     preprocess,
     write_processed,
 )
-from .feature_select import default_candidates, rfe, select_target_k
+from .feature_select import select_features
 from .kmeans_core import classifier_to_json
 from .seeding import derive_seed
 
@@ -147,15 +150,16 @@ def cmd_select_features(args) -> int:
     seed = args.seed
     ds = _load_dataset(cfg, seed)
     proc, _ = preprocess(ds, scale=cfg.scale)
-    X, y = proc.features, proc.labels
-    if cfg.rfe_target_k is not None:
-        target = cfg.rfe_target_k
-    else:
-        candidates = (_int_list_flag("--candidates", args.candidates)
-                      if args.candidates else default_candidates(proc.d))
-        target = select_target_k(X, y, candidates, cv_folds=args.cv_folds,
-                                 seed=derive_seed(seed, "target_k"))
-    result = rfe(X, y, target_k=target, step=cfg.rfe_step)
+    candidates = None
+    if args.candidates is not None:
+        candidates = _int_list_flag("--candidates", args.candidates)
+        if not candidates or not all(1 <= c <= proc.d for c in candidates):
+            raise UsageError(f"--candidates: need feature counts in [1, {proc.d}], "
+                             f"got {','.join(map(str, candidates)) or 'none'}")
+    result = select_features(proc.features, proc.labels, target_k=cfg.rfe_target_k,
+                             step=cfg.rfe_step, seed=seed, candidates=candidates,
+                             cv_folds=args.cv_folds)
+    target = len(result.selected)
     names = proc.column_names()
     out = _outdir(cfg)
     path = os.path.join(out, "selection.json")
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_data_flags(p)
     p.add_argument("--target-k", dest="target_k",
                    help="feature count to keep, or 'auto'")
-    p.add_argument("--candidates", help="comma-separated candidate counts for auto")
+    p.add_argument("--candidates", help="comma-separated counts for auto, each in [1, d]")
     p.add_argument("--cv-folds", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_select_features)

@@ -36,7 +36,8 @@ Files are standard INI as read by :mod:`configparser`:
     dir = runs
 
 Every key is optional except [data] path and schema; unknown sections or keys
-are rejected so typos fail loudly. Command-line flags override file values;
+are rejected so typos fail loudly, and so is a value below its floor (see
+:meth:`ExperimentConfig.check_ranges`). Command-line flags override file values;
 the root seed comes only from each command's ``--seed`` flag.
 """
 
@@ -109,10 +110,22 @@ class ExperimentConfig:
 
     def check_ranges(self, source: str) -> None:
         """Reject out-of-range values, whether a file or a flag set them."""
-        if self.cv_folds < 2:
-            raise ConfigError(f"{source}: --folds/[cv] folds must be >= 2")
-        if self.subsample < 0:
-            raise ConfigError(f"{source}: --subsample/[data] subsample must be >= 0")
+        floors = (
+            (self.cv_folds, 2, "--folds/[cv] folds"),
+            (self.subsample, 0, "--subsample/[data] subsample"),
+            (self.rfe_target_k, 1, "--target-k/[rfe] target_k"),
+            (self.rfe_step, 1, "[rfe] step"),
+            (self.kmeans_k, 1, "--k/[kmeans] k"),
+            (self.kmeans_k_max, 2, "[kmeans] k_max"),
+            (self.kmeans_restarts, 1, "[kmeans] restarts"),
+            (self.kmeans_max_iters, 1, "[kmeans] max_iters"),
+            (self.kmeans_tol, 0, "[kmeans] tol"),
+            (self.scanner_stride, 1, "--stride/[scanner] stride"),
+            (self.scanner_estimators, 1, "--estimators/[scanner] estimators"),
+        )
+        for value, floor, name in floors:
+            if value is not None and value < floor:  # None is "auto"
+                raise ConfigError(f"{source}: {name} must be >= {floor}")
 
     def fingerprint(self) -> dict:
         """Every field that can change a result; ``output_dir`` never does."""

@@ -7,6 +7,9 @@ the penalized loss would rise (Hastie, Tibshirani & Friedman, *ESL* §4.4.1).
 The gradient comes from a helper shared with :func:`logistic_loss_and_grad`.
 Rankings use |weight| on internally standardized columns so magnitudes are
 comparable across features.
+
+:func:`select_features` is the package's one selection path; its target-size
+search returns the winning candidate's RFE selection, so no rfe runs twice.
 """
 
 from __future__ import annotations
@@ -51,9 +54,6 @@ class LogisticModel:
         """P(y=1 | x), clipped away from exactly 0 and 1."""
         z = np.asarray(X, dtype=float) @ self.weights + self.bias
         return np.clip(_sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)
 
 
 def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray,
@@ -185,13 +185,13 @@ def _as_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
 
 
 def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
-                    seed: int = 0) -> int:
-    """Pick the candidate feature count with the best K-means-classifier CV accuracy.
+                    seed: int = 0, step: int = 1) -> RfeResult:
+    """The rfe selection of the candidate size with the best K-means-classifier CV accuracy.
 
-    For every candidate: run rfe to that size, then cross-validate a small
-    fixed-k cluster classifier on the selected columns. Accuracy is pooled
-    over folds (total correct / n) so ties are exact; ties break to the
-    smaller candidate.
+    For every candidate: run rfe to that size with ``step``, then cross-validate
+    a small fixed-k cluster classifier on the selected columns. Accuracy is
+    pooled over folds (total correct / n) so ties are exact; ties break to the
+    smaller candidate, whose RfeResult is returned as computed.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -204,9 +204,10 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
             raise ValueError(f"candidate {c} outside [1, {d}]")
     plan = _cv.stratified_kfold(y, cv_folds, derive_seed(seed, "target_k:folds"))
 
-    scored: list[tuple[int, int]] = []  # (candidate, pooled correct count)
+    scored: list[tuple[int, int, RfeResult]] = []  # (candidate, pooled correct, selection)
     for cand in candidates:
-        sel = list(rfe(X, y, target_k=cand).selected)
+        result = rfe(X, y, target_k=cand, step=step)
+        sel = result.selected
         params = KMeansParams(k=2, restarts=2, max_iters=100,
                               seed=derive_seed(seed, f"target_k:{cand}"))
         correct = 0
@@ -214,6 +215,19 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
             tr, te = plan.train_indices(fold), plan.test_indices[fold]
             clf = fit_classifier(_as_dataset(X[tr][:, sel], y[tr]), params)
             correct += int(np.sum(predict_labels(clf, X[te][:, sel]) == y[te]))
-        scored.append((cand, correct))
-    best = max(c for _, c in scored)
-    return min(cand for cand, c in scored if c == best)
+        scored.append((cand, correct, result))
+    return min(scored, key=lambda s: (-s[1], s[0]))[2]
+
+
+def select_features(X: np.ndarray, y: np.ndarray, *, target_k: int | None, step: int,
+                    seed: int, candidates=None, cv_folds: int = 3) -> RfeResult:
+    """Feature selection for ``fit_fold`` and ``select-features``: one rfe to a
+    fixed ``target_k``, or for ``None`` the :func:`select_target_k` winner over
+    ``candidates`` (default :func:`default_candidates`), seeded (seed, "target_k").
+    """
+    if target_k is not None:
+        return rfe(X, y, target_k=target_k, step=step)
+    if candidates is None:
+        candidates = default_candidates(np.shape(X)[1])
+    return select_target_k(X, y, candidates, cv_folds,
+                           seed=derive_seed(seed, "target_k"), step=step)

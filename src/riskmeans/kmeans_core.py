@@ -56,6 +56,10 @@ class KMeansParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
         if self.init not in (INIT_KMEANSPP, INIT_UNIFORM):
@@ -224,7 +228,7 @@ def lloyd_fit(points: np.ndarray, params: KMeansParams) -> KMeansModel:
     if points.shape[0] < params.k:
         raise ValueError(f"n={points.shape[0]} < k={params.k}")
     best: KMeansModel | None = None
-    for r in range(max(1, params.restarts)):
+    for r in range(params.restarts):
         model = _lloyd_single(points, params, derive_seed(params.seed, f"restart:{r}"))
         if best is None or model.wcss < best.wcss:
             best = model

@@ -21,9 +21,11 @@ from riskmeans.bench_harness import (
     run_pipeline,
 )
 from riskmeans import bench_harness
+from riskmeans import feature_select as fs
 from riskmeans import kmeans_core as kc
 from riskmeans.cv import stratified_kfold
-from riskmeans.data_ingest import AllMissingColumnError, CellParseError
+from riskmeans.data_ingest import AllMissingColumnError, CellParseError, preprocess
+from riskmeans.feature_select import rfe
 from riskmeans.metrics import MetricBundle
 
 from conftest import make_labeled_blobs, mixed_raw_dataset, numeric_dataset
@@ -181,7 +183,7 @@ def test_fit_fold_reuses_sweep_winner(monkeypatch):
     # own probe fits) and the winner's model is reused, not refitted
     ds = _bench_dataset()
     config = _config(rfe_target_k=None, kmeans_k=None, kmeans_k_max=5)
-    real_lloyd, real_search = kc.lloyd_fit, bench_harness.select_target_k
+    real_lloyd, real_search = kc.lloyd_fit, fs.select_target_k
     calls = {"search": 0, "sweep": 0}
     searching = []
 
@@ -197,11 +199,38 @@ def test_fit_fold_reuses_sweep_winner(monkeypatch):
             searching.pop()
 
     monkeypatch.setattr(kc, "lloyd_fit", lloyd)
-    monkeypatch.setattr(bench_harness, "select_target_k", search)
+    monkeypatch.setattr(fs, "select_target_k", search)
     fit = fit_fold(ds, np.arange(ds.n), config, fold_seed=5)
     assert calls["search"] > 0
     assert calls["sweep"] == len(range(2, 6))
     assert 2 <= fit.chosen_k <= 5 and fit.kmeans.model.k == fit.chosen_k
+
+
+def test_fit_fold_runs_rfe_once_per_candidate(monkeypatch):
+    # the target search's winning selection is the fold's selection: no
+    # elimination runs after the search, so the only logistic fits are the
+    # d - c step-1 rounds of each candidate c
+    ds = _bench_dataset()
+    real_rfe, real_fit = fs.rfe, fs.fit_logistic
+    targets, fits = [], []
+
+    def counting_rfe(X, y, target_k, step=1):
+        targets.append(target_k)
+        return real_rfe(X, y, target_k, step)
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "rfe", counting_rfe)
+    monkeypatch.setattr(fs, "fit_logistic", counting_fit)
+    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_target_k=None), fold_seed=5)
+    assert targets == fs.default_candidates(ds.d)
+    assert len(fits) == sum(ds.d - c for c in targets)
+    monkeypatch.undo()
+    # the two-pass oracle: search for the size, then rerun rfe to it
+    proc, _ = preprocess(ds, scale=True)
+    assert fit.selected == rfe(proc.features, proc.labels, len(fit.selected)).selected
 
 
 def _three_distinct_rows(n_each=20):

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from riskmeans import bench_harness, cli
+from riskmeans import cli, feature_select
 from riskmeans.bench_harness import fit_fold
 from riskmeans.cli import main
 from riskmeans.config import load_config
@@ -108,6 +108,31 @@ def test_select_features_artifact(tmp_path, capsys):
     assert "fingerprint" in payload
 
 
+@pytest.mark.parametrize("candidates", ["", ",", "0", "2,4"])
+def test_select_features_bad_candidates_exit_two(tmp_path, capsys, candidates):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["select-features", "--config", str(config),
+                 "--candidates", candidates]) == 2
+    assert "--candidates: need feature counts in [1, 3], got " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "selection.json").exists()
+
+
+def test_select_features_searches_given_candidates(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["select-features", "--config", str(config),
+                 "--candidates", "1,2"]) == 0
+    capsys.readouterr()
+    payload = _read_json(tmp_path / "out" / "selection.json")
+    assert payload["target_k"] in (1, 2)
+    assert len(payload["selected_indices"]) == payload["target_k"]
+
+
+def test_target_k_above_column_count_exits_one(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["select-features", "--config", str(config), "--target-k", "4"]) == 1
+    assert "target_k=4 outside [1, 3]" in capsys.readouterr().err
+
+
 def test_train_writes_model(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["train", "--config", str(config), "--k", "3", "--seed", "2"]) == 0
@@ -138,7 +163,7 @@ def test_train_model_does_not_depend_on_out_dir(tmp_path, capsys):
 
 def test_select_features_and_train_pick_the_same_target(tmp_path, capsys, monkeypatch):
     data, schema, config = write_toy_files(tmp_path)
-    real_search = bench_harness.select_target_k
+    real_search = feature_select.select_target_k
     seeds = {}
     fits = []
 
@@ -152,10 +177,11 @@ def test_select_features_and_train_pick_the_same_target(tmp_path, capsys, monkey
         fits.append(fit_fold(*args, **kwargs))
         return fits[-1]
 
-    monkeypatch.setattr(cli, "select_target_k", recording_search("select-features"))
-    monkeypatch.setattr(bench_harness, "select_target_k", recording_search("train"))
     monkeypatch.setattr(cli, "fit_fold", recording_fit)
+    monkeypatch.setattr(feature_select, "select_target_k",
+                        recording_search("select-features"))
     assert main(["select-features", "--config", str(config), "--seed", "4"]) == 0
+    monkeypatch.setattr(feature_select, "select_target_k", recording_search("train"))
     assert main(["train", "--config", str(config), "--seed", "4"]) == 0
     capsys.readouterr()
     assert seeds == {"select-features": derive_seed(4, "target_k"),
@@ -294,6 +320,11 @@ def test_k_above_distinct_rows_exits_one(tmp_path, capsys):
     (["run", "--seed", "1", "--folds", "1"], "folds"),
     (["train", "--subsample", "-1"], "subsample"),
     (["select-features", "--target-k", "auto", "--cv-folds", "1"], "--cv-folds"),
+    (["run", "--seed", "1", "--k", "0"], "--k/[kmeans] k"),
+    (["train", "--target-k", "0"], "--target-k/[rfe] target_k"),
+    (["select-features", "--target-k", "0"], "--target-k/[rfe] target_k"),
+    (["scan", "--windows", "1", "--stride", "0"], "--stride/[scanner] stride"),
+    (["scan", "--windows", "1", "--estimators", "0"], "--estimators/[scanner] estimators"),
 ])
 def test_out_of_range_flag_exits_two(tmp_path, capsys, argv, needle):
     data, schema, config = write_toy_files(tmp_path)

@@ -149,6 +149,23 @@ def test_folds_floor_enforced(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("section,key,value,floor", [
+    ("rfe", "target_k", "0", 1),
+    ("rfe", "step", "0", 1),
+    ("kmeans", "k", "0", 1),
+    ("kmeans", "k_max", "1", 2),
+    ("kmeans", "restarts", "0", 1),
+    ("kmeans", "max_iters", "0", 1),
+    ("kmeans", "tol", "-1", 0),
+    ("scanner", "stride", "0", 1),
+    ("scanner", "estimators", "0", 1),
+])
+def test_config_floors_enforced(tmp_path, section, key, value, floor):
+    p = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be >= {floor}$"):
+        load_config(p)
+
+
 def test_negative_subsample_rejected(tmp_path):
     p = _write(tmp_path, "[data]\nsubsample = -5\n")
     with pytest.raises(ConfigError, match="subsample must be >= 0"):

@@ -12,8 +12,10 @@ from riskmeans.feature_select import (
     fit_logistic,
     logistic_loss_and_grad,
     rfe,
+    select_features,
     select_target_k,
 )
+from riskmeans.seeding import derive_seed
 
 from conftest import make_labeled_blobs
 
@@ -48,7 +50,7 @@ def test_separable_one_dimensional_data_fits_perfectly():
     X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = fit_logistic(X, y)
-    assert (model.predict(X) == y).all()
+    assert ((model.predict_proba(X) >= 0.5) == y).all()
 
 
 def _loop_sigmoid(z):
@@ -102,7 +104,7 @@ def test_newton_fit_is_stationary_at_huge_margins():
     z = np.array([-1000.0, -710.0, -1.5, -0.0, 0.0, 2.5, 745.0, 1000.0])
     assert _sigmoid(z).tobytes() == _loop_sigmoid(z).tobytes()
     model = fit_logistic(X, y)
-    assert (model.predict(X) == y).all()
+    assert ((model.predict_proba(X) >= 0.5) == y).all()
     assert _max_gradient(model, X, y) < 1e-8
 
 
@@ -113,7 +115,7 @@ def test_newton_fit_damps_overshooting_steps():
                   [9.0, 6.0], [-11.0, -1.0], [-3.0, 3.0]])
     y = np.array([0, 1, 0, 1, 0, 1, 1])
     model = fit_logistic(X, y)
-    assert (model.predict(X) == y).all()
+    assert ((model.predict_proba(X) >= 0.5) == y).all()
     assert _max_gradient(model, X, y) < 1e-8
 
 
@@ -219,7 +221,7 @@ def test_rfe_permutation_consistency():
 
 def test_select_target_k_single_candidate():
     X, y = _informative_problem()
-    assert select_target_k(X, y, [4], cv_folds=3) == 4
+    assert len(select_target_k(X, y, [4], cv_folds=3).selected) == 4
 
 
 def test_select_target_k_finds_signal_pair():
@@ -235,7 +237,7 @@ def test_select_target_k_finds_signal_pair():
         6.0 * rng.normal(size=n),
         6.0 * rng.normal(size=n),
     ])
-    assert select_target_k(X, y, [1, 2, 4], cv_folds=3, seed=0) == 2
+    assert len(select_target_k(X, y, [1, 2, 4], cv_folds=3, seed=0).selected) == 2
 
 
 def test_select_target_k_tie_prefers_smaller():
@@ -245,7 +247,7 @@ def test_select_target_k_tie_prefers_smaller():
     y = np.array([0, 1] * (n // 2))
     base = np.where(y == 1, 3.0, -3.0) + 0.3 * rng.normal(size=n)
     X = np.column_stack([base, base])
-    assert select_target_k(X, y, [2, 1], cv_folds=3, seed=0) == 1
+    assert len(select_target_k(X, y, [2, 1], cv_folds=3, seed=0).selected) == 1
 
 
 def test_select_target_k_validations():
@@ -256,6 +258,42 @@ def test_select_target_k_validations():
         select_target_k(X, y, [0], cv_folds=3)
     with pytest.raises(ValueError):
         select_target_k(X, y, [9], cv_folds=3)
+
+
+def _correlated_problem(seed=1, n=200, d=8):
+    """AR(1)-correlated unit-variance columns (rho 0.6) and a noisy linear label."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(n, d))
+    X = np.empty((n, d))
+    X[:, 0] = e[:, 0]
+    for j in range(1, d):
+        X[:, j] = 0.6 * X[:, j - 1] + 0.8 * e[:, j]
+    y = (X @ rng.normal(size=d) + rng.normal(size=n) > 0).astype(int)
+    return X, y
+
+
+def test_select_target_k_returns_winner_ranked_with_step():
+    X, y = _correlated_problem()
+    winner = select_target_k(X, y, [2, 4, 6], cv_folds=3, seed=0, step=2)
+    assert winner == rfe(X, y, target_k=6, step=2)
+    # on this table the step matters: step 1 keeps a different six columns
+    assert winner.selected != rfe(X, y, target_k=6, step=1).selected
+
+
+def test_select_features_fixed_target_is_one_rfe():
+    X, y = _correlated_problem()
+    assert (select_features(X, y, target_k=3, step=2, seed=0)
+            == rfe(X, y, target_k=3, step=2))
+
+
+def test_select_features_auto_runs_the_seeded_search():
+    X, y = _correlated_problem()
+    expected = select_target_k(X, y, default_candidates(8), 3,
+                               seed=derive_seed(5, "target_k"))
+    assert select_features(X, y, target_k=None, step=1, seed=5) == expected
+    searched = select_target_k(X, y, [2, 4], 2, seed=derive_seed(5, "target_k"))
+    assert select_features(X, y, target_k=None, step=1, seed=5,
+                           candidates=[2, 4], cv_folds=2) == searched
 
 
 def test_default_candidates_grid():

@@ -628,6 +628,10 @@ def test_params_validation():
         KMeansParams(k=2, tol=-1.0)
     with pytest.raises(ValueError):
         KMeansParams(k=2, init="fancy")
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        KMeansParams(k=2, restarts=0)
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        KMeansParams(k=2, max_iters=0)
 
 
 def test_model_centroids_read_only():
