@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 runtime failure (malformed data, failed fit),
 ``train`` fits exactly as one ``run`` fold does (:func:`fit_fold`), on all rows.
 ``select-features`` selects through the same :func:`select_features` call as
 that fit, so with the default ``--candidates`` and ``--cv-folds`` both keep the
-same columns for the same seed and settings.
+same columns for the same seed and settings; with ``[rfe] enabled = false``
+both keep every column.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .data_ingest import (
     preprocess,
     write_processed,
 )
-from .feature_select import select_features
+from .feature_select import RfeResult, select_features
 from .kmeans_core import classifier_to_json
 from .seeding import derive_seed
 
@@ -156,9 +157,12 @@ def cmd_select_features(args) -> int:
         if not candidates or not all(1 <= c <= proc.d for c in candidates):
             raise UsageError(f"--candidates: need feature counts in [1, {proc.d}], "
                              f"got {','.join(map(str, candidates)) or 'none'}")
-    result = select_features(proc.features, proc.labels, target_k=cfg.rfe_target_k,
-                             step=cfg.rfe_step, seed=seed, candidates=candidates,
-                             cv_folds=args.cv_folds)
+    if cfg.rfe_enabled:
+        result = select_features(proc.features, proc.labels, target_k=cfg.rfe_target_k,
+                                 step=cfg.rfe_step, seed=seed, candidates=candidates,
+                                 cv_folds=args.cv_folds)
+    else:
+        result = RfeResult(selected=range(proc.d), elimination_trace=())
     target = len(result.selected)
     names = proc.column_names()
     out = _outdir(cfg)

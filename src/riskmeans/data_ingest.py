@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -216,8 +217,11 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
     """Load a delimited text file (comma or whitespace separated, one header row).
 
     Missing markers are retained (NaN / None); no imputation happens here.
-    When ``positive_label`` is given, that raw token maps to 1 and every other
-    token to 0; otherwise the label column must already contain 0/1.
+    A numeric ``nan`` token also reads as missing, while a token that parses
+    to an infinite float (``inf``, ``1e400``) raises :class:`CellParseError`.
+    Errors name the first bad row in file order. When ``positive_label`` is
+    given, that raw token maps to 1 and every other token to 0; otherwise the
+    label column must already contain 0/1.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -248,26 +252,34 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
     feature_specs = [c for i, c in enumerate(schema) if i != label_idx]
     n_cols = len(schema)
 
+    # Every cell goes into one flat list, sized up front, and no container
+    # outlives its row: a list per row would keep 100k tracked objects alive
+    # and make the cyclic garbage collector walk them again and again, and a
+    # list grown by appends fragments the heap a little more on every load.
     raw_labels: list[str] = []
-    cells: list[list] = []
+    cells: list = [None] * ((len(lines) - 1) * len(feature_specs))
+    at = 0
     for row_no, line in enumerate(lines[1:], start=1):
         fields = _split_line(line, delimiter)
         if len(fields) != n_cols:
             raise RaggedRowError(row=row_no, expected=n_cols, got=len(fields))
-        raw_labels.append(fields[label_idx].strip())
-        row = []
-        for spec, tok in zip(feature_specs, (f for i, f in enumerate(fields) if i != label_idx)):
+        raw_labels.append(fields.pop(label_idx).strip())
+        for spec, tok in zip(feature_specs, fields):
             tok = tok.strip()
             if tok == spec.missing_token:
-                row.append(np.nan if spec.kind == NUMERIC else None)
+                value = np.nan if spec.kind == NUMERIC else None
             elif spec.kind == NUMERIC:
                 try:
-                    row.append(float(tok))
+                    value = float(tok)
+                    if math.isinf(value):
+                        raise ValueError(tok)
                 except ValueError:
                     raise CellParseError(row=row_no, column=spec.name, token=tok) from None
             else:
-                row.append(tok)
-        cells.append(row)
+                value = tok
+            cells[at] = value
+            at += 1
+    del lines
 
     distinct = sorted(set(raw_labels))
     if positive_label is not None:
@@ -287,9 +299,9 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
             )
         labels = np.array([int(t) for t in raw_labels], dtype=int)
 
-    features = np.empty((len(cells), len(feature_specs)), dtype=object)
-    for i, row in enumerate(cells):
-        features[i, :] = row
+    features = np.empty(len(cells), dtype=object)
+    features[:] = cells
+    features = features.reshape(len(raw_labels), len(feature_specs))
     return Dataset(features=features, labels=labels, schema=feature_specs,
                    name=name or str(path))
 

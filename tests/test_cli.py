@@ -196,8 +196,28 @@ def test_train_honours_rfe_disabled(tmp_path, capsys):
                       encoding="utf-8")
     assert main(["train", "--config", str(config), "--k", "2",
                  "--target-k", "2", "--seed", "1"]) == 0
+    assert main(["select-features", "--config", str(config),
+                 "--target-k", "2", "--seed", "1"]) == 0
     capsys.readouterr()
     assert _read_json(tmp_path / "out" / "model.json")["d"] == 3
+    selection = _read_json(tmp_path / "out" / "selection.json")
+    assert selection["selected_indices"] == [0, 1, 2]
+    assert selection["selected_columns"] == ["x0", "x1", "grade"]
+    assert selection["target_k"] == 3
+    assert selection["elimination_trace"] == []
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "1e400"])
+def test_infinite_numeric_cell_exits_one(tmp_path, capsys, token):
+    data, schema, config = write_toy_files(tmp_path)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[4] = token + "," + lines[4].split(",", 1)[1]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in ("ingest", "train"):
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"row 4, column 'x0': cannot parse {token!r} as a number" in err
+    assert not (tmp_path / "out" / "model.json").exists()
 
 
 def test_run_requires_seed(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmeans.data_ingest import (
+    NUMERIC,
     AllMissingColumnError,
     CellParseError,
     ColumnSpec,
@@ -20,6 +22,7 @@ from riskmeans.data_ingest import (
     PreprocessReport,
     RaggedRowError,
     SchemaError,
+    _split_line,
     apply_report,
     balanced_subsample,
     load_csv,
@@ -129,6 +132,172 @@ def test_load_declared_dimension_checked(tmp_path):
     assert ds.d == 2
     with pytest.raises(SchemaError, match="dimension"):
         load_csv(p, SCHEMA, "label", positive_label="bad", declared_dimension=25)
+
+
+def _loop_load_csv(path, schema, label_column, positive_label=None):
+    """Reference loader: one list per row, copied into the matrix row by row.
+
+    Returns (features, labels, feature specs); reads well-formed headers only.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+    delimiter = "," if "," in lines[0] else None
+    label_idx = [c.name for c in schema].index(label_column)
+    feature_specs = [c for i, c in enumerate(schema) if i != label_idx]
+    raw_labels, rows = [], []
+    for row_no, line in enumerate(lines[1:], start=1):
+        fields = _split_line(line, delimiter)
+        if len(fields) != len(schema):
+            raise RaggedRowError(row=row_no, expected=len(schema), got=len(fields))
+        raw_labels.append(fields[label_idx].strip())
+        row = []
+        for spec, tok in zip(feature_specs, (f for i, f in enumerate(fields) if i != label_idx)):
+            tok = tok.strip()
+            if tok == spec.missing_token:
+                row.append(np.nan if spec.kind == NUMERIC else None)
+            elif spec.kind == NUMERIC:
+                try:
+                    row.append(float(tok))
+                except ValueError:
+                    raise CellParseError(row=row_no, column=spec.name, token=tok) from None
+            else:
+                row.append(tok)
+        rows.append(row)
+    labels = np.array([int(t == positive_label) if positive_label is not None else int(t)
+                       for t in raw_labels], dtype=int)
+    features = np.empty((len(rows), len(feature_specs)), dtype=object)
+    for i, row in enumerate(rows):
+        features[i, :] = row
+    return features, labels, feature_specs
+
+
+def _assert_same_cells(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype == object
+    assert got.shape == want.shape
+    for g, w in zip(got.ravel().tolist(), want.ravel().tolist()):
+        assert type(g) is type(w), (g, w)
+        assert g == w or (g != g and w != w), (g, w)
+
+
+def _ingest_table(delimiter: str, label_pos: int, n: int = 60, seed: int = 0):
+    """Schema and text of a table with three feature columns and a label at
+    ``label_pos``; ``x`` marks gaps with ``NA``, the others with ``?``, and
+    ``y`` also holds ``nan`` tokens."""
+    rng = np.random.default_rng(seed)
+    features = [ColumnSpec("x", "numeric", missing_token="NA"),
+                ColumnSpec("g", "categorical"),
+                ColumnSpec("y", "numeric")]
+    schema = list(features)
+    schema.insert(label_pos, ColumnSpec("label", "categorical"))
+    pad = " " if delimiter == "," else ""
+    lines = [delimiter.join(c.name for c in schema)]
+    for _ in range(n):
+        cells = {
+            "x": rng.choice(["NA", "-0", "1e3", f"{rng.normal():.17g}", "7"]),
+            "g": rng.choice(["?", "a", "b", "long-name", "NA"]),
+            "y": rng.choice(["?", "nan", "-2.5", f"{pad}12{pad}", "0"]),
+            "label": rng.choice(["bad", "good"]),
+        }
+        lines.append(delimiter.join(cells[c.name] for c in schema))
+    return schema, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("label_pos", [0, 2, 3], ids=["label-first", "label-middle",
+                                                      "label-last"])
+@pytest.mark.parametrize("delimiter", [",", " "], ids=["comma", "whitespace"])
+def test_load_matches_row_loop_oracle(tmp_path, delimiter, label_pos):
+    schema, text = _ingest_table(delimiter, label_pos)
+    p = write(tmp_path, text)
+    ds = load_csv(p, schema, "label", positive_label="bad")
+    features, labels, feature_specs = _loop_load_csv(p, schema, "label", positive_label="bad")
+    _assert_same_cells(ds.features, features)
+    assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+    assert ds.schema == feature_specs
+    assert [c.name for c in ds.schema] == ["x", "g", "y"]
+    column = {c.name: j for j, c in enumerate(ds.schema)}
+    assert {type(v) for v in ds.features[:, column["g"]]} <= {str, type(None)}
+    assert any(v != v for v in ds.features[:, column["x"]])  # NA read as missing
+
+
+def test_load_matches_row_loop_oracle_with_no_feature_columns(tmp_path):
+    schema = [ColumnSpec("label", "categorical")]
+    p = write(tmp_path, "label\n1\n0\n1\n")
+    ds = load_csv(p, schema, "label")
+    features, labels, feature_specs = _loop_load_csv(p, schema, "label")
+    assert ds.features.shape == (3, 0)
+    _assert_same_cells(ds.features, features)
+    assert np.array_equal(ds.labels, labels) and ds.schema == feature_specs == []
+
+
+BAD_ROWS = "amount,grade,label\n1,a,bad\n{row2}\n3,c,good\n4,d,bad\n{row5}\n"
+
+
+@pytest.mark.parametrize("row2, row5, error, match", [
+    ("xyz,b,good", "5,e", CellParseError, "row 2, column 'amount'"),
+    ("2,b", "zz,e,good", RaggedRowError, "row 2: expected 3 fields, got 2"),
+    ("2,b,good,extra", "5,e", RaggedRowError, "row 2: expected 3 fields, got 4"),
+    ("2,b,good", "5,e", RaggedRowError, "row 5: expected 3 fields, got 2"),
+])
+def test_load_reports_the_first_bad_row(tmp_path, row2, row5, error, match):
+    p = write(tmp_path, BAD_ROWS.format(row2=row2, row5=row5))
+    with pytest.raises(error, match=match) as got:
+        load_csv(p, SCHEMA, "label", positive_label="bad")
+    with pytest.raises(error) as want:
+        _loop_load_csv(p, SCHEMA, "label", positive_label="bad")
+    assert str(got.value) == str(want.value)
+    assert got.value.row == want.value.row
+
+
+def test_load_reports_the_first_bad_cell_in_row_major_order(tmp_path):
+    schema = [ColumnSpec("a", "numeric"), ColumnSpec("label", "categorical"),
+              ColumnSpec("b", "numeric"), ColumnSpec("c", "numeric")]
+    p = write(tmp_path, "a,label,b,c\n1,0,2,3\n4,1,x5,y6\nz7,0,8,9\n")
+    with pytest.raises(CellParseError) as got:
+        load_csv(p, schema, "label")
+    assert (got.value.row, got.value.column) == (2, "b")
+    assert str(got.value) == "row 2, column 'b': cannot parse 'x5' as a number"
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "1e400", "-1E999", "Infinity", "+INF"])
+def test_load_rejects_infinite_numeric_tokens(tmp_path, token):
+    p = write(tmp_path, f"amount,grade,label\n1,a,bad\n2,b,good\n{token},c,bad\n")
+    with pytest.raises(CellParseError) as got:
+        load_csv(p, SCHEMA, "label", positive_label="bad")
+    assert (got.value.row, got.value.column) == (3, "amount")
+    assert str(got.value) == f"row 3, column 'amount': cannot parse {token!r} as a number"
+
+
+def test_load_reads_nan_token_as_missing(tmp_path):
+    p = write(tmp_path, "amount,grade,label\nnan,a,bad\n2,b,good\n4,a,good\n1e308,b,bad\n")
+    ds = load_csv(p, SCHEMA, "label", positive_label="bad")
+    assert np.isnan(ds.features[0, 0]) and ds.features[3, 0] == 1e308
+    out, report = preprocess(ds, scale=False)
+    assert report.imputation["amount"] == np.mean([2.0, 4.0, 1e308])
+    assert out.features[0, 0] == report.imputation["amount"]
+
+
+def test_load_triggers_no_gc_cascade(tmp_path):
+    # One container per row kept alive until the end made the cyclic
+    # collector run 28 times on this table; a flat cell list keeps that near 0.
+    schema = [ColumnSpec("a", "numeric"), ColumnSpec("b", "categorical"),
+              ColumnSpec("c", "numeric"), ColumnSpec("d", "categorical"),
+              ColumnSpec("label", "categorical")]
+    rows = (f"{i % 97},c{i % 7},{i * 0.5},d{i % 3},{i % 2}" for i in range(20_000))
+    p = write(tmp_path, "a,b,c,d,label\n" + "\n".join(rows) + "\n")
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        ds = load_csv(p, schema, "label")
+    finally:
+        gc.callbacks.remove(count)
+    assert ds.n == 20_000
+    assert len(collections) <= 2, collections
 
 
 def test_read_schema_grammar(tmp_path):
