@@ -33,7 +33,7 @@ from .bench_harness import (
     roc_plot_data,
     run_pipeline,
 )
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import KEYS, ConfigError, ExperimentConfig, load_config, parse_int_list
 from .data_ingest import (
     DataError,
     SchemaError,
@@ -53,53 +53,19 @@ class UsageError(Exception):
 
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    overrides = {}
-    if getattr(args, "data", None):
-        overrides["data_path"] = args.data
-    if getattr(args, "schema", None):
-        overrides["schema_path"] = args.schema
-    if getattr(args, "name", None):
-        overrides["dataset_name"] = args.name
-    if getattr(args, "out", None):
-        overrides["output_dir"] = args.out
-    if getattr(args, "subsample", None) is not None:
-        overrides["subsample"] = args.subsample
-    if getattr(args, "folds", None) is not None:
-        overrides["cv_folds"] = args.folds
-    if getattr(args, "no_scale", False):
-        overrides["scale"] = False
-    if getattr(args, "k", None) is not None:
-        overrides["kmeans_k"] = None if args.k == "auto" else _int_flag("--k", args.k)
-    if getattr(args, "target_k", None) is not None:
-        overrides["rfe_target_k"] = (
-            None if args.target_k == "auto" else _int_flag("--target-k", args.target_k)
-        )
-    if getattr(args, "windows", None):
-        overrides["scanner_windows"] = _int_list_flag("--windows", args.windows)
-    if getattr(args, "stride", None) is not None:
-        overrides["scanner_stride"] = args.stride
-    if getattr(args, "estimators", None) is not None:
-        overrides["scanner_estimators"] = args.estimators
+    overrides = {"scale": False} if getattr(args, "no_scale", False) else {}
+    for row in KEYS:
+        raw = getattr(args, row.flag[2:].replace("-", "_"), None) if row.flag else None
+        if raw is not None:
+            value = row.parse(row.flag, raw)  # integer parsers reject a blank value
+            if raw:
+                overrides[row.field] = value
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.check_ranges("command line")
     if not cfg.data_path or not cfg.schema_path:
         raise UsageError("a data file and schema are required (--data/--schema "
                          "or a config file with a [data] section)")
     return cfg
-
-
-def _int_flag(flag: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{flag}: expected an integer or 'auto', got {raw!r}") from None
-
-
-def _int_list_flag(flag: str, raw: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated integers, got {raw!r}") from None
 
 
 def _load_dataset(cfg: ExperimentConfig, seed: int):
@@ -153,7 +119,7 @@ def cmd_select_features(args) -> int:
     proc, _ = preprocess(ds, scale=cfg.scale)
     candidates = None
     if args.candidates is not None:
-        candidates = _int_list_flag("--candidates", args.candidates)
+        candidates = parse_int_list("--candidates", args.candidates)
         if not candidates or not all(1 <= c <= proc.d for c in candidates):
             raise UsageError(f"--candidates: need feature counts in [1, {proc.d}], "
                              f"got {','.join(map(str, candidates)) or 'none'}")
@@ -296,7 +262,7 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", help="schema file (overrides the config)")
     p.add_argument("--name", help="dataset name for reports")
     p.add_argument("--out", help="output directory (overrides the config)")
-    p.add_argument("--subsample", type=int, help="balanced rows per class (0 = off)")
+    p.add_argument("--subsample", help="balanced rows per class (0 = off)")
     p.add_argument("--no-scale", action="store_true", help="skip standardization")
 
 
@@ -334,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=list(METHODS), default="kmeans")
     p.add_argument("--seed", type=int, required=True,
                    help="root seed (required for reproducibility)")
-    p.add_argument("--folds", type=int)
+    p.add_argument("--folds")
     p.add_argument("--k", help="cluster count, or 'auto'")
     p.add_argument("--target-k", dest="target_k",
                    help="feature count to keep, or 'auto'")
@@ -347,15 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", required=True,
                    help="comma-separated subset of: " + ", ".join(METHODS))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--folds", type=int)
+    p.add_argument("--folds")
     p.add_argument("--emit-plot-data", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("scan", help="expand rows through sliding-window estimators")
     _add_common_data_flags(p)
     p.add_argument("--windows", help="comma-separated window sizes, each in [1, d]")
-    p.add_argument("--stride", type=int)
-    p.add_argument("--estimators", type=int)
+    p.add_argument("--stride")
+    p.add_argument("--estimators")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_scan)
 

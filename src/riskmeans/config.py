@@ -36,9 +36,10 @@ Files are standard INI as read by :mod:`configparser`:
     dir = runs
 
 Every key is optional except [data] path and schema; unknown sections or keys
-are rejected so typos fail loudly, and so is a value below its floor (see
-:meth:`ExperimentConfig.check_ranges`). Command-line flags override file values;
-the root seed comes only from each command's ``--seed`` flag.
+are rejected so typos fail loudly, and so is a value below its floor. Each key's
+field, parser, floor and command-line flag are declared once, in :data:`KEYS`;
+a flag overrides its file value and is read by the same parser. The root seed
+comes only from each command's ``--seed`` flag.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 from .bench_harness import PipelineConfig
 from .kmeans_core import INIT_KMEANSPP, INIT_UNIFORM
@@ -56,15 +58,94 @@ class ConfigError(ValueError):
     """Raised for unparseable or out-of-range configuration values."""
 
 
-_KNOWN = {
-    "data": {"path", "schema", "name", "subsample"},
-    "preprocess": {"scale"},
-    "rfe": {"enabled", "target_k", "step"},
-    "scanner": {"windows", "stride", "estimators"},
-    "kmeans": {"k", "k_max", "restarts", "tol", "max_iters", "init"},
-    "cv": {"folds"},
-    "output": {"dir"},
-}
+def _parse_text(prefix, raw):
+    return raw
+
+
+def _parse_int(prefix, raw, kind="an integer"):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{prefix}: expected {kind}, got {raw!r}") from None
+
+
+def _parse_int_or_auto(prefix, raw):
+    if raw.strip().lower() == "auto":
+        return None
+    return _parse_int(prefix, raw, "an integer or 'auto'")
+
+
+def _parse_float(prefix, raw):
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{prefix}: expected a number, got {raw!r}") from None
+
+
+def _parse_bool(prefix, raw):
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"{prefix}: expected a boolean, got {raw!r}")
+
+
+def parse_int_list(prefix, raw):
+    try:
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"{prefix}: expected comma-separated integers, got {raw!r}") from None
+
+
+def _parse_init(prefix, raw):
+    init = raw.strip()
+    if init not in (INIT_KMEANSPP, INIT_UNIFORM):
+        raise ConfigError(
+            f"{prefix}: expected {INIT_KMEANSPP!r} or {INIT_UNIFORM!r}, got {init!r}"
+        )
+    return init
+
+
+class Key(NamedTuple):
+    """One config key: where it is read from, what it sets and its lowest value."""
+
+    section: str
+    key: str
+    field: str
+    parse: Callable  # (message prefix, raw string) -> value, or ConfigError
+    floor: float | None = None
+    flag: str | None = None
+
+    @property
+    def name(self) -> str:
+        name = f"[{self.section}] {self.key}"
+        return f"{self.flag}/{name}" if self.flag else name
+
+
+# Every config key, in ExperimentConfig field order. A file is parsed in this
+# order, so with several bad values the first row's error is reported.
+KEYS = (
+    Key("data", "path", "data_path", _parse_text, flag="--data"),
+    Key("data", "schema", "schema_path", _parse_text, flag="--schema"),
+    Key("data", "name", "dataset_name", _parse_text, flag="--name"),
+    Key("data", "subsample", "subsample", _parse_int, 0, "--subsample"),
+    Key("preprocess", "scale", "scale", _parse_bool),
+    Key("rfe", "enabled", "rfe_enabled", _parse_bool),
+    Key("rfe", "target_k", "rfe_target_k", _parse_int_or_auto, 1, "--target-k"),
+    Key("rfe", "step", "rfe_step", _parse_int, 1),
+    Key("scanner", "windows", "scanner_windows", parse_int_list, flag="--windows"),
+    Key("scanner", "stride", "scanner_stride", _parse_int, 1, "--stride"),
+    Key("scanner", "estimators", "scanner_estimators", _parse_int, 1, "--estimators"),
+    Key("kmeans", "k", "kmeans_k", _parse_int_or_auto, 1, "--k"),
+    Key("kmeans", "k_max", "kmeans_k_max", _parse_int, 2),
+    Key("kmeans", "restarts", "kmeans_restarts", _parse_int, 1),
+    Key("kmeans", "tol", "kmeans_tol", _parse_float, 0),
+    Key("kmeans", "max_iters", "kmeans_max_iters", _parse_int, 1),
+    Key("kmeans", "init", "kmeans_init", _parse_init),
+    Key("cv", "folds", "cv_folds", _parse_int, 2, "--folds"),
+    Key("output", "dir", "output_dir", _parse_text, flag="--out"),
+)
 
 
 @dataclass(frozen=True)
@@ -92,40 +173,17 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def pipeline(self, method: str, seed: int) -> PipelineConfig:
-        return PipelineConfig(
-            method=method,
-            folds=self.cv_folds,
-            seed=seed,
-            scale=self.scale,
-            rfe_enabled=self.rfe_enabled,
-            rfe_target_k=self.rfe_target_k,
-            rfe_step=self.rfe_step,
-            kmeans_k=self.kmeans_k,
-            kmeans_k_max=self.kmeans_k_max,
-            kmeans_restarts=self.kmeans_restarts,
-            kmeans_max_iters=self.kmeans_max_iters,
-            kmeans_tol=self.kmeans_tol,
-            kmeans_init=self.kmeans_init,
-        )
+        """The run settings: every field whose name PipelineConfig shares, plus the folds."""
+        shared = {f.name for f in fields(PipelineConfig)}
+        kw = {k: v for k, v in asdict(self).items() if k in shared}
+        return PipelineConfig(method=method, folds=self.cv_folds, seed=seed, **kw)
 
     def check_ranges(self, source: str) -> None:
         """Reject out-of-range values, whether a file or a flag set them."""
-        floors = (
-            (self.cv_folds, 2, "--folds/[cv] folds"),
-            (self.subsample, 0, "--subsample/[data] subsample"),
-            (self.rfe_target_k, 1, "--target-k/[rfe] target_k"),
-            (self.rfe_step, 1, "[rfe] step"),
-            (self.kmeans_k, 1, "--k/[kmeans] k"),
-            (self.kmeans_k_max, 2, "[kmeans] k_max"),
-            (self.kmeans_restarts, 1, "[kmeans] restarts"),
-            (self.kmeans_max_iters, 1, "[kmeans] max_iters"),
-            (self.kmeans_tol, 0, "[kmeans] tol"),
-            (self.scanner_stride, 1, "--stride/[scanner] stride"),
-            (self.scanner_estimators, 1, "--estimators/[scanner] estimators"),
-        )
-        for value, floor, name in floors:
-            if value is not None and value < floor:  # None is "auto"
-                raise ConfigError(f"{source}: {name} must be >= {floor}")
+        for row in KEYS:
+            value = getattr(self, row.field)
+            if row.floor is not None and value is not None and value < row.floor:  # None is "auto"
+                raise ConfigError(f"{source}: {row.name} must be >= {row.floor}")
 
     def fingerprint(self) -> dict:
         """Every field that can change a result; ``output_dir`` never does."""
@@ -136,41 +194,6 @@ class ExperimentConfig:
     def fingerprint_hash(self) -> str:
         canon = json.dumps(self.fingerprint(), sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def _parse_int(path, section, key, raw, allow_auto=False):
-    if allow_auto and raw.strip().lower() == "auto":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        kind = "an integer or 'auto'" if allow_auto else "an integer"
-        raise ConfigError(f"{path}: [{section}] {key}: expected {kind}, got {raw!r}") from None
-
-
-def _parse_float(path, section, key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: [{section}] {key}: expected a number, got {raw!r}") from None
-
-
-def _parse_bool(path, section, key, raw):
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{path}: [{section}] {key}: expected a boolean, got {raw!r}")
-
-
-def _parse_int_list(path, section, key, raw):
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(
-            f"{path}: [{section}] {key}: expected comma-separated integers, got {raw!r}"
-        ) from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -184,69 +207,17 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    known = {(row.section, row.key) for row in KEYS}
     for section in cp.sections():
-        if section not in _KNOWN:
+        if section not in {s for s, _ in known}:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in cp[section]:
-            if key not in _KNOWN[section]:
+            if (section, key) not in known:
                 raise ConfigError(f"{path}: [{section}] unknown key {key!r}")
 
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
-
-    kw: dict = {}
-    if get("data", "path") is not None:
-        kw["data_path"] = get("data", "path")
-    if get("data", "schema") is not None:
-        kw["schema_path"] = get("data", "schema")
-    if get("data", "name") is not None:
-        kw["dataset_name"] = get("data", "name")
-    if get("data", "subsample") is not None:
-        kw["subsample"] = _parse_int(path, "data", "subsample", get("data", "subsample"))
-    if get("preprocess", "scale") is not None:
-        kw["scale"] = _parse_bool(path, "preprocess", "scale", get("preprocess", "scale"))
-    if get("rfe", "enabled") is not None:
-        kw["rfe_enabled"] = _parse_bool(path, "rfe", "enabled", get("rfe", "enabled"))
-    if get("rfe", "target_k") is not None:
-        kw["rfe_target_k"] = _parse_int(path, "rfe", "target_k", get("rfe", "target_k"),
-                                        allow_auto=True)
-    if get("rfe", "step") is not None:
-        kw["rfe_step"] = _parse_int(path, "rfe", "step", get("rfe", "step"))
-    if get("scanner", "windows") is not None:
-        kw["scanner_windows"] = _parse_int_list(path, "scanner", "windows",
-                                                get("scanner", "windows"))
-    if get("scanner", "stride") is not None:
-        kw["scanner_stride"] = _parse_int(path, "scanner", "stride", get("scanner", "stride"))
-    if get("scanner", "estimators") is not None:
-        kw["scanner_estimators"] = _parse_int(path, "scanner", "estimators",
-                                              get("scanner", "estimators"))
-    if get("kmeans", "k") is not None:
-        kw["kmeans_k"] = _parse_int(path, "kmeans", "k", get("kmeans", "k"), allow_auto=True)
-    if get("kmeans", "k_max") is not None:
-        kw["kmeans_k_max"] = _parse_int(path, "kmeans", "k_max", get("kmeans", "k_max"))
-    if get("kmeans", "restarts") is not None:
-        kw["kmeans_restarts"] = _parse_int(path, "kmeans", "restarts",
-                                           get("kmeans", "restarts"))
-    if get("kmeans", "tol") is not None:
-        kw["kmeans_tol"] = _parse_float(path, "kmeans", "tol", get("kmeans", "tol"))
-    if get("kmeans", "max_iters") is not None:
-        kw["kmeans_max_iters"] = _parse_int(path, "kmeans", "max_iters",
-                                            get("kmeans", "max_iters"))
-    if get("kmeans", "init") is not None:
-        init = get("kmeans", "init").strip()
-        if init not in (INIT_KMEANSPP, INIT_UNIFORM):
-            raise ConfigError(
-                f"{path}: [kmeans] init: expected {INIT_KMEANSPP!r} or {INIT_UNIFORM!r}, "
-                f"got {init!r}"
-            )
-        kw["kmeans_init"] = init
-    if get("cv", "folds") is not None:
-        kw["cv_folds"] = _parse_int(path, "cv", "folds", get("cv", "folds"))
-    if get("output", "dir") is not None:
-        kw["output_dir"] = get("output", "dir")
-
+    kw = {row.field: row.parse(f"{path}: [{row.section}] {row.key}",
+                               cp.get(row.section, row.key))
+          for row in KEYS if cp.has_option(row.section, row.key)}
     cfg = ExperimentConfig(**kw)
     cfg.check_ranges(str(path))
     return cfg

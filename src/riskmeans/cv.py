@@ -31,8 +31,9 @@ class FoldPlan:
 
     def train_indices(self, fold: int) -> np.ndarray:
         """All indices not in the given test fold, ascending."""
-        test = set(self.test_indices[fold].tolist())
-        out = np.array([i for i in range(self.n) if i not in test], dtype=int)
+        keep = np.ones(self.n, dtype=bool)
+        keep[self.test_indices[fold]] = False
+        out = np.flatnonzero(keep)
         out.setflags(write=False)
         return out
 

@@ -187,7 +187,11 @@ def read_schema(path) -> SchemaFile:
                     else:
                         raise SchemaError(f"{path}:{lineno}: unknown option {extra!r}")
             elif kw == "dimension":
-                declared_dimension = int(parts[1])
+                try:
+                    declared_dimension, = map(int, parts[1:])  # exactly one integer
+                except ValueError:
+                    raise SchemaError(f"{path}:{lineno}: dimension line needs one integer, "
+                                      f"got {' '.join(parts[1:]) or 'none'}") from None
             else:
                 raise SchemaError(f"{path}:{lineno}: unknown directive {kw!r}")
     if label_column is None:
@@ -338,14 +342,15 @@ def _transform_column(col: np.ndarray, spec: ColumnSpec, report: PreprocessRepor
     by the recorded mean and std.
     """
     name = spec.name
-    if name not in report.imputation or (scale and name not in report.means):
+    if (name not in report.imputation or (scale and name not in report.means)
+            or (spec.kind != NUMERIC and name not in report.codes)):
         raise SchemaError(f"preprocess report has no entry for column {name!r}")
     filled = np.where(_missing(col), report.imputation[name], col)
     if spec.kind == NUMERIC:
         vals = filled.astype(float)
     else:
         cats, inverse = np.unique(filled.astype(str), return_inverse=True)
-        table = {c: i for i, c in enumerate(report.codes.get(name, []))}
+        table = {c: i for i, c in enumerate(report.codes[name])}
         vals = np.array([table.get(c, len(table)) for c in cats], dtype=float)[inverse]
     if scale:
         vals = _zscale(vals, report.means[name], report.stds[name])

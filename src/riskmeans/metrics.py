@@ -146,12 +146,10 @@ def roc_curve(scores, labels) -> RocCurve:
     # last index of each tie group
     group_end = np.flatnonzero(np.r_[s_sorted[1:] != s_sorted[:-1], True])
 
-    pts = [(0.0, 0.0)]
-    thr = [np.inf]
-    for i in group_end:
-        pts.append((cum_fp[i] / n_neg, cum_tp[i] / n_pos))
-        thr.append(s_sorted[i])
-    return RocCurve(points=np.array(pts), thresholds=np.array(thr))
+    fprs = np.r_[0.0, cum_fp[group_end] / n_neg]
+    tprs = np.r_[0.0, cum_tp[group_end] / n_pos]
+    return RocCurve(points=np.column_stack([fprs, tprs]),
+                    thresholds=np.r_[np.inf, s_sorted[group_end]])
 
 
 def auc(curve: RocCurve) -> float:

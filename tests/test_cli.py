@@ -353,6 +353,25 @@ def test_out_of_range_flag_exits_two(tmp_path, capsys, argv, needle):
     assert needle in err and "must be >=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "1", "--folds"],
+    ["train", "--subsample"],
+    ["scan", "--windows", "1", "--stride"],
+    ["scan", "--windows", "1", "--estimators"],
+])
+def test_non_integer_flag_exits_two(tmp_path, capsys, argv):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(argv + ["x", "--config", str(config)]) == 2
+    assert f"error: {argv[-1]}: expected an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_bare_schema_dimension_line_exits_two(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    schema.write_text(schema.read_text(encoding="utf-8") + "dimension\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert "toy.schema:6: dimension line needs one integer, got none" in capsys.readouterr().err
+
+
 def test_flag_overrides_config_file(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["run", "--config", str(config), "--seed", "5",

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import pathlib
+import re
 import textwrap
 
 import pytest
 
 from riskmeans import config as config_module
-from riskmeans.config import ConfigError, ExperimentConfig, load_config
+from riskmeans.config import KEYS, ConfigError, ExperimentConfig, load_config
 
-CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+ROOT = pathlib.Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -111,6 +114,28 @@ def test_docstring_example_parses(tmp_path):
     assert cfg.dataset_name == "german"
     assert cfg.scanner_windows == (5, 10)
     assert cfg.output_dir == "runs"
+
+
+def test_key_table_fields_are_the_config_fields():
+    assert [row.field for row in KEYS] == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_every_table_key_is_documented():
+    table = {(row.section, row.key) for row in KEYS}
+    doc = config_module.__doc__
+    example = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    example.read_string(textwrap.dedent(doc[doc.index("    [data]"):doc.index("\nEvery key")]))
+    assert {(s, k) for s in example.sections() for k in example[s]} == table
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = {(s, k) for s, keys in re.findall(r"`\[(\w+)\]`\s+([\w/]+)", readme)
+              for k in keys.split("/")}
+    assert listed == table
+
+
+def test_unknown_key_reported_before_a_bad_value(tmp_path):
+    p = _write(tmp_path, "[kmeans]\nk = many\nsprocket = 3\n")
+    with pytest.raises(ConfigError, match=r"\[kmeans\] unknown key 'sprocket'"):
+        load_config(p)
 
 
 def test_bad_int_names_file_section_key(tmp_path):

@@ -56,6 +56,25 @@ def test_test_folds_sorted_and_train_is_complement():
         assert len(train) + len(fold) == 40
 
 
+def _loop_train_indices(plan, fold):
+    """The per-index complement loop that ``train_indices`` replaced; the oracle."""
+    test = set(plan.test_indices[fold].tolist())
+    return np.array([i for i in range(plan.n) if i not in test], dtype=int)
+
+
+def test_train_indices_match_loop_oracle_on_300_plans():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n, k = int(rng.integers(2, 60)), int(rng.integers(2, 6))
+        folds = np.array_split(rng.permutation(n), k)
+        plan = FoldPlan(k=k, test_indices=tuple(np.sort(f) for f in folds), seed=0)
+        for i in range(k):
+            train = plan.train_indices(i)
+            expect = _loop_train_indices(plan, i)
+            assert train.dtype == expect.dtype and train.tobytes() == expect.tobytes()
+            assert not train.flags.writeable
+
+
 def test_deterministic_given_seed():
     labels = np.random.default_rng(2).integers(0, 2, size=60)
     a = stratified_kfold(labels, 3, seed=11)

@@ -333,6 +333,18 @@ def test_read_schema_errors(tmp_path):
         read_schema(write(tmp_path, "column a numeric\nlabel b\n", name="e.schema"))
 
 
+@pytest.mark.parametrize("line,got", [
+    ("dimension", "none"),
+    ("dimension four", "four"),
+    ("dimension 3 4", "3 4"),
+])
+def test_read_schema_rejects_a_bad_dimension_line(tmp_path, line, got):
+    p = write(tmp_path, f"column a numeric\nlabel a\n{line}\n", name="s.schema")
+    with pytest.raises(SchemaError, match=rf"s\.schema:3: dimension line needs one integer, "
+                                          rf"got {got}$"):
+        read_schema(p)
+
+
 def test_load_with_schema_round_trip(tmp_path):
     data = write(tmp_path, "amount,grade,outcome\n10,a,bad\n20,b,good\n")
     schema = write(tmp_path, (
@@ -495,6 +507,18 @@ def test_replay_report_missing_a_column_names_it(scale):
                  schema=[ColumnSpec("a", "numeric"), ColumnSpec("c0", "numeric")])
     with pytest.raises(SchemaError, match="'a'"):
         apply_report(ds, report, scale=scale)
+
+
+def test_replay_report_without_codes_for_a_categorical_column_names_it():
+    train = _tiny([["a"], ["b"], ["a"], ["c"]], ["categorical"])
+    _, report = preprocess(train)
+    no_codes = PreprocessReport(imputation=report.imputation, means=report.means,
+                                stds=report.stds)
+    with pytest.raises(SchemaError, match="'c0'"):
+        apply_report(train, no_codes)
+    _, numeric_report = preprocess(_tiny([[1.0], [2.0]], ["numeric"]), scale=False)
+    with pytest.raises(SchemaError, match="'c0'"):  # a numeric column re-declared categorical
+        apply_report(_tiny([["1.0"], ["2.0"]], ["categorical"]), numeric_report, scale=False)
 
 
 def test_report_json_round_trip(raw_dataset):

@@ -158,6 +158,32 @@ def _random_instance(rng, with_ties=True):
     return scores, labels
 
 
+def _loop_roc_curve(scores, labels):
+    """The per-group loop that ``roc_curve`` replaced; the oracle for its arrays."""
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(-scores, kind="mergesort")
+    labels = np.asarray(labels)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    s_sorted, y_sorted = scores[order], labels[order]
+    cum_tp, cum_fp = np.cumsum(y_sorted == 1), np.cumsum(y_sorted == 0)
+    group_end = np.flatnonzero(np.r_[s_sorted[1:] != s_sorted[:-1], True])
+    pts, thr = [(0.0, 0.0)], [np.inf]
+    for i in group_end:
+        pts.append((cum_fp[i] / n_neg, cum_tp[i] / n_pos))
+        thr.append(s_sorted[i])
+    return np.array(pts), np.array(thr)
+
+
+def test_roc_curve_matches_loop_oracle_on_300_tie_heavy_instances():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        scores, labels = _random_instance(rng)
+        curve = roc_curve(scores, labels)
+        pts, thr = _loop_roc_curve(scores, labels)
+        assert curve.points.shape == pts.shape and curve.points.tobytes() == pts.tobytes()
+        assert curve.thresholds.tobytes() == thr.tobytes()
+
+
 def test_auc_matches_pair_count_oracle_on_200_instances():
     rng = np.random.default_rng(2024)
     for _ in range(200):
