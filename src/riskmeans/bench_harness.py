@@ -101,7 +101,6 @@ class PipelineConfig:
     kmeans_max_iters: int = 300
     kmeans_tol: float = 1e-6
     kmeans_init: str = INIT_KMEANSPP
-    lr_l2: float = 1e-4
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -165,13 +164,16 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
                                  "distinct training rows")
             chosen_k, model = config.kmeans_k, None
         else:
+            if distinct < 2:
+                raise ValueError("k = auto needs at least 2 distinct training rows, "
+                                 f"but the selected columns hold {distinct}")
             k_hi = min(config.kmeans_k_max, Xs.shape[0] - 1, distinct)
             chosen_k, _, model = choose_k(Xs, range(2, k_hi + 1), carrier)
         sub_schema = [train_proc.schema[j] for j in selected]
         sub_ds = Dataset(features=Xs, labels=y, schema=sub_schema, name=ds.name)
         km = fit_classifier(sub_ds, replace(carrier, k=chosen_k), model=model)
     else:
-        lm = fit_logistic(Xs, y, l2=config.lr_l2)
+        lm = fit_logistic(Xs, y)
     return FoldFit(fold=fold, train_indices=np.asarray(train_indices),
                    preprocess=report, selected=selected, chosen_k=chosen_k,
                    kmeans=km, logistic=lm)
@@ -302,12 +304,10 @@ def run_pipeline(ds: Dataset, config: PipelineConfig) -> CvReport:
 
 @dataclass
 class ComparisonResult:
-    """Computed rows plus transcribed published reference rows."""
+    """Computed rows; reports show REFERENCE_ROWS and REFERENCE_CLAIMS beside them."""
 
     dataset: str
     computed: tuple      # (method, CvReport)
-    references: tuple    # (method, MetricBundle)
-    claims: dict
 
     def ranking(self) -> list[str]:
         """Computed methods, best mean accuracy first."""
@@ -320,10 +320,10 @@ class ComparisonResult:
             "computed": {m: r.to_dict(include_timing) for m, r in self.computed},
             "references": {
                 m: dict(b.as_dict(), note="published reference, not reproduced here")
-                for m, b in self.references
+                for m, b in REFERENCE_ROWS
             },
             "reference_kmeans": REFERENCE_KMEANS.as_dict(),
-            "claims": dict(self.claims,
+            "claims": dict(REFERENCE_CLAIMS,
                            note="externally reported claim, not a target"),
             "ranking": self.ranking(),
         }
@@ -343,8 +343,7 @@ def compare_methods(ds: Dataset, methods, config: PipelineConfig) -> ComparisonR
     computed = tuple(
         (m, run_pipeline(ds, replace(config, method=m))) for m in methods
     )
-    return ComparisonResult(dataset=ds.name, computed=computed,
-                            references=REFERENCE_ROWS, claims=dict(REFERENCE_CLAIMS))
+    return ComparisonResult(dataset=ds.name, computed=computed)
 
 
 _COLS = ("auc", "acc", "f1", "brier", "tpr")
@@ -391,7 +390,7 @@ def render_comparison(result: ComparisonResult, include_timing: bool = True) -> 
     ]
     for m, rep in result.computed:
         lines.append(_metric_row(m, rep.mean, "computed"))
-    for m, b in result.references:
+    for m, b in REFERENCE_ROWS:
         lines.append(_metric_row(f"ref:{m}", b, "published reference, not reproduced"))
     lines.append(_metric_row("ref:K-MEANS", REFERENCE_KMEANS,
                              "published reference, not reproduced"))
@@ -400,10 +399,10 @@ def render_comparison(result: ComparisonResult, include_timing: bool = True) -> 
     lines.append("")
     lines.append("externally reported claims (quoted, not targets; the average-")
     lines.append("accuracy figure is inconsistent with the per-dataset reference rows):")
-    lines.append(f"  average accuracy: kmeans {result.claims['kmeans_avg_accuracy']}"
-                 f" vs best other {result.claims['best_other_avg_accuracy']}")
-    lines.append(f"  wall minutes: kmeans {result.claims['kmeans_minutes']:.0f}"
-                 f" vs best other {result.claims['best_other_minutes']:.0f}")
+    lines.append(f"  average accuracy: kmeans {REFERENCE_CLAIMS['kmeans_avg_accuracy']}"
+                 f" vs best other {REFERENCE_CLAIMS['best_other_avg_accuracy']}")
+    lines.append(f"  wall minutes: kmeans {REFERENCE_CLAIMS['kmeans_minutes']:.0f}"
+                 f" vs best other {REFERENCE_CLAIMS['best_other_minutes']:.0f}")
     if include_timing:
         lines.append("")
         lines.append("measured efficiency (this run):")

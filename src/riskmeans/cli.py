@@ -157,7 +157,7 @@ def cmd_train(args) -> int:
     out = _outdir(cfg)
     path = os.path.join(out, "model.json")
     _write(path, classifier_to_json(fit.kmeans, seed=seed,
-                                    preprocess_fingerprint=cfg.fingerprint_hash()) + "\n")
+                                    config_hash=cfg.fingerprint_hash()) + "\n")
     print(f"trained k={fit.chosen_k} cluster classifier on {ds.name} "
           f"({len(fit.selected)} of {ds.d} features)")
     print(f"wrote {path}")

@@ -58,7 +58,7 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
         idx = np.flatnonzero(labels == cls)
         if idx.size < k:
             raise ValueError(
-                f"class {cls!r} has {idx.size} members, fewer than k={k} folds"
+                f"class {cls} has {idx.size} members, fewer than k={k} folds"
             )
         idx = idx[rng.permutation(idx.size)]
         for i, j in enumerate(idx):

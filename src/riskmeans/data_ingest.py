@@ -145,9 +145,6 @@ class SchemaFile:
     positive_label: str | None = None
     declared_dimension: int | None = None
 
-    def feature_specs(self) -> list[ColumnSpec]:
-        return [c for c in self.columns if c.name != self.label_column]
-
 
 def read_schema(path) -> SchemaFile:
     """Parse the plain-text schema grammar.
@@ -421,11 +418,11 @@ def balanced_subsample(ds: Dataset, per_class: int, seed: int) -> Dataset:
     return replace(ds, features=ds.features[order], labels=ds.labels[order])
 
 
-def write_processed(ds: Dataset, path, label_name: str = "label") -> None:
-    """Dump a processed (numeric) matrix plus labels as comma-separated text."""
+def write_processed(ds: Dataset, path) -> None:
+    """Dump a processed (numeric) matrix and a last ``label`` column as CSV text."""
     X = np.asarray(ds.features, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(ds.column_names() + [label_name]) + "\n")
+        fh.write(",".join(ds.column_names() + ["label"]) + "\n")
         for i in range(ds.n):
             cells = [repr(float(v)) for v in X[i]] + [str(int(ds.labels[i]))]
             fh.write(",".join(cells) + "\n")

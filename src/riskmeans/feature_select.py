@@ -15,16 +15,17 @@ search returns the winning candidate's RFE selection, so no rfe runs twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cv as _cv
 from .data_ingest import ColumnSpec, Dataset, NUMERIC
-from .kmeans_core import KMeansParams, fit_classifier, predict_labels
+from .kmeans_core import PROBE_PARAMS, fit_classifier, predict_labels
 from .seeding import derive_seed
 
 PROB_FLOOR = 1e-12
+L2 = 1e-4  # the ranker's and the lr baseline's penalty on the weights
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -82,9 +83,9 @@ NEWTON_MAX_STEPS = 50
 MAX_HALVINGS = 40  # a step that still raises the loss after this many is rounding noise
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> LogisticModel:
+def fit_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
     """Damped Newton (IRLS) from zero: each step solves H·δ = g, where H is
-    [X 1]ᵀ diag(p(1−p)/n) [X 1] plus l2 on the weight diagonal, and halves δ
+    [X 1]ᵀ diag(p(1−p)/n) [X 1] plus L2 on the weight diagonal, and halves δ
     while the penalized loss would rise. ``iterations`` counts the steps taken.
     """
     X = np.asarray(X, dtype=float)
@@ -93,19 +94,17 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> LogisticMode
         raise ValueError("X must be n x d with matching y")
     if np.unique(y).size < 2:
         raise ValueError("training labels contain a single class")
-    if l2 < 0:
-        raise ValueError("l2 must be non-negative")
     n, d = X.shape
     A = np.column_stack([X, np.ones(n)])
-    ridge = np.diag(np.append(np.full(d, float(l2)), 0.0))
+    ridge = np.diag(np.append(np.full(d, L2), 0.0))
     w, b, steps = np.zeros(d), 0.0, 0
-    loss, gw, gb = logistic_loss_and_grad(w, b, X, y, l2)
+    loss, gw, gb = logistic_loss_and_grad(w, b, X, y, L2)
     while steps < NEWTON_MAX_STEPS and np.abs(g := np.append(gw, gb)).max() >= NEWTON_TOL:
         p = _sigmoid(X @ w + b)
         delta = np.linalg.solve((A.T * (p * (1.0 - p) / n)) @ A + ridge, g)
         for t in 0.5 ** np.arange(MAX_HALVINGS):
             trial = w - t * delta[:d], b - float(t * delta[d])
-            fit = logistic_loss_and_grad(*trial, X, y, l2)
+            fit = logistic_loss_and_grad(*trial, X, y, L2)
             if fit[0] <= loss:
                 break
         else:
@@ -208,8 +207,7 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
     for cand in candidates:
         result = rfe(X, y, target_k=cand, step=step)
         sel = result.selected
-        params = KMeansParams(k=2, restarts=2, max_iters=100,
-                              seed=derive_seed(seed, f"target_k:{cand}"))
+        params = replace(PROBE_PARAMS, seed=derive_seed(seed, f"target_k:{cand}"))
         correct = 0
         for fold in range(plan.k):
             tr, te = plan.train_indices(fold), plan.test_indices[fold]

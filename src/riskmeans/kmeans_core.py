@@ -11,7 +11,8 @@ explicit construction documented here rather than hidden plumbing:
   ``j`` and ``sigma`` the mean train-point-to-centroid distance.
 
 Scores are therefore continuous in [0, 1], which is what ROC/AUC and the
-Brier score need; hard labels come from thresholding at 0.5 by default.
+Brier score need; hard labels are scores at or above
+:data:`riskmeans.metrics.DECISION_THRESHOLD` (0.5).
 
 Determinism contracts: ties in assignment break to the lowest cluster index,
 restart seeds derive from the model seed, and all means are reduced in row
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data_ingest import Dataset
+from .metrics import DECISION_THRESHOLD
 from .seeding import derive_seed
 
 INIT_KMEANSPP = "kmeanspp"
@@ -64,6 +66,10 @@ class KMeansParams:
             raise ValueError("tol must be >= 0")
         if self.init not in (INIT_KMEANSPP, INIT_UNIFORM):
             raise ValueError(f"unknown init {self.init!r}")
+
+
+# The target-size search's and the window estimators' model; seed it with ``replace``.
+PROBE_PARAMS = KMeansParams(k=2, restarts=2, max_iters=100)
 
 
 @dataclass(frozen=True)
@@ -344,7 +350,6 @@ class ClusterClassifier:
     model: KMeansModel
     posteriors: np.ndarray
     bandwidth: float
-    threshold: float = 0.5
 
     def __post_init__(self):
         p = np.asarray(self.posteriors, dtype=float)
@@ -413,12 +418,12 @@ def predict_scores(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
 
 
 def predict_labels(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
-    """Hard 0/1 labels: score >= threshold."""
-    return (predict_scores(clf, X) >= clf.threshold).astype(int)
+    """Hard 0/1 labels: score >= :data:`~riskmeans.metrics.DECISION_THRESHOLD`."""
+    return (predict_scores(clf, X) >= DECISION_THRESHOLD).astype(int)
 
 
 def classifier_to_json(clf: ClusterClassifier, seed: int | None = None,
-                       preprocess_fingerprint: str = "") -> str:
+                       config_hash: str = "") -> str:
     """Serialize a fitted classifier; floats keep full precision and round-trip."""
     payload = {
         "k": clf.model.k,
@@ -426,12 +431,11 @@ def classifier_to_json(clf: ClusterClassifier, seed: int | None = None,
         "centroids": [[float(v) for v in row] for row in clf.model.centroids],
         "posteriors": [float(v) for v in clf.posteriors],
         "bandwidth": clf.bandwidth,
-        "threshold": clf.threshold,
         "wcss": clf.model.wcss,
         "iterations_run": clf.model.iterations_run,
         "converged": clf.model.converged,
         "seed": seed,
-        "preprocess_fingerprint": preprocess_fingerprint,
+        "config_hash": config_hash,
     }
     return json.dumps(payload, indent=2)
 
@@ -448,5 +452,4 @@ def classifier_from_json(text: str) -> ClusterClassifier:
         model=model,
         posteriors=np.array(raw["posteriors"], dtype=float),
         bandwidth=raw["bandwidth"],
-        threshold=raw["threshold"],
     )

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DECISION_THRESHOLD = 0.5  # a score at or above it is a predicted positive
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -236,15 +238,15 @@ class MetricBundle:
         return {"auc": self.auc, "acc": self.acc, "f1": self.f1, "brier": self.brier, "tpr": self.tpr}
 
 
-def compute_bundle(labels, scores, threshold: float = 0.5) -> MetricBundle:
-    """Evaluate continuous scores against 0/1 labels at a decision threshold.
+def compute_bundle(labels, scores) -> MetricBundle:
+    """Evaluate continuous scores against 0/1 labels at :data:`DECISION_THRESHOLD`.
 
     Brier is the binary form, matching the magnitude convention of the
     published reference tables.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=float)
-    predicted = (scores >= threshold).astype(int)
+    predicted = (scores >= DECISION_THRESHOLD).astype(int)
     cc = confusion(labels, predicted)
     return MetricBundle(
         auc=auc(roc_curve(scores, labels)),

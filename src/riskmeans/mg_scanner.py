@@ -2,10 +2,10 @@
 
 Each window size w turns an L-dimensional input into ((L - w) // s + 1)
 overlapping slices; every slice is pushed through m fitted per-window
-estimators, each emitting c class probabilities. Output dimension per window
-size is therefore window_count * m * c, and outputs for different window
-sizes stay separate (keyed by w) so downstream stages can choose how to
-combine them.
+estimators, each emitting c = 2 class probabilities (the scanner is always
+binary, like the credit label). Output dimension per window size is
+therefore window_count * m * c, and outputs for different window sizes stay
+separate (keyed by w) so downstream stages can choose how to combine them.
 
 Windowing is one strided view over the whole input matrix (the
 multi-grained scanning of Zhou & Feng, "Deep Forest", IJCAI 2017), so each
@@ -19,13 +19,14 @@ dimension contract without any fitting.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_ingest import ColumnSpec, Dataset, NUMERIC
 from .kmeans_core import (
+    PROBE_PARAMS,
     ClusterClassifier,
     KMeansParams,
     fit_classifier,
@@ -34,18 +35,18 @@ from .kmeans_core import (
 from .seeding import derive_seed
 
 PROB_TOL = 1e-9
+CLASSES = 2  # probabilities per window per estimator: (1 - score, score)
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Geometry of the scan: input length, window sizes, stride, estimator
-    count per window size, and class count."""
+    """Geometry of the scan: input length, window sizes, stride and estimator
+    count per window size."""
 
     input_dim: int
     windows: tuple
     stride: int = 1
     estimators: int = 2
-    classes: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
@@ -58,11 +59,11 @@ class ScanConfig:
                 raise ValueError(f"window size {w} outside [1, {self.input_dim}]")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.estimators < 1 or self.classes < 2:
-            raise ValueError("need >= 1 estimator and >= 2 classes")
+        if self.estimators < 1:
+            raise ValueError("estimators must be >= 1")
 
     def output_dim(self, w: int) -> int:
-        return window_count(self.input_dim, w, self.stride) * self.estimators * self.classes
+        return window_count(self.input_dim, w, self.stride) * self.estimators * CLASSES
 
 
 def window_count(L: int, w: int, s: int) -> int:
@@ -122,7 +123,7 @@ class KMeansWindowEstimator(WindowEstimator):
     where s is the continuous positive-class score."""
 
     def __init__(self, params: KMeansParams | None = None):
-        self.params = params or KMeansParams(k=2, restarts=2, max_iters=100)
+        self.params = params or PROBE_PARAMS
         self.classifier: ClusterClassifier | None = None
 
     def fit(self, windows, labels):
@@ -152,8 +153,6 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0) -> 
         raise ValueError(
             f"dataset dimension {X.shape[1]} != configured input_dim {config.input_dim}"
         )
-    if config.classes != 2:
-        raise ValueError("the K-means window estimator is binary (classes=2)")
     y = np.asarray(train.labels)
     fitted: dict[int, list[WindowEstimator]] = {}
     for w in config.windows:
@@ -161,8 +160,7 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0) -> 
         pool_labels = np.repeat(y, window_count(config.input_dim, w, config.stride))
         fitted[w] = [
             KMeansWindowEstimator(
-                KMeansParams(k=2, restarts=2, max_iters=100,
-                             seed=derive_seed(seed, f"scan:w{w}:e{e}"))
+                replace(PROBE_PARAMS, seed=derive_seed(seed, f"scan:w{w}:e{e}"))
             ).fit(pool, pool_labels)
             for e in range(config.estimators)
         ]
@@ -182,7 +180,7 @@ def transform_matrix(X: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
     for w in config.windows:
         if w not in fitted or len(fitted[w]) != config.estimators:
             raise ValueError(f"missing fitted estimators for window size {w}")
-    n, m, c = X.shape[0], config.estimators, config.classes
+    n, m, c = X.shape[0], config.estimators, CLASSES
     # outputs first, temporaries after: keeps the peak heap small
     out = {w: np.empty((n, config.output_dim(w))) for w in config.windows}
     for w in config.windows:
@@ -209,7 +207,7 @@ def feature_names(config: ScanConfig, w: int) -> list[str]:
         f"w{w}:win{i}:e{e}:c{k}"
         for i in range(count)
         for e in range(config.estimators)
-        for k in range(config.classes)
+        for k in range(CLASSES)
     ]
 
 

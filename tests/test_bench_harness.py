@@ -9,7 +9,6 @@ import pytest
 
 from riskmeans.bench_harness import (
     REFERENCE_CLAIMS,
-    REFERENCE_ROWS,
     ComparisonResult,
     CvReport,
     PipelineConfig,
@@ -266,9 +265,9 @@ def test_fixed_k_above_distinct_rows_rejected():
 def test_compare_methods_assembles_table():
     result = compare_methods(_bench_dataset(), ["kmeans", "lr"], _config())
     assert [m for m, _ in result.computed] == ["kmeans", "lr"]
-    assert [m for m, _ in result.references] == ["RF", "LR", "XGBoost", "LightGBM"]
-    assert len(result.references) == 4
-    assert result.claims == REFERENCE_CLAIMS
+    d = result.to_dict(include_timing=False)
+    assert list(d["references"]) == ["RF", "LR", "XGBoost", "LightGBM"]
+    assert {k: v for k, v in d["claims"].items() if k != "note"} == REFERENCE_CLAIMS
 
 
 def test_compare_methods_rejects_bad_input():
@@ -294,8 +293,6 @@ def _fake_comparison(acc_kmeans, acc_lr):
         dataset="x",
         computed=(("kmeans", _fake_report("kmeans", acc_kmeans)),
                   ("lr", _fake_report("lr", acc_lr))),
-        references=REFERENCE_ROWS,
-        claims=dict(REFERENCE_CLAIMS),
     )
 
 

@@ -148,7 +148,9 @@ def test_train_writes_model(tmp_path, capsys):
     assert len(model["centroids"]) == 3
     assert len(model["posteriors"]) == 3
     assert model["seed"] == 2
-    assert model["threshold"] == 0.5
+    assert model["config_hash"] == dataclasses.replace(
+        load_config(config), kmeans_k=3).fingerprint_hash()
+    assert "threshold" not in model and "preprocess_fingerprint" not in model
 
 
 def test_train_model_does_not_depend_on_out_dir(tmp_path, capsys):
@@ -334,6 +336,31 @@ def test_k_above_distinct_rows_exits_one(tmp_path, capsys):
                  "--target-k", "3"]) == 1
     assert "k=5 exceeds the 3 distinct training rows" in capsys.readouterr().err
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--seed", "1"], ["train"]])
+def test_auto_k_on_one_distinct_row_exits_one(tmp_path, capsys, argv):
+    data, schema, config = write_toy_files(tmp_path)
+    data.write_text("x0,x1,grade,outcome\n" + "".join(
+        f"1.0,2.0,p,{'bad' if i % 2 else 'good'}\n" for i in range(60)),
+        encoding="utf-8")
+    assert main(argv + ["--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == ("error: k = auto needs at least 2 distinct "
+                                            "training rows, but the selected columns hold 1")
+
+
+def test_too_few_class_members_message_shows_plain_class(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    header, *rows = data.read_text(encoding="utf-8").splitlines()
+    bad = [r for r in rows if r.endswith(",bad")]
+    kept = [r for r in rows if not r.endswith(",bad")] + bad[:3]
+    data.write_text("\n".join([header] + kept) + "\n", encoding="utf-8")
+    assert main(["run", "--config", str(config), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: class 1 has 3 members, fewer than k=5 folds\n"
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -315,7 +315,6 @@ def test_read_schema_grammar(tmp_path):
     assert sf.label_column == "outcome"
     assert sf.positive_label == "bad"
     assert sf.declared_dimension == 3
-    assert [c.name for c in sf.feature_specs()] == ["amount", "grade"]
 
 
 def test_read_schema_errors(tmp_path):
