@@ -164,6 +164,9 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
                                  "distinct training rows")
             chosen_k, model = config.kmeans_k, None
         else:
+            if Xs.shape[0] < 3:  # the silhouette needs 2 <= k <= rows - 1
+                raise ValueError("k = auto needs at least 3 training rows, "
+                                 f"but there are {Xs.shape[0]}")
             if distinct < 2:
                 raise ValueError("k = auto needs at least 2 distinct training rows, "
                                  f"but the selected columns hold {distinct}")

@@ -1,11 +1,14 @@
 """Dataset loading and preprocessing for delimited credit-risk tables.
 
-:func:`load_csv` reads a table into an object-dtype feature matrix in which
-missing cells are NaN (numeric columns) or None (categorical columns).
+:func:`load_csv` reads a table into a float64 feature matrix. Numeric cells
+hold their values; categorical cells hold interned ids, numbered per column
+in order of first appearance, and :attr:`Dataset.vocabularies` maps each id
+back to its category string. Missing cells are NaN in both kinds.
 :func:`preprocess` fits a :class:`PreprocessReport` on such a table, one
 column at a time: the fill for missing cells (mean or mode), the category
 code table (first appearance) and, when scaling, the column mean and
-population std. It returns the float64 matrix together with the report.
+population std. The report is keyed by category strings, never by ids. It
+returns the processed float64 matrix together with the report.
 :func:`apply_report` replays a report on raw rows without refitting. Both
 produce their matrices through one column transform, so replaying the
 training rows reproduces the processed matrix bit for bit and held-out rows
@@ -73,19 +76,62 @@ class ColumnSpec:
             raise SchemaError(f"column {self.name!r}: unknown kind {self.kind!r}")
 
 
+class _Interner(dict):
+    """One categorical column's token table: a new token takes the next id.
+
+    It starts as ``{missing marker: NaN}``, so ids count the other keys, in
+    order of first lookup.
+    """
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(len(self) - 1)
+        return value
+
+    def vocabulary(self) -> tuple:
+        return tuple(self)[1:]
+
+
 @dataclass
 class Dataset:
     """Feature matrix with 0/1 labels and the column schema that produced it.
 
-    ``features`` has one row per sample and one column per feature; the label
-    column is not part of the matrix. Instances are treated as immutable:
-    preprocessing operations return new datasets.
+    ``features`` has one row per sample and one float64 column per feature;
+    the label column is not part of the matrix. A raw dataset (from
+    :func:`load_csv` or :meth:`from_cells`) holds NaN for missing cells and,
+    in categorical columns, category ids; ``vocabularies`` has one entry per
+    column: the category strings in id order, or None for a numeric column.
+    Row subsets share the vocabularies of their source. A processed dataset
+    carries none. Instances are treated as immutable: preprocessing
+    operations return new datasets.
     """
 
     features: np.ndarray
     labels: np.ndarray
     schema: list[ColumnSpec]
     name: str = ""
+    vocabularies: tuple | None = None
+
+    @classmethod
+    def from_cells(cls, cells, labels, schema: list[ColumnSpec], name: str = "") -> "Dataset":
+        """Raw dataset from an (n, d) matrix of cells: floats (NaN if missing)
+        in numeric columns, ``str`` (None if missing) in categorical ones.
+
+        Ids and vocabularies are those :func:`load_csv` assigns to the same
+        cells: per column, in order of first appearance down the rows.
+        """
+        cells = np.asarray(cells, dtype=object)
+        features = np.empty(cells.shape, dtype=float)
+        vocabularies = []
+        for j, spec in enumerate(schema):
+            if spec.kind == NUMERIC:
+                features[:, j] = cells[:, j].astype(float)
+                vocabularies.append(None)
+            else:
+                ids = _Interner({None: math.nan})
+                features[:, j] = list(map(ids.__getitem__, cells[:, j]))
+                vocabularies.append(ids.vocabulary())
+        return cls(features=features, labels=np.asarray(labels, dtype=int),
+                   schema=list(schema), name=name, vocabularies=tuple(vocabularies))
 
     @property
     def n(self) -> int:
@@ -212,14 +258,43 @@ def _split_line(line: str, delimiter: str | None) -> list[str]:
     return line.split()
 
 
+# Rows per parsing block in load_csv. A block's row lists, one tracked
+# container each, stay below the cyclic garbage collector's first threshold
+# (700), so parsing never starts it; row lists kept for the whole table would
+# make it walk them again and again.
+_BLOCK_ROWS = 256
+
+
+def _raise_first_bad_cell(rows: list, first_row: int, specs: list[ColumnSpec],
+                          label_idx: int) -> None:
+    """Raise the error of the first ragged row or unparsable numeric cell of
+    ``rows`` in row-major order; ``first_row`` is the file row of ``rows[0]``.
+    A token that parses to an infinite float counts as unparsable."""
+    n_cols = len(specs) + 1
+    for row_no, fields in enumerate(rows, start=first_row):
+        if len(fields) != n_cols:
+            raise RaggedRowError(row=row_no, expected=n_cols, got=len(fields))
+        for spec, tok in zip(specs, fields[:label_idx] + fields[label_idx + 1:]):
+            if spec.kind == NUMERIC and tok != spec.missing_token:
+                try:
+                    bad = math.isinf(float(tok))
+                except ValueError:
+                    bad = True
+                if bad:
+                    raise CellParseError(row=row_no, column=spec.name, token=tok)
+
+
 def load_csv(path, schema: list[ColumnSpec], label_column: str,
              positive_label: str | None = None, name: str = "",
              declared_dimension: int | None = None) -> Dataset:
     """Load a delimited text file (comma or whitespace separated, one header row).
 
-    Missing markers are retained (NaN / None); no imputation happens here.
-    A numeric ``nan`` token also reads as missing, while a token that parses
-    to an infinite float (``inf``, ``1e400``) raises :class:`CellParseError`.
+    The result is a raw :class:`Dataset`: a float64 matrix in which missing
+    cells are NaN and each categorical token is replaced by its column's id
+    for it (ids count up from 0 in order of first appearance), together with
+    the per-column vocabularies. No imputation happens here. A numeric
+    ``nan`` token also reads as missing, while a token that parses to an
+    infinite float (``inf``, ``1e400``) raises :class:`CellParseError`.
     Errors name the first bad row in file order. When ``positive_label`` is
     given, that raw token maps to 1 and every other token to 0; otherwise the
     label column must already contain 0/1.
@@ -251,35 +326,36 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
 
     label_idx = expected.index(label_column)
     feature_specs = [c for i, c in enumerate(schema) if i != label_idx]
-    n_cols = len(schema)
+    n_rows, n_cols = len(lines) - 1, len(schema)
 
-    # Every cell goes into one flat list, sized up front, and no container
-    # outlives its row: a list per row would keep 100k tracked objects alive
-    # and make the cyclic garbage collector walk them again and again, and a
-    # list grown by appends fragments the heap a little more on every load.
+    # Rows are read in blocks, and each block column by column, so a
+    # column's kind is looked at once per block rather than once per cell,
+    # and no row list outlives its block.
+    tables = [None if spec.kind == NUMERIC else _Interner({spec.missing_token: math.nan})
+              for spec in feature_specs]
+    features = np.empty((n_rows, len(feature_specs)))
     raw_labels: list[str] = []
-    cells: list = [None] * ((len(lines) - 1) * len(feature_specs))
-    at = 0
-    for row_no, line in enumerate(lines[1:], start=1):
-        fields = _split_line(line, delimiter)
-        if len(fields) != n_cols:
-            raise RaggedRowError(row=row_no, expected=n_cols, got=len(fields))
-        raw_labels.append(fields.pop(label_idx).strip())
-        for spec, tok in zip(feature_specs, fields):
-            tok = tok.strip()
-            if tok == spec.missing_token:
-                value = np.nan if spec.kind == NUMERIC else None
-            elif spec.kind == NUMERIC:
-                try:
-                    value = float(tok)
-                    if math.isinf(value):
-                        raise ValueError(tok)
-                except ValueError:
-                    raise CellParseError(row=row_no, column=spec.name, token=tok) from None
-            else:
-                value = tok
-            cells[at] = value
-            at += 1
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        rows = [_split_line(line, delimiter) for line in lines[1 + start:1 + start + _BLOCK_ROWS]]
+        if delimiter is not None:  # whitespace-split fields carry no padding
+            rows = [[f.strip() for f in fields] for fields in rows]
+        block = features[start:start + len(rows)]
+        try:
+            if any(len(fields) != n_cols for fields in rows):
+                raise ValueError("ragged row")
+            columns = list(zip(*rows))
+            raw_labels.extend(columns.pop(label_idx))
+            for j, (spec, table, tokens) in enumerate(zip(feature_specs, tables, columns)):
+                if table is None:
+                    gap = spec.missing_token
+                    block[:, j] = [math.nan if t == gap else float(t) for t in tokens]
+                else:
+                    block[:, j] = list(map(table.__getitem__, tokens))
+            if np.isinf(block).any():
+                raise ValueError("infinite cell")
+        except ValueError:
+            _raise_first_bad_cell(rows, start + 1, feature_specs, label_idx)
+            raise
     del lines
 
     distinct = sorted(set(raw_labels))
@@ -300,11 +376,9 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
             )
         labels = np.array([int(t) for t in raw_labels], dtype=int)
 
-    features = np.empty(len(cells), dtype=object)
-    features[:] = cells
-    features = features.reshape(len(raw_labels), len(feature_specs))
+    vocabularies = tuple(None if table is None else table.vocabulary() for table in tables)
     return Dataset(features=features, labels=labels, schema=feature_specs,
-                   name=name or str(path))
+                   name=name or str(path), vocabularies=vocabularies)
 
 
 def load_with_schema(data_path, schema_path, name: str = "") -> Dataset:
@@ -320,67 +394,73 @@ def load_with_schema(data_path, schema_path, name: str = "") -> Dataset:
     )
 
 
-def _missing(col: np.ndarray) -> np.ndarray:
-    """Mask of missing cells: None or NaN."""
-    return np.equal(col, None) | (col != col)
+def _vocabularies(ds: Dataset) -> tuple:
+    """Per-column vocabularies of a raw dataset; every categorical column needs one."""
+    vocabularies = ds.vocabularies or (None,) * ds.d
+    for spec, vocab in zip(ds.schema, vocabularies):
+        if spec.kind != NUMERIC and vocab is None:
+            raise SchemaError(f"column {spec.name!r} is categorical but has no vocabulary: "
+                              "pass raw rows, as load_csv or Dataset.from_cells build them")
+    return vocabularies
 
 
 def _zscale(vals: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     return np.zeros_like(vals) if sigma == 0.0 else (vals - mu) / sigma
 
 
-def _transform_column(col: np.ndarray, spec: ColumnSpec, report: PreprocessReport,
-                      scale: bool) -> np.ndarray:
+def _transform_column(col: np.ndarray, vocab: tuple | None, spec: ColumnSpec,
+                      report: PreprocessReport, scale: bool) -> np.ndarray:
     """Map one raw column to floats through the report's recorded statistics.
 
-    Missing cells take the column's fill; categories, compared as strings,
-    become their code, with categories absent from the code table sharing
-    the overflow code ``len(codes)``; with ``scale`` the result is z-scaled
-    by the recorded mean and std.
+    Missing (NaN) cells take the column's fill. A categorical column's ids
+    index one table with an entry per vocabulary category: its code, or the
+    overflow code ``len(codes)`` for a category absent from the code table;
+    a last entry, the fill's code, serves the missing cells. With ``scale``
+    the result is z-scaled by the recorded mean and std.
     """
     name = spec.name
     if (name not in report.imputation or (scale and name not in report.means)
             or (spec.kind != NUMERIC and name not in report.codes)):
         raise SchemaError(f"preprocess report has no entry for column {name!r}")
-    filled = np.where(_missing(col), report.imputation[name], col)
+    fill = report.imputation[name]
     if spec.kind == NUMERIC:
-        vals = filled.astype(float)
+        vals = np.where(np.isnan(col), fill, col)
     else:
-        cats, inverse = np.unique(filled.astype(str), return_inverse=True)
-        table = {c: i for i, c in enumerate(report.codes[name])}
-        vals = np.array([table.get(c, len(table)) for c in cats], dtype=float)[inverse]
+        codes = {c: i for i, c in enumerate(report.codes[name])}
+        table = np.array([codes.get(c, len(codes)) for c in (*vocab, fill)], dtype=float)
+        vals = table[np.where(np.isnan(col), len(vocab), col).astype(np.intp)]
     if scale:
         vals = _zscale(vals, report.means[name], report.stds[name])
     return vals
 
 
 def preprocess(ds: Dataset, scale: bool = True) -> tuple[Dataset, PreprocessReport]:
-    """Fit a :class:`PreprocessReport` on ``ds`` and return the processed copy.
+    """Fit a :class:`PreprocessReport` on the raw ``ds`` and return the processed copy.
 
     Numeric gaps take the column mean and categorical gaps the mode (ties to
-    the lexicographically smallest category); fills are recorded even when
-    nothing is missing. Categories are coded by first appearance in the
+    the lexicographically smallest category string); fills are recorded even
+    when nothing is missing. Categories are coded by first appearance in the
     filled column. With ``scale`` every column is then centred and divided by
     its population std, and constant columns become zeros. The matrix comes
     from the same column transform that :func:`apply_report` replays.
     """
     report = PreprocessReport()
+    vocabularies = _vocabularies(ds)
     out = np.empty(ds.features.shape, dtype=float)
     for j, spec in enumerate(ds.schema):
-        col = ds.features[:, j]
-        missing = _missing(col)
-        observed = col[~missing]
-        if observed.size == 0:
+        col, vocab = ds.features[:, j], vocabularies[j]
+        missing = np.isnan(col)
+        if missing.all():
             raise AllMissingColumnError(spec.name)
         if spec.kind == NUMERIC:
-            report.imputation[spec.name] = float(np.mean(observed.astype(float)))
+            report.imputation[spec.name] = float(np.mean(col[~missing]))
         else:
-            cats, counts = np.unique(observed.astype(str), return_counts=True)
-            fill = report.imputation[spec.name] = str(cats[np.argmax(counts)])
-            cats, first = np.unique(np.where(missing, fill, col).astype(str),
-                                    return_index=True)
-            report.codes[spec.name] = cats[np.argsort(first)].tolist()
-        out[:, j] = _transform_column(col, spec, report, scale=False)
+            counts = np.bincount(col[~missing].astype(np.intp), minlength=len(vocab))
+            fill = min(np.flatnonzero(counts == counts.max()), key=vocab.__getitem__)
+            report.imputation[spec.name] = vocab[fill]
+            ids, first = np.unique(np.where(missing, fill, col), return_index=True)
+            report.codes[spec.name] = [vocab[int(i)] for i in ids[np.argsort(first)]]
+        out[:, j] = _transform_column(col, vocab, spec, report, scale=False)
     if scale:
         if not np.all(np.isfinite(out)):
             raise DataError("standardize requires a fully numeric, finite matrix")
@@ -388,7 +468,7 @@ def preprocess(ds: Dataset, scale: bool = True) -> tuple[Dataset, PreprocessRepo
             mu = report.means[spec.name] = float(np.mean(out[:, j]))
             sigma = report.stds[spec.name] = float(np.std(out[:, j]))  # population std
             out[:, j] = _zscale(out[:, j], mu, sigma)
-    return replace(ds, features=out), report
+    return replace(ds, features=out, vocabularies=None), report
 
 
 def apply_report(ds: Dataset, report: PreprocessReport, scale: bool = True) -> Dataset:
@@ -396,10 +476,11 @@ def apply_report(ds: Dataset, report: PreprocessReport, scale: bool = True) -> D
 
     A schema column the report does not cover raises :class:`SchemaError`.
     """
+    vocabularies = _vocabularies(ds)
     out = np.empty(ds.features.shape, dtype=float)
     for j, spec in enumerate(ds.schema):
-        out[:, j] = _transform_column(ds.features[:, j], spec, report, scale)
-    return replace(ds, features=out)
+        out[:, j] = _transform_column(ds.features[:, j], vocabularies[j], spec, report, scale)
+    return replace(ds, features=out, vocabularies=None)
 
 
 def balanced_subsample(ds: Dataset, per_class: int, seed: int) -> Dataset:

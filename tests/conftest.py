@@ -40,9 +40,10 @@ def blob_dataset() -> Dataset:
     return numeric_dataset(X, y)
 
 
-def mixed_raw_dataset(n: int = 120, seed: int = 0, missing_rate: float = 0.1) -> Dataset:
-    """Object-dtype dataset with numeric and categorical columns plus gaps,
-    mimicking a freshly loaded file before preprocessing."""
+def mixed_raw_cells(n: int = 120, seed: int = 0, missing_rate: float = 0.1):
+    """(cells, labels, schema) of a table with numeric and categorical columns
+    plus gaps: an object matrix of floats (NaN if missing) and strings (None
+    if missing), as a file holds them before loading."""
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < 0.4).astype(int)
     num0 = y * 2.0 + rng.normal(0, 1, n)
@@ -58,7 +59,12 @@ def mixed_raw_dataset(n: int = 120, seed: int = 0, missing_rate: float = 0.1) ->
         ColumnSpec(name="age", kind="numeric"),
         ColumnSpec(name="grade", kind="categorical"),
     ]
-    return Dataset(features=feat, labels=y, schema=schema, name="mixed")
+    return feat, y, schema
+
+
+def mixed_raw_dataset(n: int = 120, seed: int = 0, missing_rate: float = 0.1) -> Dataset:
+    """Raw dataset of :func:`mixed_raw_cells`, as a freshly loaded file."""
+    return Dataset.from_cells(*mixed_raw_cells(n, seed, missing_rate), name="mixed")
 
 
 @pytest.fixture

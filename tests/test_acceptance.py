@@ -22,7 +22,7 @@ from riskmeans.bench_harness import (
 )
 from riskmeans.cli import main as cli_main
 from riskmeans.cv import stratified_kfold
-from riskmeans.data_ingest import load_with_schema
+from riskmeans.data_ingest import Dataset, load_with_schema
 from riskmeans.feature_select import logistic_loss_and_grad
 from riskmeans.kmeans_core import KMeansParams, lloyd_fit
 from riskmeans.metrics import (
@@ -38,7 +38,7 @@ from riskmeans.metrics import (
 )
 from riskmeans.mg_scanner import ConstantProbEstimator, ScanConfig, transform_vector
 
-from conftest import make_labeled_blobs, mixed_raw_dataset, numeric_dataset, write_toy_files
+from conftest import make_labeled_blobs, mixed_raw_cells, numeric_dataset, write_toy_files
 from test_feature_select import finite_difference_grad
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -291,24 +291,22 @@ def test_criterion_09_ranker_gradient_matches_finite_differences():
 
 
 def test_criterion_10_test_rows_never_shape_fitted_state():
-    import dataclasses as _dc
-
-    ds = mixed_raw_dataset(n=90, seed=3)
+    cells, labels, schema = mixed_raw_cells(n=90, seed=3)
+    ds = Dataset.from_cells(cells, labels, schema)
     plan = stratified_kfold(ds.labels, 3, seed=2)
     tr, te = plan.train_indices(0), plan.test_indices[0]
     config = PipelineConfig(method="kmeans", folds=3, seed=5, rfe_target_k=2,
                             kmeans_k=2, kmeans_restarts=2, kmeans_max_iters=100)
     fit1 = fit_fold(ds, tr, config, fold_seed=123)
 
-    feat = ds.features.copy()
-    labels = ds.labels.copy()
+    feat = cells.copy()
+    labels = labels.copy()
     for i in te:
         feat[i, 0] = 999.0
         feat[i, 1] = -999.0
-        feat[i, 2] = "weird"
+        feat[i, 2] = "weird"  # a category no training row holds
     labels[te] = 1 - labels[te]
-    fit2 = fit_fold(_dc.replace(ds, features=feat, labels=labels), tr, config,
-                    fold_seed=123)
+    fit2 = fit_fold(Dataset.from_cells(feat, labels, schema), tr, config, fold_seed=123)
 
     same = {
         "preprocess": fit1.preprocess.to_json() == fit2.preprocess.to_json(),

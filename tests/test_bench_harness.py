@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -23,11 +21,11 @@ from riskmeans import bench_harness
 from riskmeans import feature_select as fs
 from riskmeans import kmeans_core as kc
 from riskmeans.cv import stratified_kfold
-from riskmeans.data_ingest import AllMissingColumnError, CellParseError, preprocess
+from riskmeans.data_ingest import AllMissingColumnError, CellParseError, Dataset, preprocess
 from riskmeans.feature_select import rfe
 from riskmeans.metrics import MetricBundle
 
-from conftest import make_labeled_blobs, mixed_raw_dataset, numeric_dataset
+from conftest import make_labeled_blobs, mixed_raw_cells, numeric_dataset
 
 
 def _bench_dataset(n_per=30, seed=7):
@@ -152,7 +150,8 @@ def test_fold_error_keeps_type_and_message_cell_parse(monkeypatch):
 
 
 def test_fold_fit_ignores_test_rows():
-    ds = mixed_raw_dataset(n=90, seed=3)
+    cells, labels, schema = mixed_raw_cells(n=90, seed=3)
+    ds = Dataset.from_cells(cells, labels, schema)
     plan = stratified_kfold(ds.labels, 3, seed=2)
     tr = plan.train_indices(0)
     te = plan.test_indices[0]
@@ -160,14 +159,15 @@ def test_fold_fit_ignores_test_rows():
 
     fit1 = fit_fold(ds, tr, config, fold_seed=123)
 
-    feat = ds.features.copy()
-    labels = ds.labels.copy()
+    feat = cells.copy()
+    labels = labels.copy()
     for i in te:
         feat[i, 0] = 999.0
         feat[i, 1] = -999.0
         feat[i, 2] = "weird"
     labels[te] = 1 - labels[te]
-    ds2 = dataclasses.replace(ds, features=feat, labels=labels)
+    ds2 = Dataset.from_cells(feat, labels, schema)
+    assert "weird" in ds2.vocabularies[2]
     fit2 = fit_fold(ds2, tr, config, fold_seed=123)
 
     assert fit1.preprocess.to_json() == fit2.preprocess.to_json()

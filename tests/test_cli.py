@@ -351,6 +351,22 @@ def test_auto_k_on_one_distinct_row_exits_one(tmp_path, capsys, argv):
                                             "training rows, but the selected columns hold 1")
 
 
+@pytest.mark.parametrize("argv,rows", [
+    (["run", "--seed", "1", "--folds", "2"], 4),
+    (["train"], 2),
+])
+def test_auto_k_on_two_training_rows_exits_one(tmp_path, capsys, argv, rows):
+    data, schema, config = write_toy_files(tmp_path)
+    data.write_text("x0,x1,grade,outcome\n" + "".join(
+        f"{i}.0,{-i}.0,{'pq'[i % 2]},{'bad' if i % 2 else 'good'}\n" for i in range(rows)),
+        encoding="utf-8")
+    assert main(argv + ["--config", str(config), "--target-k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == ("error: k = auto needs at least 3 training "
+                                            "rows, but there are 2")
+
+
 def test_too_few_class_members_message_shows_plain_class(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     header, *rows = data.read_text(encoding="utf-8").splitlines()

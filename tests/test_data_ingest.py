@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from riskmeans.data_ingest import (
     write_processed,
 )
 
-from conftest import mixed_raw_dataset
+from conftest import mixed_raw_cells, mixed_raw_dataset
 
 
 SCHEMA = [
@@ -52,8 +53,9 @@ def test_load_comma_delimited(tmp_path):
     p = write(tmp_path, "amount,grade,label\n10,a,bad\n20,b,good\n")
     ds = load_csv(p, SCHEMA, "label", positive_label="bad")
     assert ds.n == 2 and ds.d == 2
-    assert ds.features[0, 0] == 10.0
-    assert ds.features[1, 1] == "b"
+    assert ds.features.dtype == np.float64
+    assert ds.features.tolist() == [[10.0, 0.0], [20.0, 1.0]]  # "a" is id 0, "b" id 1
+    assert ds.vocabularies == (None, ("a", "b"))
     assert list(ds.labels) == [1, 0]
 
 
@@ -61,14 +63,15 @@ def test_load_whitespace_delimited(tmp_path):
     p = write(tmp_path, "amount grade label\n10 a bad\n20 b good\n")
     ds = load_csv(p, SCHEMA, "label", positive_label="bad")
     assert ds.n == 2
-    assert ds.features[0, 1] == "a"
+    assert _cells(ds)[0, 1] == "a"
 
 
 def test_load_missing_markers(tmp_path):
     p = write(tmp_path, "amount,grade,label\n?,a,bad\n20,?,good\n")
     ds = load_csv(p, SCHEMA, "label", positive_label="bad")
     assert np.isnan(ds.features[0, 0])
-    assert ds.features[1, 1] is None
+    assert np.isnan(ds.features[1, 1]) and ds.vocabularies[1] == ("a",)
+    assert _cells(ds)[1, 1] is None
 
 
 def test_load_custom_missing_token(tmp_path):
@@ -171,6 +174,16 @@ def _loop_load_csv(path, schema, label_column, positive_label=None):
     return features, labels, feature_specs
 
 
+def _cells(ds: Dataset) -> np.ndarray:
+    """The raw cells of a raw dataset as an object matrix: floats (NaN if
+    missing) and category strings (None if missing)."""
+    cells = ds.features.astype(object)
+    for j, vocab in enumerate(ds.vocabularies):
+        if vocab is not None:
+            cells[:, j] = [None if v != v else vocab[int(v)] for v in ds.features[:, j]]
+    return cells
+
+
 def _assert_same_cells(got: np.ndarray, want: np.ndarray):
     assert got.dtype == want.dtype == object
     assert got.shape == want.shape
@@ -179,7 +192,7 @@ def _assert_same_cells(got: np.ndarray, want: np.ndarray):
         assert g == w or (g != g and w != w), (g, w)
 
 
-def _ingest_table(delimiter: str, label_pos: int, n: int = 60, seed: int = 0):
+def _ingest_table(delimiter: str, label_pos: int, n: int = 600, seed: int = 0):
     """Schema and text of a table with three feature columns and a label at
     ``label_pos``; ``x`` marks gaps with ``NA``, the others with ``?``, and
     ``y`` also holds ``nan`` tokens."""
@@ -210,13 +223,18 @@ def test_load_matches_row_loop_oracle(tmp_path, delimiter, label_pos):
     p = write(tmp_path, text)
     ds = load_csv(p, schema, "label", positive_label="bad")
     features, labels, feature_specs = _loop_load_csv(p, schema, "label", positive_label="bad")
-    _assert_same_cells(ds.features, features)
+    _assert_same_cells(_cells(ds), features)
+    want = Dataset.from_cells(features, labels, feature_specs)
+    assert ds.features.dtype == want.features.dtype == np.float64
+    assert ds.features.tobytes() == want.features.tobytes()
+    assert ds.vocabularies == want.vocabularies
     assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
     assert ds.schema == feature_specs
     assert [c.name for c in ds.schema] == ["x", "g", "y"]
     column = {c.name: j for j, c in enumerate(ds.schema)}
-    assert {type(v) for v in ds.features[:, column["g"]]} <= {str, type(None)}
-    assert any(v != v for v in ds.features[:, column["x"]])  # NA read as missing
+    assert {type(v) for v in _cells(ds)[:, column["g"]]} <= {str, type(None)}
+    assert ds.vocabularies[column["x"]] is None
+    assert np.isnan(ds.features[:, column["x"]]).any()  # NA read as missing
 
 
 def test_load_matches_row_loop_oracle_with_no_feature_columns(tmp_path):
@@ -224,8 +242,10 @@ def test_load_matches_row_loop_oracle_with_no_feature_columns(tmp_path):
     p = write(tmp_path, "label\n1\n0\n1\n")
     ds = load_csv(p, schema, "label")
     features, labels, feature_specs = _loop_load_csv(p, schema, "label")
-    assert ds.features.shape == (3, 0)
-    _assert_same_cells(ds.features, features)
+    assert ds.features.shape == (3, 0) and ds.vocabularies == ()
+    _assert_same_cells(_cells(ds), features)
+    want = Dataset.from_cells(features, labels, feature_specs)
+    assert ds.features.tobytes() == want.features.tobytes()
     assert np.array_equal(ds.labels, labels) and ds.schema == feature_specs == []
 
 
@@ -246,6 +266,25 @@ def test_load_reports_the_first_bad_row(tmp_path, row2, row5, error, match):
         _loop_load_csv(p, SCHEMA, "label", positive_label="bad")
     assert str(got.value) == str(want.value)
     assert got.value.row == want.value.row
+
+
+@pytest.mark.parametrize("faults, error, row", [
+    ({300: "xyz,b,good", 520: "2,b"}, CellParseError, 300),
+    ({257: "2,b", 258: "xyz,b,good"}, RaggedRowError, 257),
+    ({256: "inf,b,good", 257: "2,b,good,extra"}, CellParseError, 256),
+    ({512: "1,b", 600: "1e400,a,bad"}, RaggedRowError, 512),
+    ({599: "1,a,bad,x", 600: "-inf,a,bad"}, RaggedRowError, 599),
+    ({699: "1,a,bad", 700: "-inf,a,bad"}, CellParseError, 700),
+])
+def test_load_reports_the_first_bad_row_across_blocks(tmp_path, faults, error, row):
+    # 700 rows span three parsing blocks; the first fault in file order wins
+    rows = [faults.get(i, f"{i},{'abc'[i % 3]},{'bad' if i % 2 else 'good'}")
+            for i in range(1, 701)]
+    p = write(tmp_path, "amount,grade,label\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error) as got:
+        load_csv(p, SCHEMA, "label", positive_label="bad")
+    assert got.value.row == row
+    assert str(got.value).startswith(f"row {row}")
 
 
 def test_load_reports_the_first_bad_cell_in_row_major_order(tmp_path):
@@ -278,7 +317,8 @@ def test_load_reads_nan_token_as_missing(tmp_path):
 
 def test_load_triggers_no_gc_cascade(tmp_path):
     # One container per row kept alive until the end made the cyclic
-    # collector run 28 times on this table; a flat cell list keeps that near 0.
+    # collector run 28 times on this table; parsing in blocks of rows keeps
+    # that near 0.
     schema = [ColumnSpec("a", "numeric"), ColumnSpec("b", "categorical"),
               ColumnSpec("c", "numeric"), ColumnSpec("d", "categorical"),
               ColumnSpec("label", "categorical")]
@@ -359,8 +399,7 @@ def _tiny(features, kinds):
     feat = np.empty((len(features), len(kinds)), dtype=object)
     for i, row in enumerate(features):
         feat[i, :] = row
-    return Dataset(features=feat, labels=np.zeros(len(features), dtype=int),
-                   schema=schema)
+    return Dataset.from_cells(feat, np.zeros(len(features), dtype=int), schema)
 
 
 def test_impute_numeric_mean():
@@ -446,8 +485,7 @@ def test_standardize_random_moments():
     rng = np.random.default_rng(0)
     X = rng.normal(3, 7, size=(200, 4))
     schema = [ColumnSpec(f"c{j}", "numeric") for j in range(4)]
-    ds = Dataset(features=X.astype(object), labels=np.zeros(200, dtype=int),
-                 schema=schema)
+    ds = Dataset.from_cells(X, np.zeros(200, dtype=int), schema)
     out, _ = preprocess(ds)
     Z = np.asarray(out.features, dtype=float)
     assert np.abs(Z.mean(axis=0)).max() < 1e-12
@@ -501,9 +539,8 @@ def test_replay_unseen_category_gets_overflow_code():
 @pytest.mark.parametrize("scale", [True, False])
 def test_replay_report_missing_a_column_names_it(scale):
     _, report = preprocess(_tiny([[1.0], [2.0]], ["numeric"]), scale=scale)
-    ds = Dataset(features=np.array([[1.0, 1.0], [3.0, 2.0]], dtype=object),
-                 labels=np.zeros(2, dtype=int),
-                 schema=[ColumnSpec("a", "numeric"), ColumnSpec("c0", "numeric")])
+    ds = Dataset.from_cells([[1.0, 1.0], [3.0, 2.0]], np.zeros(2, dtype=int),
+                            [ColumnSpec("a", "numeric"), ColumnSpec("c0", "numeric")])
     with pytest.raises(SchemaError, match="'a'"):
         apply_report(ds, report, scale=scale)
 
@@ -518,6 +555,16 @@ def test_replay_report_without_codes_for_a_categorical_column_names_it():
     _, numeric_report = preprocess(_tiny([[1.0], [2.0]], ["numeric"]), scale=False)
     with pytest.raises(SchemaError, match="'c0'"):  # a numeric column re-declared categorical
         apply_report(_tiny([["1.0"], ["2.0"]], ["categorical"]), numeric_report, scale=False)
+
+
+def test_categorical_column_without_vocabulary_names_it(raw_dataset):
+    out, report = preprocess(raw_dataset)  # a processed dataset carries no vocabulary
+    assert sorted(raw_dataset.vocabularies[2]) == ["high", "low", "mid"]
+    assert out.vocabularies is None
+    with pytest.raises(SchemaError, match="'grade' is categorical but has no vocabulary"):
+        preprocess(out)
+    with pytest.raises(SchemaError, match="'grade' is categorical but has no vocabulary"):
+        apply_report(out, report)
 
 
 def test_report_json_round_trip(raw_dataset):
@@ -547,8 +594,7 @@ def test_balanced_subsample_deterministic():
 def test_balanced_subsample_exhaustive_is_permutation():
     X = np.arange(8, dtype=float).reshape(8, 1)
     y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    ds = Dataset(features=X.astype(object), labels=y,
-                 schema=[ColumnSpec("x", "numeric")])
+    ds = Dataset.from_cells(X, y, [ColumnSpec("x", "numeric")])
     out = balanced_subsample(ds, per_class=4, seed=0)
     assert sorted(float(v) for v in out.features[:, 0]) == list(map(float, range(8)))
 
@@ -599,15 +645,22 @@ def raw_tables(draw):
     return num, cat
 
 
-def _table_dataset(table) -> Dataset:
+TABLE_SCHEMA = [ColumnSpec("x", "numeric"), ColumnSpec("g", "categorical")]
+
+
+def _table_cells(table) -> np.ndarray:
     num, cat = table
     n = len(num)
     feat = np.empty((n, 2), dtype=object)
     for i in range(n):
         feat[i, 0] = np.nan if num[i] is None else float(num[i])
         feat[i, 1] = cat[i]
-    return Dataset(features=feat, labels=np.zeros(n, dtype=int),
-                   schema=[ColumnSpec("x", "numeric"), ColumnSpec("g", "categorical")])
+    return feat
+
+
+def _table_dataset(table) -> Dataset:
+    return Dataset.from_cells(_table_cells(table), np.zeros(len(table[0]), dtype=int),
+                              TABLE_SCHEMA)
 
 
 @given(raw_tables(), st.booleans())
@@ -627,10 +680,10 @@ def _ref_is_missing(value) -> bool:
     return value is None or (isinstance(value, float) and np.isnan(value))
 
 
-def _ref_preprocess(ds: Dataset, scale: bool):
+def _ref_preprocess(cells: np.ndarray, schema, scale: bool):
     report = PreprocessReport()
-    out = ds.features.copy()
-    for j, spec in enumerate(ds.schema):
+    out = cells.copy()
+    for j, spec in enumerate(schema):
         col = out[:, j]
         observed = [v for v in col if not _ref_is_missing(v)]
         if not observed:
@@ -646,7 +699,7 @@ def _ref_preprocess(ds: Dataset, scale: bool):
             if _ref_is_missing(out[i, j]):
                 out[i, j] = fill
     X = np.empty(out.shape, dtype=float)
-    for j, spec in enumerate(ds.schema):
+    for j, spec in enumerate(schema):
         col = out[:, j]
         if spec.kind == "numeric":
             X[:, j] = col.astype(float)
@@ -660,7 +713,7 @@ def _ref_preprocess(ds: Dataset, scale: bool):
     if not scale:
         return X, report
     Z = np.empty_like(X)
-    for j, spec in enumerate(ds.schema):
+    for j, spec in enumerate(schema):
         mu = float(np.mean(X[:, j]))
         sigma = float(np.std(X[:, j]))
         report.means[spec.name] = mu
@@ -672,17 +725,151 @@ def _ref_preprocess(ds: Dataset, scale: bool):
 @given(raw_tables(), st.booleans())
 @settings(deadline=None, max_examples=200)
 def test_preprocess_matches_per_cell_reference_bitwise(table, scale):
-    ds = _table_dataset(table)
-    out, report = preprocess(ds, scale=scale)
-    ref_X, ref_report = _ref_preprocess(ds, scale)
+    out, report = preprocess(_table_dataset(table), scale=scale)
+    ref_X, ref_report = _ref_preprocess(_table_cells(table), TABLE_SCHEMA, scale)
     assert out.features.tobytes() == ref_X.tobytes()
     assert report.to_json() == ref_report.to_json()
 
 
 @pytest.mark.parametrize("scale", [True, False])
 def test_preprocess_matches_per_cell_reference_on_mixed_table(scale):
-    ds = mixed_raw_dataset(n=500, seed=7, missing_rate=0.2)
-    out, report = preprocess(ds, scale=scale)
-    ref_X, ref_report = _ref_preprocess(ds, scale)
+    cells, labels, schema = mixed_raw_cells(n=500, seed=7, missing_rate=0.2)
+    out, report = preprocess(Dataset.from_cells(cells, labels, schema), scale=scale)
+    ref_X, ref_report = _ref_preprocess(cells, schema, scale)
     assert out.features.tobytes() == ref_X.tobytes()
     assert report.to_json() == ref_report.to_json()
+
+
+# Oracle: the object-matrix preprocess and apply_report that interned ingest
+# replaced. It reads raw cells (floats or NaN, strings or None) and compares
+# categories as strings, so it knows nothing of ids.
+
+def _obj_missing(col: np.ndarray) -> np.ndarray:
+    return np.equal(col, None) | (col != col)
+
+
+def _obj_transform_column(col, spec, report, scale):
+    name = spec.name
+    filled = np.where(_obj_missing(col), report.imputation[name], col)
+    if spec.kind == NUMERIC:
+        vals = filled.astype(float)
+    else:
+        cats, inverse = np.unique(filled.astype(str), return_inverse=True)
+        table = {c: i for i, c in enumerate(report.codes[name])}
+        vals = np.array([table.get(c, len(table)) for c in cats], dtype=float)[inverse]
+    if scale:
+        mu, sigma = report.means[name], report.stds[name]
+        vals = np.zeros_like(vals) if sigma == 0.0 else (vals - mu) / sigma
+    return vals
+
+
+def _obj_preprocess(cells: np.ndarray, schema, scale: bool):
+    report = PreprocessReport()
+    out = np.empty(cells.shape, dtype=float)
+    for j, spec in enumerate(schema):
+        col = cells[:, j]
+        missing = _obj_missing(col)
+        observed = col[~missing]
+        if observed.size == 0:
+            raise AllMissingColumnError(spec.name)
+        if spec.kind == NUMERIC:
+            report.imputation[spec.name] = float(np.mean(observed.astype(float)))
+        else:
+            cats, counts = np.unique(observed.astype(str), return_counts=True)
+            fill = report.imputation[spec.name] = str(cats[np.argmax(counts)])
+            cats, first = np.unique(np.where(missing, fill, col).astype(str),
+                                    return_index=True)
+            report.codes[spec.name] = cats[np.argsort(first)].tolist()
+        out[:, j] = _obj_transform_column(col, spec, report, scale=False)
+    if scale:
+        for j, spec in enumerate(schema):
+            mu = report.means[spec.name] = float(np.mean(out[:, j]))
+            sigma = report.stds[spec.name] = float(np.std(out[:, j]))
+            out[:, j] = np.zeros_like(out[:, j]) if sigma == 0.0 else (out[:, j] - mu) / sigma
+    return out, report
+
+
+def _obj_apply_report(cells: np.ndarray, schema, report, scale: bool) -> np.ndarray:
+    out = np.empty(cells.shape, dtype=float)
+    for j, spec in enumerate(schema):
+        out[:, j] = _obj_transform_column(cells[:, j], spec, report, scale)
+    return out
+
+
+SPLIT_SCHEMA = [ColumnSpec("x", "numeric"), ColumnSpec("g", "categorical"),
+                ColumnSpec("h", "categorical")]
+TRAIN_CATEGORIES = ["a", "b", "ab", "B", "nan"]
+LATER_CATEGORIES = TRAIN_CATEGORIES + ["c", "zz"]
+
+
+@st.composite
+def split_tables(draw):
+    """(cells, is_train) of a table with the columns of ``SPLIT_SCHEMA``.
+
+    ``cells`` holds the training rows first, then the other rows; ``is_train``
+    is the order a file would hold them in, training and other rows
+    interleaved. Each column of the training rows is gappy, all missing, or
+    (categorical) an exact mode tie; the other rows may hold categories no
+    training row holds.
+    """
+    n_train = draw(st.integers(min_value=1, max_value=10))
+    n_other = draw(st.integers(min_value=0, max_value=8))
+    columns = []
+    for spec in SPLIT_SCHEMA:
+        if spec.kind == NUMERIC:
+            train_values = later_values = st.floats(
+                min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+        else:
+            train_values = st.sampled_from(TRAIN_CATEGORIES)
+            later_values = st.sampled_from(LATER_CATEGORIES)
+        shape = draw(st.sampled_from(["gappy"] * 10 + ["tied"] * 8 + ["all missing"]))
+        if shape == "all missing":
+            train = [None] * n_train
+        elif shape == "tied" and spec.kind != NUMERIC and n_train >= 2:
+            tied = draw(st.lists(train_values, min_size=1, max_size=n_train // 2, unique=True))
+            per = draw(st.integers(min_value=1, max_value=n_train // len(tied)))
+            train = draw(st.permutations(tied * per + [None] * (n_train - per * len(tied))))
+        else:
+            train = draw(st.lists(st.one_of(train_values, st.none()),
+                                  min_size=n_train, max_size=n_train))
+        other = draw(st.lists(st.one_of(later_values, st.none()),
+                              min_size=n_other, max_size=n_other))
+        columns.append(train + other)
+    cells = np.empty((n_train + n_other, len(SPLIT_SCHEMA)), dtype=object)
+    for j, (spec, column) in enumerate(zip(SPLIT_SCHEMA, columns)):
+        cells[:, j] = [np.nan if spec.kind == NUMERIC and v is None else v for v in column]
+    is_train = np.array(draw(st.permutations([True] * n_train + [False] * n_other)), dtype=bool)
+    return cells, is_train
+
+
+@given(split_tables(), st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_interned_preprocess_and_replay_match_object_matrix_oracle(table, scale):
+    cells, is_train = table
+    n_train = int(is_train.sum())
+    # Lay the rows out as the file would: each category's id is set by the
+    # row it first appears in, which may be a training row or not.
+    order = np.empty(len(cells), dtype=int)
+    order[is_train] = np.arange(n_train)
+    order[~is_train] = np.arange(n_train, len(cells))
+    ds = Dataset.from_cells(cells[order], np.zeros(len(cells), dtype=int), SPLIT_SCHEMA)
+    train = replace(ds, features=ds.features[is_train], labels=ds.labels[is_train])
+    other = replace(ds, features=ds.features[~is_train], labels=ds.labels[~is_train])
+    assert train.vocabularies is other.vocabularies is ds.vocabularies
+    _assert_same_cells(_cells(train), cells[:n_train])
+    try:
+        want_X, want_report = _obj_preprocess(cells[:n_train], SPLIT_SCHEMA, scale)
+    except AllMissingColumnError as want:
+        with pytest.raises(AllMissingColumnError) as got:
+            preprocess(train, scale=scale)
+        assert str(got.value) == str(want)
+        return
+    out, report = preprocess(train, scale=scale)
+    assert report.to_json() == want_report.to_json()
+    assert out.features.tobytes() == want_X.tobytes()
+    assert out.vocabularies is None
+    replayed = apply_report(other, report, scale=scale)
+    want_replay = _obj_apply_report(cells[n_train:], SPLIT_SCHEMA, want_report, scale)
+    assert replayed.features.dtype == np.float64
+    assert replayed.features.tobytes() == want_replay.tobytes()
+    assert replayed.vocabularies is None
