@@ -253,8 +253,10 @@ def read_schema(path) -> SchemaFile:
 
 
 def _split_line(line: str, delimiter: str | None) -> list[str]:
+    """The fields of one header or data line; comma fields lose their padding
+    (whitespace-split fields carry none)."""
     if delimiter == ",":
-        return next(csv.reader([line]))
+        return [f.strip() for f in next(csv.reader([line]))]
     return line.split()
 
 
@@ -337,8 +339,6 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
     raw_labels: list[str] = []
     for start in range(0, n_rows, _BLOCK_ROWS):
         rows = [_split_line(line, delimiter) for line in lines[1 + start:1 + start + _BLOCK_ROWS]]
-        if delimiter is not None:  # whitespace-split fields carry no padding
-            rows = [[f.strip() for f in fields] for fields in rows]
         block = features[start:start + len(rows)]
         try:
             if any(len(fields) != n_cols for fields in rows):

@@ -4,7 +4,9 @@ The logistic model doubles as the "lr" benchmark baseline, so it is fitted
 deterministically: a damped Newton (IRLS) solve of mean log-loss plus an L2
 penalty on the weights only, started from zero, with the step halved while
 the penalized loss would rise (Hastie, Tibshirani & Friedman, *ESL* §4.4.1).
-The gradient comes from a helper shared with :func:`logistic_loss_and_grad`.
+The loss, gradient and probabilities come from one helper shared with
+:func:`logistic_loss_and_grad`, so a Newton step reuses the probabilities
+its accepted trial computed.
 Rankings use |weight| on internally standardized columns so magnitudes are
 comparable across features.
 
@@ -64,18 +66,18 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray,
     The bias is unpenalized. Probabilities are clipped only inside the log,
     so the gradient stays the textbook (1/n)·Xᵀ(p−y) + l2·w form.
     """
+    return _loss_grad_proba(w, b, X, y, l2)[:3]
+
+
+def _loss_grad_proba(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,
+                     l2: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """:func:`logistic_loss_and_grad` plus the probabilities p it computed."""
     p = _sigmoid(X @ w + b)
     pc = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
     loss = float(-np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc))
                  + 0.5 * l2 * float(w @ w))
-    return (loss, *_logistic_grad(p, w, X, y, l2))
-
-
-def _logistic_grad(p: np.ndarray, w: np.ndarray, X: np.ndarray, y: np.ndarray,
-                   l2: float) -> tuple[np.ndarray, float]:
-    """Gradient (weights, bias) of the penalized log-loss at probabilities p."""
     resid = (p - y) / X.shape[0]
-    return X.T @ resid + l2 * w, float(resid.sum())
+    return loss, X.T @ resid + l2 * w, float(resid.sum()), p
 
 
 NEWTON_TOL = 1e-10  # stop once every gradient entry is below this
@@ -98,18 +100,17 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
     A = np.column_stack([X, np.ones(n)])
     ridge = np.diag(np.append(np.full(d, L2), 0.0))
     w, b, steps = np.zeros(d), 0.0, 0
-    loss, gw, gb = logistic_loss_and_grad(w, b, X, y, L2)
+    loss, gw, gb, p = _loss_grad_proba(w, b, X, y, L2)
     while steps < NEWTON_MAX_STEPS and np.abs(g := np.append(gw, gb)).max() >= NEWTON_TOL:
-        p = _sigmoid(X @ w + b)
         delta = np.linalg.solve((A.T * (p * (1.0 - p) / n)) @ A + ridge, g)
         for t in 0.5 ** np.arange(MAX_HALVINGS):
             trial = w - t * delta[:d], b - float(t * delta[d])
-            fit = logistic_loss_and_grad(*trial, X, y, L2)
+            fit = _loss_grad_proba(*trial, X, y, L2)
             if fit[0] <= loss:
                 break
         else:
             break
-        (w, b), (loss, gw, gb) = trial, fit
+        (w, b), (loss, gw, gb, p) = trial, fit
         steps += 1
     return LogisticModel(weights=w, bias=b, iterations=steps, final_loss=loss)
 

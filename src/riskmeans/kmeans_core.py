@@ -21,15 +21,24 @@ squared distance adds its d column terms left to right in column order, and
 a score normalises and mixes its k cluster terms in cluster order, so a
 row's distances, label and score depend on that row alone: not on how many
 rows share the call, nor on the memory order of either matrix.
-:func:`choose_k` builds one pairwise distance matrix per sweep, in 512-row
-blocks, and every k's silhouette sums each cluster's columns of those same
-row blocks, so it equals a silhouette computed from the points alone.
+:func:`choose_k` builds one pairwise distance matrix per sweep, and every
+k's silhouette sums each cluster's columns of its 512-row blocks, so it
+equals a silhouette computed from the points alone.
+
+One engine, :func:`_lloyd_runs`, fits every Lloyd run: all restarts of a
+:func:`lloyd_fit`, and all restarts of every k of a :func:`choose_k` sweep,
+advance in lockstep, each bit for bit the run it would be on its own. Its
+kernels are chosen by shapes the code sees: a slab of fewer than
+``_COPY_SLAB_MIN`` centres goes through :func:`_sq_dists`, a wider one
+copies each centre column across a workspace before subtracting; below
+``_TALL_N`` points the update bincounts all runs at once over tiled point
+columns, from there on one run at a time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,8 +51,15 @@ INIT_UNIFORM = "uniform"
 
 # k·n from which _sq_dists adds its column terms one (k, n) slab at a time
 _COLUMN_LOOP_MIN = 2**16
-# rows per block of the silhouette's distance matrix
+# rows per block of the silhouette
 _SILHOUETTE_ROWS = 512
+# rows per block of choose_k's distance matrix build
+_DISTANCE_ROWS = 128
+# centres per slab from which _Slabs.slab_sq_dists copies each centre column
+# across a workspace before subtracting
+_COPY_SLAB_MIN = 16
+# points from which _lloyd_runs bincounts each run on its own
+_TALL_N = 8192
 
 
 @dataclass(frozen=True)
@@ -151,19 +167,7 @@ def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     n = points.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
-    centers = np.empty((k, points.shape[1]), dtype=float)
-    centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centers[:1])[:, 0]
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            centers[j] = points[rng.choice(n, p=d2 / total)]
-        else:
-            # all rows coincide with existing centers (duplicate-heavy input)
-            centers[j] = points[rng.integers(n)]
-        if j < k - 1:
-            np.minimum(d2, _sq_dists(points, centers[j:j + 1])[:, 0], out=d2)
-    return centers
+    return _Slabs(points, 1).kmeanspp(np.array([k]), [rng])[0]
 
 
 def uniform_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,70 +179,191 @@ def uniform_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return points[idx].astype(float)
 
 
-def _lloyd_single(points: np.ndarray, params: KMeansParams, seed: int) -> KMeansModel:
-    rng = np.random.default_rng(seed)
-    init = kmeanspp_init if params.init == INIT_KMEANSPP else uniform_init
-    centers = init(points, params.k, rng)
+class _Slabs:
+    """(rows, n) workspaces over one point matrix, allocated once, and the
+    kernels that fill them for a slab of centres at a time.
 
-    trace: list[float] = []
-    iterations = 0
-    converged = False
-    for _ in range(params.max_iters):
-        d2 = _sq_dists(points, centers)
-        labels, nearest = _nearest(d2)
-        trace.append(float(nearest.sum()))
-        iterations += 1
+    A centre stack is an (R, K, d) array that holds run r's centres in
+    ``[r, :k_r]`` and zeros past them, with the runs sorted by k descending,
+    so slab j (centre j of every run with k > j) is ``[:m_j, j]`` for a
+    prefix of m_j runs.
+    """
 
-        counts = np.bincount(labels, minlength=params.k)
-        new_centers = np.empty((params.k, points.shape[1]))
-        for c, col in enumerate(points.T):
-            new_centers[:, c] = np.bincount(labels, weights=col, minlength=params.k)
-        new_centers /= np.maximum(counts, 1)[:, None]
-        if counts.min() == 0:
-            for j in np.flatnonzero(counts == 0):
-                # empty-cluster repair: reseed at the point farthest from the
-                # stale centroid; keeps k constant and is deterministic
-                new_centers[j] = points[np.argmax(d2[:, j])]
+    def __init__(self, points: np.ndarray, runs: int):
+        self.points = points
+        self.cols = np.ascontiguousarray(points.T)  # (d, n): one contiguous row per column
+        self.best, self.slab, self.term = np.empty((3, runs, points.shape[0]))
 
-        shift = np.max(
-            np.linalg.norm(new_centers - centers, axis=1)
-            / (1.0 + np.linalg.norm(centers, axis=1))
-        )
-        centers = new_centers
-        if shift < params.tol:
-            converged = True
+    def slab_sq_dists(self, centres: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(m, n) squared distances of the m centres to every point, added in
+        column order as :func:`_sq_dists` adds them, so with the same bits.
+
+        Below ``_COPY_SLAB_MIN`` rows this is :func:`_sq_dists`. From there on
+        each centre column is first copied across a workspace and the point
+        column subtracted from it: numpy subtracts an (m, 1) column from an
+        (n,) row several times slower per element than two (m, n) operands.
+        Returns ``out``.
+        """
+        m, d = centres.shape
+        if m < _COPY_SLAB_MIN or d == 0:
+            np.copyto(out, _sq_dists(self.points, centres).T)  # frees its (d, m, n) block
+            return out
+        term = self.term[:m]
+        np.copyto(out, centres[:, :1])
+        np.square(np.subtract(self.cols[0], out, out=out), out=out)
+        for c in range(1, d):
+            np.copyto(term, centres[:, c:c + 1])
+            out += np.square(np.subtract(self.cols[c], term, out=term), out=term)
+        return out
+
+    def kmeanspp(self, ks: np.ndarray, rngs: list) -> np.ndarray:
+        """k-means++ centres of runs sorted by k descending, each drawn from
+        its own generator as :func:`kmeanspp_init` would; the running-minimum
+        update for centre j is computed for all runs at once."""
+        n = self.points.shape[0]
+        stack = np.zeros((ks.size, ks[0], self.points.shape[1]))
+        for r, rng in enumerate(rngs):
+            stack[r, 0] = self.points[rng.integers(n)]
+        m = int(np.count_nonzero(ks > 1))
+        d2 = self.slab_sq_dists(stack[:m, 0], self.best[:m])
+        for j in range(1, ks[0]):
+            m = int(np.count_nonzero(ks > j))
+            totals = d2[:m].sum(axis=1)
+            for r in range(m):
+                if totals[r] > 0:
+                    stack[r, j] = self.points[rngs[r].choice(n, p=d2[r] / totals[r])]
+                else:
+                    # all rows coincide with existing centers (duplicate-heavy input)
+                    stack[r, j] = self.points[rngs[r].integers(n)]
+            m = int(np.count_nonzero(ks > j + 1))
+            if m:
+                np.minimum(d2[:m], self.slab_sq_dists(stack[:m, j], self.slab[:m]), out=d2[:m])
+        return stack
+
+    def nearest(self, stack: np.ndarray, ks: np.ndarray,
+                labels: np.ndarray, below: np.ndarray) -> np.ndarray:
+        """Label every point of every run with its nearest centre (ties to the
+        lowest index, by the strict-< pass of :func:`_nearest`) and return the
+        (R, n) squared distances to it."""
+        best = self.slab_sq_dists(stack[:, 0], self.best[:ks.size])
+        labels.fill(0)
+        for j in range(1, ks[0]):
+            m = int(np.count_nonzero(ks > j))
+            d2 = self.slab_sq_dists(stack[:m, j], self.slab[:m])
+            np.putmask(labels[:m], np.less(d2, best[:m], out=below[:m]), j)
+            np.minimum(best[:m], d2, out=best[:m])
+        return best
+
+
+def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMeansModel]:
+    """One Lloyd fit per (k, seed) pair on the same points, all in lockstep.
+
+    Run i starts from ``default_rng(seeds[i])`` and ``params.init`` with
+    ``ks[i]`` centres; ``params.k`` is not read. The runs advance together:
+    one strict-< pass over the centre stack's slabs labels every run, and one
+    weighted ``np.bincount`` per column over the labels offset to stack rows
+    updates every run's centroids, each bin adding its weights in row order
+    (from ``_TALL_N`` points, where tiled weights cost more than they save,
+    each run is bincounted on its own). A run leaves the stack when it
+    converges or reaches ``params.max_iters``. Each returned model, in the
+    order of ``ks``, is bit for bit the fit of that run on its own.
+    """
+    n, d = points.shape
+    ids = np.argsort(-np.asarray(ks), kind="stable")  # input position of each stack row
+    ks = np.asarray(ks)[ids]
+    rngs = [np.random.default_rng(seeds[i]) for i in ids]
+    work = _Slabs(points, ks.size)
+    if params.init == INIT_KMEANSPP:
+        stack = work.kmeanspp(ks, rngs)
+    else:
+        stack = np.zeros((ks.size, ks[0], d))
+        for r, rng in enumerate(rngs):
+            stack[r, :ks[r]] = uniform_init(points, int(ks[r]), rng)
+
+    tall = n >= _TALL_N
+    weights = None if tall else np.empty((ks.size, n))  # one point column per run
+    labels = np.empty((ks.size, n), dtype=np.intp)
+    below = np.empty((ks.size, n), dtype=bool)
+    traces: list[list[float]] = [[] for _ in ks]
+    models: list[KMeansModel | None] = [None] * ks.size
+    for iteration in range(1, params.max_iters + 1):
+        R, K = ks.size, int(ks[0])
+        nearest = work.nearest(stack, ks, labels[:R], below[:R])
+        for i, total in zip(ids, nearest.sum(axis=1).tolist()):
+            traces[i].append(total)
+
+        sums = np.empty((R, K, d))
+        if tall:
+            counts = np.empty((R, K), dtype=np.intp)
+            for r in range(R):
+                counts[r] = np.bincount(labels[r], minlength=K)
+                for c, col in enumerate(work.cols):
+                    sums[r, :, c] = np.bincount(labels[r], weights=col, minlength=K)
+        else:
+            flat = np.add(labels[:R], (np.arange(R) * K)[:, None], out=labels[:R]).ravel()
+            counts = np.bincount(flat, minlength=R * K).reshape(R, K)
+            for c, col in enumerate(work.cols):
+                np.copyto(weights[:R], col)
+                sums[:, :, c] = np.bincount(flat, weights=weights[:R].ravel(),
+                                            minlength=R * K).reshape(R, K)
+        new = sums / np.maximum(counts, 1)[:, :, None]
+        for r, j in zip(*np.nonzero((counts == 0) & (np.arange(K) < ks[:, None]))):
+            # empty-cluster repair: reseed at the point farthest from the
+            # stale centroid; keeps k constant and is deterministic
+            new[r, j] = points[np.argmax(_sq_dists(points, stack[r, j:j + 1])[:, 0])]
+
+        shift = (np.linalg.norm(new - stack, axis=2)
+                 / (1.0 + np.linalg.norm(stack, axis=2))).max(axis=1)
+        converged = shift < params.tol
+        done = converged | (iteration == params.max_iters)
+        for r in np.flatnonzero(done):
+            centers, i = new[r, :ks[r]].copy(), ids[r]
+            if np.array_equal(centers, stack[r, :ks[r]]):
+                wcss = traces[i][-1]  # the last labels pass saw these centres
+            else:
+                wcss = float(_nearest(_sq_dists(points, centers))[1].sum())
+            traces[i].append(wcss)
+            models[i] = KMeansModel(centroids=centers, wcss=wcss, iterations_run=iteration,
+                                    converged=bool(converged[r]), wcss_trace=tuple(traces[i]))
+        if done.all():
             break
+        keep = ~done
+        ks, ids = ks[keep], ids[keep]
+        stack = np.ascontiguousarray(new[keep][:, :ks[0]])
+    return models
 
-    wcss = float(_nearest(_sq_dists(points, centers))[1].sum())
-    trace.append(wcss)
-    return KMeansModel(
-        centroids=centers,
-        wcss=wcss,
-        iterations_run=iterations,
-        converged=converged,
-        wcss_trace=tuple(trace),
-    )
+
+def _checked_points(points: np.ndarray, k: int) -> np.ndarray:
+    """``points`` as a float matrix with contiguous columns, checked for k."""
+    points = np.asfortranarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError("points must be a 2-D matrix")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("non-finite input")
+    if points.shape[0] < k:
+        raise ValueError(f"n={points.shape[0]} < k={k}")
+    return points
+
+
+def _restart_seeds(params: KMeansParams) -> list[int]:
+    return [derive_seed(params.seed, f"restart:{r}") for r in range(params.restarts)]
+
+
+def _lowest_wcss(models: list[KMeansModel]) -> KMeansModel:
+    """The first of the models with the lowest WCSS."""
+    return min(models, key=lambda model: model.wcss)
 
 
 def lloyd_fit(points: np.ndarray, params: KMeansParams) -> KMeansModel:
     """Run Lloyd's algorithm ``params.restarts`` times and keep the lowest-WCSS fit.
 
     Restart r uses the derived seed ``(params.seed, "restart:r")``, so single
-    restarts can be reproduced in isolation.
+    restarts can be reproduced in isolation. The restarts run in lockstep
+    (see :func:`_lloyd_runs`); ties keep the earliest restart.
     """
-    points = np.asfortranarray(points, dtype=float)  # contiguous columns
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-D matrix")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("non-finite input")
-    if points.shape[0] < params.k:
-        raise ValueError(f"n={points.shape[0]} < k={params.k}")
-    best: KMeansModel | None = None
-    for r in range(params.restarts):
-        model = _lloyd_single(points, params, derive_seed(params.seed, f"restart:{r}"))
-        if best is None or model.wcss < best.wcss:
-            best = model
-    return best
+    points = _checked_points(points, params.k)
+    seeds = _restart_seeds(params)
+    return _lowest_wcss(_lloyd_runs(points, [params.k] * len(seeds), seeds, params))
 
 
 def assign(model: KMeansModel, x: np.ndarray) -> int:
@@ -255,12 +380,16 @@ def assign_many(model: KMeansModel, X: np.ndarray) -> np.ndarray:
 
 
 def _distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, built in the silhouette's row blocks."""
+    """Pairwise Euclidean distances, ``_DISTANCE_ROWS`` rows at a time through
+    the slab kernel, whose (rows, n) workspaces are all it allocates besides
+    the matrix; every entry has the bits :func:`_sq_dists` gives."""
     n = points.shape[0]
     out = np.empty((n, n), order="F")
-    for start in range(0, n, _SILHOUETTE_ROWS):
-        stop = min(start + _SILHOUETTE_ROWS, n)
-        np.sqrt(_sq_dists(points[start:stop], points), out=out[start:stop])
+    work = _Slabs(points, min(n, _DISTANCE_ROWS))
+    for start in range(0, n, _DISTANCE_ROWS):
+        rows = points[start:start + _DISTANCE_ROWS]
+        np.sqrt(work.slab_sq_dists(rows, work.slab[:len(rows)]),
+                out=out[start:start + len(rows)])
     return out
 
 
@@ -316,26 +445,29 @@ def choose_k(points: np.ndarray, k_range,
              params: KMeansParams) -> tuple[int, list[tuple[int, float]], KMeansModel]:
     """Fit every k in the inclusive range and pick the silhouette argmax.
 
-    Ties break to the smallest k. The pairwise distance matrix is built once
-    and shared by every k's silhouette. Returns (chosen k, per-k silhouette
-    table, the chosen k's fitted model), so the winner need not be fitted
-    again.
+    Ties break to the smallest k. Every restart of every k runs in one
+    lockstep :func:`_lloyd_runs` call, with the seeds and the lowest-WCSS
+    pick of :func:`lloyd_fit`, so each k's model is the one ``lloyd_fit``
+    would return. The pairwise distance matrix is built once and shared by
+    every k's silhouette. Returns (chosen k, per-k silhouette table, the
+    chosen k's fitted model), so the winner need not be fitted again.
     """
     ks = sorted(k_range)
     if not ks:
         raise ValueError("empty k range")
-    points = np.asfortranarray(points, dtype=float)  # one copy for every lloyd_fit
+    points = np.asfortranarray(points, dtype=float)
     n = points.shape[0]
     if ks[0] < 2 or ks[-1] > n - 1:
         bad = ks[0] if ks[0] < 2 else ks[-1]
         raise ValueError(f"k={bad} outside the valid range [2, {n - 1}]")
+    points = _checked_points(points, ks[-1])
+    seeds = _restart_seeds(params)
+    runs = _lloyd_runs(points, [k for k in ks for _ in seeds], seeds * len(ks), params)
+    distances = _distance_matrix(points)
     table: list[tuple[int, float]] = []
     best_k, best_score, best_model = None, -np.inf, None
-    distances = None  # built once the first fit has validated the points
-    for k in ks:
-        model = lloyd_fit(points, replace(params, k=k))
-        if distances is None:
-            distances = _distance_matrix(points)
+    for i, k in enumerate(ks):
+        model = _lowest_wcss(runs[i * len(seeds):(i + 1) * len(seeds)])
         score = silhouette_score(points, assign_many(model, points), distances=distances)
         table.append((k, score))
         if score > best_score:

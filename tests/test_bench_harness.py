@@ -178,31 +178,31 @@ def test_fold_fit_ignores_test_rows():
 
 
 def test_fit_fold_reuses_sweep_winner(monkeypatch):
-    # with k = auto, Lloyd runs once per swept k (plus the target search's
-    # own probe fits) and the winner's model is reused, not refitted
+    # with k = auto the fold's model is the object the k sweep returned:
+    # Lloyd runs before and inside the sweep (the target search's probe fits
+    # and the lockstep sweep itself), never after it
     ds = _bench_dataset()
     config = _config(rfe_target_k=None, kmeans_k=None, kmeans_k_max=5)
-    real_lloyd, real_search = kc.lloyd_fit, fs.select_target_k
-    calls = {"search": 0, "sweep": 0}
-    searching = []
+    real_lloyd, real_choose = kc.lloyd_fit, bench_harness.choose_k
+    events, swept = [], []
 
     def lloyd(points, params):
-        calls["search" if searching else "sweep"] += 1
+        events.append("lloyd_fit")
         return real_lloyd(points, params)
 
-    def search(*args, **kwargs):
-        searching.append(True)
-        try:
-            return real_search(*args, **kwargs)
-        finally:
-            searching.pop()
+    def choose(*args, **kwargs):
+        swept.append(real_choose(*args, **kwargs))
+        events.append("choose_k")
+        return swept[-1]
 
     monkeypatch.setattr(kc, "lloyd_fit", lloyd)
-    monkeypatch.setattr(fs, "select_target_k", search)
+    monkeypatch.setattr(bench_harness, "choose_k", choose)
     fit = fit_fold(ds, np.arange(ds.n), config, fold_seed=5)
-    assert calls["search"] > 0
-    assert calls["sweep"] == len(range(2, 6))
-    assert 2 <= fit.chosen_k <= 5 and fit.kmeans.model.k == fit.chosen_k
+    assert events.count("choose_k") == 1 and events[-1] == "choose_k"
+    assert "lloyd_fit" in events  # the target search's probes
+    chosen_k, table, model = swept[0]
+    assert [k for k, _ in table] == list(range(2, 6))
+    assert fit.chosen_k == chosen_k and fit.kmeans.model is model
 
 
 def test_fit_fold_runs_rfe_once_per_candidate(monkeypatch):

@@ -69,6 +69,19 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
     assert "toy.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, code", [("x0, x1, grade, outcome", 0),
+                                          ("x0, x1, grades, outcome", 2)])
+def test_padded_header_loads_and_a_wrong_name_exits_two(tmp_path, capsys, header, code):
+    data, schema, config = write_toy_files(tmp_path)
+    rows = data.read_text(encoding="utf-8").splitlines()[1:]
+    data.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: header mismatch: file has ['x0', 'x1', 'grades', 'outcome'], "
+                       "schema declares ['x0', 'x1', 'grade', 'outcome']\n")
+
+
 def test_no_data_source_exits_two(capsys):
     assert main(["ingest"]) == 2
     assert "schema" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -99,6 +100,26 @@ def test_load_header_mismatch(tmp_path):
         load_csv(p, SCHEMA, "label")
 
 
+@pytest.mark.parametrize("header, row", [
+    ("amount, grade, label", "10,a,bad"),
+    ("amount,grade,label", "10, a, bad"),
+    (" amount ,grade,  label ", " 10 ,a ,bad"),
+])
+def test_load_strips_padding_in_comma_headers_and_rows(tmp_path, header, row):
+    p = write(tmp_path, f"{header}\n{row}\n20,b,good\n")
+    ds = load_csv(p, SCHEMA, "label", positive_label="bad")
+    assert ds.features[:, 0].tolist() == [10.0, 20.0]
+    assert ds.vocabularies[1] == ("a", "b") and ds.labels.tolist() == [1, 0]
+
+
+def test_load_padded_header_with_a_wrong_name_keeps_its_message(tmp_path):
+    p = write(tmp_path, "amount, grades, label\n10,a,bad\n")
+    with pytest.raises(SchemaError) as got:
+        load_csv(p, SCHEMA, "label")
+    assert str(got.value) == ("header mismatch: file has ['amount', 'grades', 'label'], "
+                              "schema declares ['amount', 'grade', 'label']")
+
+
 def test_load_ragged_row_names_row(tmp_path):
     p = write(tmp_path, "amount,grade,label\n10,a,bad\n20,b\n")
     with pytest.raises(RaggedRowError, match="row 2"):
@@ -160,9 +181,12 @@ def _loop_load_csv(path, schema, label_column, positive_label=None):
                 row.append(np.nan if spec.kind == NUMERIC else None)
             elif spec.kind == NUMERIC:
                 try:
-                    row.append(float(tok))
+                    value = float(tok)
                 except ValueError:
-                    raise CellParseError(row=row_no, column=spec.name, token=tok) from None
+                    value = math.inf
+                if math.isinf(value):  # unparsable, or a token such as inf or 1e400
+                    raise CellParseError(row=row_no, column=spec.name, token=tok)
+                row.append(value)
             else:
                 row.append(tok)
         rows.append(row)
@@ -285,6 +309,9 @@ def test_load_reports_the_first_bad_row_across_blocks(tmp_path, faults, error, r
         load_csv(p, SCHEMA, "label", positive_label="bad")
     assert got.value.row == row
     assert str(got.value).startswith(f"row {row}")
+    with pytest.raises(error) as want:
+        _loop_load_csv(p, SCHEMA, "label", positive_label="bad")
+    assert str(got.value) == str(want.value)
 
 
 def test_load_reports_the_first_bad_cell_in_row_major_order(tmp_path):

@@ -9,9 +9,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskmeans.kmeans_core as kc
 from riskmeans.kmeans_core import (
+    INIT_KMEANSPP,
+    INIT_UNIFORM,
     ClusterClassifier,
     KMeansModel,
     KMeansParams,
@@ -284,6 +288,137 @@ def test_lloyd_matches_exhaustive_two_partition_on_small_instances():
         if model.wcss <= opt + 1e-9:
             hits += 1
     assert hits >= 18
+
+
+def _oracle_lloyd_single(points, params, seed):
+    """Reference Lloyd run: one restart on its own, one Python iteration at a
+    time, seeded by a loop k-means++ or :func:`uniform_init`."""
+    rng = np.random.default_rng(seed)
+    init = _loop_kmeanspp_init if params.init == INIT_KMEANSPP else uniform_init
+    centers = init(points, params.k, rng)
+
+    trace = []
+    iterations = 0
+    converged = False
+    for _ in range(params.max_iters):
+        d2 = kc._sq_dists(points, centers)
+        labels, nearest = kc._nearest(d2)
+        trace.append(float(nearest.sum()))
+        iterations += 1
+
+        counts = np.bincount(labels, minlength=params.k)
+        new_centers = np.empty((params.k, points.shape[1]))
+        for c, col in enumerate(points.T):
+            new_centers[:, c] = np.bincount(labels, weights=col, minlength=params.k)
+        new_centers /= np.maximum(counts, 1)[:, None]
+        if counts.min() == 0:
+            for j in np.flatnonzero(counts == 0):
+                new_centers[j] = points[np.argmax(d2[:, j])]
+
+        shift = np.max(
+            np.linalg.norm(new_centers - centers, axis=1)
+            / (1.0 + np.linalg.norm(centers, axis=1))
+        )
+        centers = new_centers
+        if shift < params.tol:
+            converged = True
+            break
+
+    wcss = float(kc._nearest(kc._sq_dists(points, centers))[1].sum())
+    trace.append(wcss)
+    return KMeansModel(centroids=centers, wcss=wcss, iterations_run=iterations,
+                       converged=converged, wcss_trace=tuple(trace))
+
+
+def _oracle_lloyd_fit(points, params):
+    """Reference restart loop: the first lowest-WCSS restart wins."""
+    points = np.asfortranarray(points, dtype=float)
+    best = None
+    for r in range(params.restarts):
+        model = _oracle_lloyd_single(points, params, derive_seed(params.seed, f"restart:{r}"))
+        if best is None or model.wcss < best.wcss:
+            best = model
+    return best
+
+
+def _model_bits(model):
+    return (model.centroids.tobytes(), model.centroids.shape, model.wcss,
+            model.iterations_run, model.converged, model.wcss_trace)
+
+
+@st.composite
+def _lloyd_cases(draw, n_max=60):
+    """Points (normal, rounded or duplicate-heavy, so that clusters empty and
+    are repaired), runs of mixed k with their seeds, and shared parameters."""
+    n = draw(st.integers(1, n_max))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(n, d)) * rng.uniform(0.1, 50, size=d) + rng.normal(size=d)
+    kind = draw(st.sampled_from(["normal", "rounded", "duplicates"]))
+    if kind == "rounded":
+        points = np.round(points / 20)
+    elif kind == "duplicates":
+        points = points[rng.integers(0, max(1, n // 5), size=n)]
+    ks = draw(st.lists(st.integers(1, min(n, 9)), min_size=1, max_size=24))
+    seeds = draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(ks), max_size=len(ks)))
+    params = KMeansParams(
+        k=ks[0], restarts=draw(st.integers(1, 5)), seed=draw(st.integers(0, 10**6)),
+        tol=draw(st.sampled_from([0.0, 1e-6, 1e-3])),
+        max_iters=draw(st.sampled_from([1, 3, 300])),
+        init=draw(st.sampled_from([INIT_KMEANSPP, INIT_UNIFORM])),
+    )
+    return np.asfortranarray(points), ks, seeds, params
+
+
+@given(_lloyd_cases())
+@settings(deadline=None, max_examples=150)
+def test_lloyd_runs_match_single_run_oracle_bitwise(case):
+    # every run of a lockstep call, whatever k its neighbours have, is the
+    # run on its own; lloyd_fit is the oracle's restart loop
+    points, ks, seeds, params = case
+    got = kc._lloyd_runs(points, ks, seeds, params)
+    for k, seed, model in zip(ks, seeds, got):
+        want = _oracle_lloyd_single(points, replace(params, k=k), seed)
+        assert _model_bits(model) == _model_bits(want)
+    assert _model_bits(lloyd_fit(points, params)) == _model_bits(_oracle_lloyd_fit(points, params))
+
+
+def test_lloyd_runs_cover_repairs_wide_slabs_and_tall_inputs():
+    rng = np.random.default_rng(23)
+    dup = np.repeat(rng.normal(size=(4, 3)), 30, axis=0)  # 4 distinct rows, k up to 9
+    wide = rng.normal(size=(300, 5)) * [1, 3, 9, 27, 81]
+    tall = rng.normal(size=(kc._TALL_N + 8, 2))
+    tall[::2] += [0, 4]  # two blobs, bincounted one run at a time
+    cases = [(dup, list(range(2, 10)) * 2, 300),  # empty clusters repaired in a shared stack
+             (wide, [k for k in range(2, 10) for _ in range(kc._COPY_SLAB_MIN // 4)], 300),
+             (tall, [2, 3, 2, 3], 40)]
+    for points, ks, max_iters in cases:
+        points = np.asfortranarray(points)
+        params = KMeansParams(k=2, max_iters=max_iters, seed=4)
+        seeds = [derive_seed(9, f"run:{i}") for i in range(len(ks))]
+        for model, k, seed in zip(kc._lloyd_runs(points, ks, seeds, params), ks, seeds):
+            want = _oracle_lloyd_single(points, replace(params, k=k), seed)
+            assert _model_bits(model) == _model_bits(want)
+
+
+def test_choose_k_equals_per_k_lloyd_fit():
+    # the lockstep sweep picks the k, table and model a per-k loop would
+    sweeps = [
+        make_blobs(40, [[0, 0], [6, 0], [0, 6], [6, 6]], spread=1.5, seed=3),
+        np.round(np.random.default_rng(6).normal(size=(150, 5)) * 2),
+        np.random.default_rng(5).normal(size=(300, 4)),
+    ]
+    for points, params in itertools.product(sweeps, (KMeansParams(k=2, restarts=3, seed=1),
+                                                      KMeansParams(k=2, restarts=10, seed=7,
+                                                                   init=INIT_UNIFORM))):
+        k, table, model = choose_k(points, range(2, 10), params)
+        want_table, models = [], {}
+        for kk in range(2, 10):
+            models[kk] = lloyd_fit(points, replace(params, k=kk))
+            want_table.append((kk, silhouette_score(points, assign_many(models[kk], points))))
+        assert table == want_table
+        assert k == max(want_table, key=lambda row: row[1])[0]
+        assert _model_bits(model) == _model_bits(models[k])
 
 
 def test_assign_exact_centroid_and_ties():
