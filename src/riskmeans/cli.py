@@ -114,6 +114,12 @@ def cmd_select_features(args) -> int:
     if args.cv_folds < 2:
         raise UsageError("--cv-folds must be >= 2")
     cfg = _resolve_config(args)
+    if args.candidates is not None and not cfg.rfe_enabled:
+        raise UsageError("--candidates conflicts with [rfe] enabled = false: "
+                         "candidates are searched only when RFE runs")
+    if args.candidates is not None and cfg.rfe_target_k is not None:
+        raise UsageError(f"--candidates conflicts with --target-k/[rfe] target_k = "
+                         f"{cfg.rfe_target_k}: candidates are searched only when it is auto")
     seed = args.seed
     ds = _load_dataset(cfg, seed)
     proc, _ = preprocess(ds, scale=cfg.scale)

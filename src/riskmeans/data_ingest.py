@@ -63,6 +63,13 @@ class AllMissingColumnError(DataError):
         self.column = column
 
 
+class ColumnOverflowError(DataError):
+    def __init__(self, column: str):
+        super().__init__(f"column {column!r}: values too large, their standard deviation "
+                         "overflows float64")
+        self.column = column
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Name, kind and missing-value token of one input column."""
@@ -442,44 +449,50 @@ def preprocess(ds: Dataset, scale: bool = True) -> tuple[Dataset, PreprocessRepo
     when nothing is missing. Categories are coded by first appearance in the
     filled column. With ``scale`` every column is then centred and divided by
     its population std, and constant columns become zeros. The matrix comes
-    from the same column transform that :func:`apply_report` replays.
+    from the same column transform that :func:`apply_report` replays. A
+    column whose std overflows (or that holds a non-finite value) raises
+    :class:`ColumnOverflowError`, scaled or not: every later stage squares
+    its values.
     """
-    report = PreprocessReport()
-    vocabularies = _vocabularies(ds)
-    out = np.empty(ds.features.shape, dtype=float)
-    for j, spec in enumerate(ds.schema):
-        col, vocab = ds.features[:, j], vocabularies[j]
-        missing = np.isnan(col)
-        if missing.all():
-            raise AllMissingColumnError(spec.name)
-        if spec.kind == NUMERIC:
-            report.imputation[spec.name] = float(np.mean(col[~missing]))
-        else:
-            counts = np.bincount(col[~missing].astype(np.intp), minlength=len(vocab))
-            fill = min(np.flatnonzero(counts == counts.max()), key=vocab.__getitem__)
-            report.imputation[spec.name] = vocab[fill]
-            ids, first = np.unique(np.where(missing, fill, col), return_index=True)
-            report.codes[spec.name] = [vocab[int(i)] for i in ids[np.argsort(first)]]
-        out[:, j] = _transform_column(col, vocab, spec, report, scale=False)
-    if scale:
-        if not np.all(np.isfinite(out)):
-            raise DataError("standardize requires a fully numeric, finite matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised by column
+        report = PreprocessReport()
+        vocabularies = _vocabularies(ds)
+        out = np.empty(ds.features.shape, dtype=float)
         for j, spec in enumerate(ds.schema):
-            mu = report.means[spec.name] = float(np.mean(out[:, j]))
-            sigma = report.stds[spec.name] = float(np.std(out[:, j]))  # population std
-            out[:, j] = _zscale(out[:, j], mu, sigma)
+            col, vocab = ds.features[:, j], vocabularies[j]
+            missing = np.isnan(col)
+            if missing.all():
+                raise AllMissingColumnError(spec.name)
+            if spec.kind == NUMERIC:
+                report.imputation[spec.name] = float(np.mean(col[~missing]))
+            else:
+                counts = np.bincount(col[~missing].astype(np.intp), minlength=len(vocab))
+                fill = min(np.flatnonzero(counts == counts.max()), key=vocab.__getitem__)
+                report.imputation[spec.name] = vocab[fill]
+                ids, first = np.unique(np.where(missing, fill, col), return_index=True)
+                report.codes[spec.name] = [vocab[int(i)] for i in ids[np.argsort(first)]]
+            out[:, j] = _transform_column(col, vocab, spec, report, scale=False)
+        for j, spec in enumerate(ds.schema):
+            mu, sigma = float(np.mean(out[:, j])), float(np.std(out[:, j]))  # population std
+            if not math.isfinite(sigma):
+                raise ColumnOverflowError(spec.name)
+            if scale:
+                report.means[spec.name], report.stds[spec.name] = mu, sigma
+                out[:, j] = _zscale(out[:, j], mu, sigma)
     return replace(ds, features=out, vocabularies=None), report
 
 
 def apply_report(ds: Dataset, report: PreprocessReport, scale: bool = True) -> Dataset:
     """Replay a fitted report on raw data without refitting anything.
 
-    A schema column the report does not cover raises :class:`SchemaError`.
+    A schema column the report does not cover raises :class:`SchemaError`. A
+    value too large to scale becomes inf, which scoring rejects by its row.
     """
     vocabularies = _vocabularies(ds)
     out = np.empty(ds.features.shape, dtype=float)
-    for j, spec in enumerate(ds.schema):
-        out[:, j] = _transform_column(ds.features[:, j], vocabularies[j], spec, report, scale)
+    with np.errstate(over="ignore"):
+        for j, spec in enumerate(ds.schema):
+            out[:, j] = _transform_column(ds.features[:, j], vocabularies[j], spec, report, scale)
     return replace(ds, features=out, vocabularies=None)
 
 

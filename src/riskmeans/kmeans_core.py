@@ -27,12 +27,10 @@ equals a silhouette computed from the points alone.
 
 One engine, :func:`_lloyd_runs`, fits every Lloyd run: all restarts of a
 :func:`lloyd_fit`, and all restarts of every k of a :func:`choose_k` sweep,
-advance in lockstep, each bit for bit the run it would be on its own. Its
-kernels are chosen by shapes the code sees: a slab of fewer than
-``_COPY_SLAB_MIN`` centres goes through :func:`_sq_dists`, a wider one
-copies each centre column across a workspace before subtracting; below
-``_TALL_N`` points the update bincounts all runs at once over tiled point
-columns, from there on one run at a time.
+advance in lockstep, each bit for bit the run it would be on its own.
+Below ``_TALL_N`` points its update bincounts all runs at once over tiled
+point columns, from there on one run at a time. Every point-centre squared
+distance comes from one kernel, :func:`_sq_dists`.
 """
 
 from __future__ import annotations
@@ -49,14 +47,12 @@ from .seeding import derive_seed
 INIT_KMEANSPP = "kmeanspp"
 INIT_UNIFORM = "uniform"
 
-# k·n from which _sq_dists adds its column terms one (k, n) slab at a time
-_COLUMN_LOOP_MIN = 2**16
 # rows per block of the silhouette
 _SILHOUETTE_ROWS = 512
 # rows per block of choose_k's distance matrix build
 _DISTANCE_ROWS = 128
-# centres per slab from which _Slabs.slab_sq_dists copies each centre column
-# across a workspace before subtracting
+# centres from which _sq_dists copies each centre column across a workspace
+# before subtracting
 _COPY_SLAB_MIN = 16
 # points from which _lloyd_runs bincounts each run on its own
 _TALL_N = 8192
@@ -112,46 +108,58 @@ class KMeansModel:
         return self.centroids.shape[1]
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, points x centers, as a column-major view.
+def _sq_dists(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None,
+              work: _Slabs | None = None) -> np.ndarray:
+    """Squared Euclidean distances as an (m, n) matrix, one row per centre,
+    written into ``out`` when given.
 
-    Entry (i, j) adds ``(p_i0 - c_j0)**2 + (p_i1 - c_j1)**2 + ...`` left to
-    right for any shapes and memory orders; a plain sum over the column axis
-    would turn pairwise whenever that axis became the inner loop. Two
-    strategies add the terms in that one order, picked by k·n. Below
-    ``_COLUMN_LOOP_MIN`` all the terms are squared in one (d, k, n) block
-    (faster for Lloyd's and the scorer's few centres); from there on they are
-    added one at a time into a (k, n) buffer (faster for the silhouette's big
-    blocks, and with no d-fold temporary).
-    """
-    if points.ndim != 2 or points.shape[1] != centers.shape[1]:
-        raise ValueError(f"expected a matrix with {centers.shape[1]} columns, "
-                         f"got shape {points.shape}")
-    if points.shape[1] == 0:
-        return np.zeros((points.shape[0], centers.shape[0]))
-    cols = np.ascontiguousarray(points.T)  # (d, n): one contiguous row per column
-    ct = centers.T[:, :, None]  # (d, k, 1)
-    if centers.shape[0] * points.shape[0] < _COLUMN_LOOP_MIN:
-        sq = np.subtract(cols[:, None, :], ct, order="C")  # (d, k, n)
-        out = np.square(sq, out=sq)[0]
-        for term in sq[1:]:
-            out += term
+    Entry (j, i) adds ``(p_i0 - c_j0)**2 + (p_i1 - c_j1)**2 + ...`` left to
+    right for any shapes and memory orders (a plain sum would turn pairwise
+    whenever the column axis became the inner loop). Below ``_COPY_SLAB_MIN``
+    centres all the terms are squared in one (d, m, n) block; from there on
+    each centre column is copied across an (m, n) workspace before the point
+    column is subtracted, as numpy subtracts a broadcast (m, 1) column slowly.
+    ``work``, a :class:`_Slabs` over ``points``, lends its cached columns and
+    workspace and skips the shape check."""
+    if work is None:
+        if points.ndim != 2 or points.shape[1] != centers.shape[1]:
+            raise ValueError(f"expected a matrix with {centers.shape[1]} columns, "
+                             f"got shape {points.shape}")
+        cols = np.ascontiguousarray(points.T)  # (d, n): one contiguous row per column
     else:
-        out = np.square(np.subtract(cols[0], ct[0]))  # (k, n)
-        term = np.empty_like(out)
-        for col, c in zip(cols[1:], ct[1:]):
-            out += np.square(np.subtract(col, c, out=term), out=term)
-    return out.T
+        cols = work.cols
+    (m, d), n = centers.shape, cols.shape[1]
+    if d and m < _COPY_SLAB_MIN:
+        sq = np.subtract(cols[:, None, :], centers.T[:, :, None], order="C")  # (d, m, n)
+        total = np.square(sq, out=sq)[0]
+        for term in sq[1:]:
+            total += term
+        if out is None:
+            return total
+        np.copyto(out, total)  # frees the block
+        return out
+    if out is None:
+        out = np.empty((m, n))
+    if d == 0:
+        out.fill(0.0)
+        return out
+    term = np.empty((m, n)) if work is None else work.term[:m]
+    np.copyto(out, centers[:, :1])
+    np.square(np.subtract(cols[0], out, out=out), out=out)
+    for c in range(1, d):
+        np.copyto(term, centers[:, c:c + 1])
+        out += np.square(np.subtract(cols[c], term, out=term), out=term)
+    return out
 
 
 def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centre labels and squared distances of a :func:`_sq_dists`
-    matrix, from one pass over its columns; ties go to the lowest index."""
-    labels = np.zeros(d2.shape[0], dtype=np.intp)
-    best = d2[:, 0].copy()
-    for j in range(1, d2.shape[1]):
-        np.putmask(labels, d2[:, j] < best, j)
-        np.minimum(best, d2[:, j], out=best)
+    matrix, from one pass over its rows; ties go to the lowest index."""
+    labels = np.zeros(d2.shape[1], dtype=np.intp)
+    best = d2[0].copy()
+    for j in range(1, d2.shape[0]):
+        np.putmask(labels, d2[j] < best, j)
+        np.minimum(best, d2[j], out=best)
     return labels, best
 
 
@@ -180,8 +188,8 @@ def uniform_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 class _Slabs:
-    """(rows, n) workspaces over one point matrix, allocated once, and the
-    kernels that fill them for a slab of centres at a time.
+    """(rows, n) workspaces over one point matrix, allocated once, which
+    :func:`_sq_dists` fills for a slab of centres at a time.
 
     A centre stack is an (R, K, d) array that holds run r's centres in
     ``[r, :k_r]`` and zeros past them, with the runs sorted by k descending,
@@ -194,28 +202,6 @@ class _Slabs:
         self.cols = np.ascontiguousarray(points.T)  # (d, n): one contiguous row per column
         self.best, self.slab, self.term = np.empty((3, runs, points.shape[0]))
 
-    def slab_sq_dists(self, centres: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(m, n) squared distances of the m centres to every point, added in
-        column order as :func:`_sq_dists` adds them, so with the same bits.
-
-        Below ``_COPY_SLAB_MIN`` rows this is :func:`_sq_dists`. From there on
-        each centre column is first copied across a workspace and the point
-        column subtracted from it: numpy subtracts an (m, 1) column from an
-        (n,) row several times slower per element than two (m, n) operands.
-        Returns ``out``.
-        """
-        m, d = centres.shape
-        if m < _COPY_SLAB_MIN or d == 0:
-            np.copyto(out, _sq_dists(self.points, centres).T)  # frees its (d, m, n) block
-            return out
-        term = self.term[:m]
-        np.copyto(out, centres[:, :1])
-        np.square(np.subtract(self.cols[0], out, out=out), out=out)
-        for c in range(1, d):
-            np.copyto(term, centres[:, c:c + 1])
-            out += np.square(np.subtract(self.cols[c], term, out=term), out=term)
-        return out
-
     def kmeanspp(self, ks: np.ndarray, rngs: list) -> np.ndarray:
         """k-means++ centres of runs sorted by k descending, each drawn from
         its own generator as :func:`kmeanspp_init` would; the running-minimum
@@ -225,7 +211,7 @@ class _Slabs:
         for r, rng in enumerate(rngs):
             stack[r, 0] = self.points[rng.integers(n)]
         m = int(np.count_nonzero(ks > 1))
-        d2 = self.slab_sq_dists(stack[:m, 0], self.best[:m])
+        d2 = _sq_dists(self.points, stack[:m, 0], self.best[:m], self)
         for j in range(1, ks[0]):
             m = int(np.count_nonzero(ks > j))
             totals = d2[:m].sum(axis=1)
@@ -237,7 +223,8 @@ class _Slabs:
                     stack[r, j] = self.points[rngs[r].integers(n)]
             m = int(np.count_nonzero(ks > j + 1))
             if m:
-                np.minimum(d2[:m], self.slab_sq_dists(stack[:m, j], self.slab[:m]), out=d2[:m])
+                np.minimum(d2[:m], _sq_dists(self.points, stack[:m, j], self.slab[:m], self),
+                           out=d2[:m])
         return stack
 
     def nearest(self, stack: np.ndarray, ks: np.ndarray,
@@ -245,11 +232,11 @@ class _Slabs:
         """Label every point of every run with its nearest centre (ties to the
         lowest index, by the strict-< pass of :func:`_nearest`) and return the
         (R, n) squared distances to it."""
-        best = self.slab_sq_dists(stack[:, 0], self.best[:ks.size])
+        best = _sq_dists(self.points, stack[:, 0], self.best[:ks.size], self)
         labels.fill(0)
         for j in range(1, ks[0]):
             m = int(np.count_nonzero(ks > j))
-            d2 = self.slab_sq_dists(stack[:m, j], self.slab[:m])
+            d2 = _sq_dists(self.points, stack[:m, j], self.slab[:m], self)
             np.putmask(labels[:m], np.less(d2, best[:m], out=below[:m]), j)
             np.minimum(best[:m], d2, out=best[:m])
         return best
@@ -310,7 +297,7 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
         for r, j in zip(*np.nonzero((counts == 0) & (np.arange(K) < ks[:, None]))):
             # empty-cluster repair: reseed at the point farthest from the
             # stale centroid; keeps k constant and is deterministic
-            new[r, j] = points[np.argmax(_sq_dists(points, stack[r, j:j + 1])[:, 0])]
+            new[r, j] = points[np.argmax(_sq_dists(points, stack[r, j:j + 1], work=work)[0])]
 
         shift = (np.linalg.norm(new - stack, axis=2)
                  / (1.0 + np.linalg.norm(stack, axis=2))).max(axis=1)
@@ -334,7 +321,8 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
 
 
 def _checked_points(points: np.ndarray, k: int) -> np.ndarray:
-    """``points`` as a float matrix with contiguous columns, checked for k."""
+    """``points`` as a float matrix with contiguous columns, checked for k and
+    for squared distances within float64 range."""
     points = np.asfortranarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be a 2-D matrix")
@@ -342,6 +330,11 @@ def _checked_points(points: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("non-finite input")
     if points.shape[0] < k:
         raise ValueError(f"n={points.shape[0]} < k={k}")
+    with np.errstate(over="ignore"):  # the squared spans bound every distance
+        span = np.ptp(points, axis=0)
+        if not np.isfinite((span ** 2).sum()):
+            j = int(np.argmax(span))
+            raise ValueError(f"column {j} spans {span[j]:.3g}: squared distances overflow float64")
     return points
 
 
@@ -381,14 +374,14 @@ def assign_many(model: KMeansModel, X: np.ndarray) -> np.ndarray:
 
 def _distance_matrix(points: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances, ``_DISTANCE_ROWS`` rows at a time through
-    the slab kernel, whose (rows, n) workspaces are all it allocates besides
-    the matrix; every entry has the bits :func:`_sq_dists` gives."""
+    :func:`_sq_dists` into (rows, n) workspaces, which are all it allocates
+    besides the matrix."""
     n = points.shape[0]
     out = np.empty((n, n), order="F")
     work = _Slabs(points, min(n, _DISTANCE_ROWS))
     for start in range(0, n, _DISTANCE_ROWS):
         rows = points[start:start + _DISTANCE_ROWS]
-        np.sqrt(work.slab_sq_dists(rows, work.slab[:len(rows)]),
+        np.sqrt(_sq_dists(points, rows, work.slab[:len(rows)], work),
                 out=out[start:start + len(rows)])
     return out
 
@@ -426,7 +419,7 @@ def silhouette_score(points: np.ndarray, assignment: np.ndarray, *,
     for start in range(0, n, _SILHOUETTE_ROWS):
         stop = min(start + _SILHOUETTE_ROWS, n)
         if distances is None:
-            block = np.sqrt(_sq_dists(points[start:stop], points))  # (rows, n)
+            block = np.sqrt(_sq_dists(points, points[start:stop]))  # (rows, n)
         else:
             block = distances[start:stop]
         sums = np.stack([block[:, own == c].sum(axis=1) for c in range(sizes.size)], axis=1)
@@ -536,8 +529,13 @@ def predict_scores(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
     order, so each row's score depends on that row alone.
     """
     X = np.asarray(X, dtype=float)
-    logits = -_sq_dists(X, clf.model.centroids).T / (2.0 * clf.bandwidth**2)  # (k, n)
-    logits -= logits.max(axis=0)
+    with np.errstate(over="ignore"):
+        logits = -_sq_dists(X, clf.model.centroids) / (2.0 * clf.bandwidth**2)  # (k, n)
+    top = logits.max(axis=0)
+    if not np.isfinite(top).all():
+        row = np.flatnonzero(~np.isfinite(top))[0]
+        raise ValueError(f"row {row}: its squared distance to every centroid overflows float64")
+    logits -= top
     w = np.exp(logits)
     total = w[0].copy()
     for row in w[1:]:

@@ -12,6 +12,7 @@ from riskmeans import cli, feature_select
 from riskmeans.bench_harness import fit_fold
 from riskmeans.cli import main
 from riskmeans.config import load_config
+from riskmeans.cv import stratified_kfold
 from riskmeans.data_ingest import load_with_schema
 from riskmeans.mg_scanner import window_count
 from riskmeans.seeding import derive_seed
@@ -233,6 +234,56 @@ def test_infinite_numeric_cell_exits_one(tmp_path, capsys, token):
         err = capsys.readouterr().err
         assert f"row 4, column 'x0': cannot parse {token!r} as a number" in err
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+def _huge_x0_in_fold_0(tmp_path, split):
+    """Toy files whose first fold-0 ``split`` row (``run --seed 1``, 5 folds)
+    holds x0 = 1e200, a finite value whose square overflows."""
+    data, schema, config = write_toy_files(tmp_path)
+    plan = stratified_kfold(load_with_schema(data, schema).labels, 5, derive_seed(1, "folds"))
+    row = int((plan.test_indices[0] if split == "test" else plan.train_indices(0))[0])
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[row + 1] = "1e200," + lines[row + 1].split(",", 1)[1]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return config
+
+
+def test_huge_cell_in_a_held_out_row_exits_one(tmp_path, capsys):
+    config = _huge_x0_in_fold_0(tmp_path, "test")
+    assert main(["run", "--config", str(config), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: row 0: its squared distance to every centroid overflows float64",
+        "  fold 0"]
+    assert not (tmp_path / "out" / "report_kmeans.json").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--no-scale"]])
+def test_huge_cell_in_training_rows_exits_one(tmp_path, capsys, argv):
+    config = _huge_x0_in_fold_0(tmp_path, "train")
+    assert main(["run", "--config", str(config), "--seed", "1"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: column 'x0': values too large, their standard deviation overflows float64",
+        "  fold 0"]
+    assert not (tmp_path / "out" / "report_kmeans.json").exists()
+
+
+@pytest.mark.parametrize("config_tail,argv,needle", [
+    ("", ["--target-k", "1"], "--candidates conflicts with --target-k/[rfe] target_k = 1: "),
+    ("\n[rfe]\nenabled = false\n", [], "--candidates conflicts with [rfe] enabled = false: "),
+])
+def test_select_features_candidates_need_the_target_search(tmp_path, capsys, config_tail,
+                                                          argv, needle):
+    data, schema, config = write_toy_files(tmp_path)
+    config.write_text(config.read_text(encoding="utf-8") + config_tail, encoding="utf-8")
+    assert main(["select-features", "--config", str(config), "--candidates", "2"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + needle)
+    assert not (tmp_path / "out" / "selection.json").exists()
 
 
 def test_run_requires_seed(tmp_path, capsys):

@@ -16,6 +16,7 @@ from riskmeans.data_ingest import (
     NUMERIC,
     AllMissingColumnError,
     CellParseError,
+    ColumnOverflowError,
     ColumnSpec,
     DataError,
     Dataset,
@@ -337,8 +338,11 @@ def test_load_reads_nan_token_as_missing(tmp_path):
     p = write(tmp_path, "amount,grade,label\nnan,a,bad\n2,b,good\n4,a,good\n1e308,b,bad\n")
     ds = load_csv(p, SCHEMA, "label", positive_label="bad")
     assert np.isnan(ds.features[0, 0]) and ds.features[3, 0] == 1e308
-    out, report = preprocess(ds, scale=False)
-    assert report.imputation["amount"] == np.mean([2.0, 4.0, 1e308])
+    with pytest.raises(ColumnOverflowError, match="'amount'"):  # 1e308 squared overflows
+        preprocess(ds, scale=False)
+    out, report = preprocess(replace(ds, features=ds.features[:3], labels=ds.labels[:3]),
+                             scale=False)
+    assert report.imputation["amount"] == 3.0
     assert out.features[0, 0] == report.imputation["amount"]
 
 
@@ -466,6 +470,26 @@ def test_impute_all_missing_column():
         assert str(err.value) == "column 'c1' has no observed values to impute from"
 
 
+@pytest.mark.parametrize("scale", [True, False])
+def test_preprocess_rejects_a_column_whose_std_overflows(scale):
+    # 1e200 parses, but its squared deviation does not fit in a float64; a
+    # scaled run would otherwise divide the column by inf and zero it
+    for cell in (1e200, -1e200, np.inf):
+        ds = _tiny([[1.0, 0.5], [2.0, cell], [3.0, 0.25]], ["numeric", "numeric"])
+        with pytest.raises(ColumnOverflowError) as err:
+            preprocess(ds, scale=scale)
+        assert str(err.value) == ("column 'c1': values too large, their standard "
+                                  "deviation overflows float64")
+    out, report = preprocess(_tiny([[1e150], [-1e150]], ["numeric"]), scale=scale)
+    assert np.isfinite(out.features).all()
+
+
+def test_replay_turns_a_value_too_large_to_scale_into_inf():
+    _, report = preprocess(_tiny([[0.1], [0.2], [0.3]], ["numeric"]))
+    out = apply_report(_tiny([[1.7e308], [0.2]], ["numeric"]), report)  # 1.7e308 / 0.08
+    assert out.features[0, 0] == np.inf and np.isfinite(out.features[1, 0])
+
+
 def test_encode_first_appearance():
     ds = _tiny([["red"], ["blue"], ["red"]], ["categorical"])
     out, report = preprocess(ds, scale=False)
@@ -527,10 +551,9 @@ def test_standardize_uses_population_std():
 
 def test_standardize_rejects_infinite_cells():
     ds = _tiny([[1.0], [np.inf]], ["numeric"])
-    with pytest.raises(DataError, match="finite matrix"):
-        preprocess(ds)
-    out, _ = preprocess(ds, scale=False)
-    assert out.features[1, 0] == np.inf
+    for scale in (True, False):
+        with pytest.raises(ColumnOverflowError, match="'c0'"):
+            preprocess(ds, scale=scale)
 
 
 def test_preprocess_leaves_no_missing(raw_dataset):

@@ -61,6 +61,26 @@ def test_kmeanspp_deterministic_given_seed():
     assert (a == b).all()
 
 
+def _loop_sq_dists(points, centers):
+    """Reference distances: one squared column difference at a time, added
+    left to right in column order."""
+    out = np.zeros((points.shape[0], centers.shape[0]))
+    for j in range(points.shape[1]):
+        out += (points[:, j, None] - centers[None, :, j]) ** 2
+    return out
+
+
+def _loop_nearest(d2):
+    """Reference nearest centre of an (n, k) distance matrix: a strict-< pass
+    over its columns, so ties keep the lowest index."""
+    labels = np.zeros(d2.shape[0], dtype=np.intp)
+    best = d2[:, 0].copy()
+    for j in range(1, d2.shape[1]):
+        closer = d2[:, j] < best
+        labels[closer], best[closer] = j, d2[closer, j]
+    return labels, best
+
+
 def _loop_kmeanspp_init(points, k, rng):
     """Reference k-means++: each draw takes a fresh minimum over the
     distances to every center chosen so far."""
@@ -69,7 +89,7 @@ def _loop_kmeanspp_init(points, k, rng):
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
     for j in range(1, k):
-        d2 = kc._sq_dists(points, centers[:j]).min(axis=1)
+        d2 = _loop_sq_dists(points, centers[:j]).min(axis=1)
         total = d2.sum()
         if total > 0:
             centers[j] = points[rng.choice(n, p=d2 / total)]
@@ -137,15 +157,6 @@ def test_lloyd_rejects_n_below_k():
         lloyd_fit(np.zeros((2, 2)), KMeansParams(k=3))
 
 
-def _loop_sq_dists(points, centers):
-    """Reference distances: one squared column difference at a time, added
-    left to right in column order."""
-    out = np.zeros((points.shape[0], centers.shape[0]))
-    for j in range(points.shape[1]):
-        out += (points[:, j, None] - centers[None, :, j]) ** 2
-    return out
-
-
 def _layouts(a):
     """C-ordered, F-ordered and sliced-view copies of one matrix."""
     n, d = a.shape
@@ -155,23 +166,26 @@ def _layouts(a):
             "view": big[1::2, 2:d + 2]}
 
 
-# (n, k) with k·n just below, at and just above the column-loop threshold
-_THRESHOLD_SHAPES = ((255, 257), (256, 256), (257, 256))
+# centre counts just below, at and just above the copied-column threshold
+_THRESHOLD_KS = (15, 16, 17)
 
 
 @pytest.mark.parametrize("d", [0, 1, 5, 7, 8, 9, 20, 33])
 def test_sq_dists_matches_column_loop_bitwise(d):
-    assert [np.sign(n * k - kc._COLUMN_LOOP_MIN) for n, k in _THRESHOLD_SHAPES] == [-1, 0, 1]
+    assert [np.sign(k - kc._COPY_SLAB_MIN) for k in _THRESHOLD_KS] == [-1, 0, 1]
     rng = np.random.default_rng(d)
-    shapes = itertools.product((0, 1, 2, 700), (1, 2, 7, 800))
-    for n, k in itertools.chain(shapes, _THRESHOLD_SHAPES):
+    shapes = itertools.product((0, 1, 2, 700), (1, 2, 7, 800) + _THRESHOLD_KS)
+    for n, k in shapes:
         points = rng.normal(size=(n, d)) * rng.uniform(0.1, 100, size=d)
         centers = rng.normal(size=(k, d)) * rng.uniform(0.1, 100, size=d)
-        want = _loop_sq_dists(points, centers).tobytes()
+        want = _loop_sq_dists(points, centers).T.tobytes()
         for p, c in itertools.product(_layouts(points).values(), _layouts(centers).values()):
             got = kc._sq_dists(p, c)
-            assert got.shape == (n, k)
+            assert got.shape == (k, n)
             assert got.tobytes() == want
+            out = np.full((k, n), np.nan)
+            assert kc._sq_dists(p, c, out) is out
+            assert out.tobytes() == want
 
 
 def test_sq_dists_one_point_one_center_adds_in_column_order():
@@ -190,6 +204,20 @@ def test_sq_dists_rejects_a_column_count_mismatch():
             predict_scores(clf, X)
         with pytest.raises(ValueError, match="5 columns"):
             assign_many(clf.model, X)
+
+
+def test_squared_distance_overflow_raises_instead_of_nan():
+    # every value is finite, but the squared spread of the columns is not
+    wide = np.array([[0.0, 1e154], [1.0, -1e154], [2.0, 0.0], [3.0, 5.0]])
+    message = "column 1 spans 2e+154: squared distances overflow float64"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lloyd_fit(wide, KMeansParams(k=2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        choose_k(wide, range(2, 4), KMeansParams(k=2))
+    clf = _manual_clf(np.array([[0.0, 0.0], [1.0, 1.0]]), [0.2, 0.8])
+    for huge in (1e200, np.inf):  # apply_report makes a value too large to scale inf
+        with pytest.raises(ValueError, match="row 1: its squared distance to every centroid"):
+            predict_scores(clf, np.array([[0.5, 0.5], [huge, 0.0], [2.0, 2.0]]))
 
 
 def _loop_update(points, labels, d2, k):
@@ -301,8 +329,8 @@ def _oracle_lloyd_single(points, params, seed):
     iterations = 0
     converged = False
     for _ in range(params.max_iters):
-        d2 = kc._sq_dists(points, centers)
-        labels, nearest = kc._nearest(d2)
+        d2 = _loop_sq_dists(points, centers)
+        labels, nearest = _loop_nearest(d2)
         trace.append(float(nearest.sum()))
         iterations += 1
 
@@ -324,7 +352,7 @@ def _oracle_lloyd_single(points, params, seed):
             converged = True
             break
 
-    wcss = float(kc._nearest(kc._sq_dists(points, centers))[1].sum())
+    wcss = float(_loop_nearest(_loop_sq_dists(points, centers))[1].sum())
     trace.append(wcss)
     return KMeansModel(centroids=centers, wcss=wcss, iterations_run=iterations,
                        converged=converged, wcss_trace=tuple(trace))
