@@ -111,15 +111,18 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_select_features(args) -> int:
-    if args.cv_folds < 2:
+    if args.cv_folds is not None and args.cv_folds < 2:
         raise UsageError("--cv-folds must be >= 2")
     cfg = _resolve_config(args)
-    if args.candidates is not None and not cfg.rfe_enabled:
-        raise UsageError("--candidates conflicts with [rfe] enabled = false: "
-                         "candidates are searched only when RFE runs")
-    if args.candidates is not None and cfg.rfe_target_k is not None:
-        raise UsageError(f"--candidates conflicts with --target-k/[rfe] target_k = "
-                         f"{cfg.rfe_target_k}: candidates are searched only when it is auto")
+    for flag, value in (("--candidates", args.candidates), ("--cv-folds", args.cv_folds)):
+        if value is None:
+            continue
+        if not cfg.rfe_enabled:
+            raise UsageError(f"{flag} conflicts with [rfe] enabled = false: "
+                             "candidates are searched only when RFE runs")
+        if cfg.rfe_target_k is not None:
+            raise UsageError(f"{flag} conflicts with --target-k/[rfe] target_k = "
+                             f"{cfg.rfe_target_k}: candidates are searched only when it is auto")
     seed = args.seed
     ds = _load_dataset(cfg, seed)
     proc, _ = preprocess(ds, scale=cfg.scale)
@@ -132,7 +135,7 @@ def cmd_select_features(args) -> int:
     if cfg.rfe_enabled:
         result = select_features(proc.features, proc.labels, target_k=cfg.rfe_target_k,
                                  step=cfg.rfe_step, seed=seed, candidates=candidates,
-                                 cv_folds=args.cv_folds)
+                                 cv_folds=args.cv_folds or 3)
     else:
         result = RfeResult(selected=range(proc.d), elimination_trace=())
     target = len(result.selected)
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-k", dest="target_k",
                    help="feature count to keep, or 'auto'")
     p.add_argument("--candidates", help="comma-separated counts for auto, each in [1, d]")
-    p.add_argument("--cv-folds", type=int, default=3)
+    p.add_argument("--cv-folds", type=int, help="folds of the target-size search (default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_select_features)
 

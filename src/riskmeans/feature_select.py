@@ -54,8 +54,13 @@ class LogisticModel:
         object.__setattr__(self, "weights", w)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """P(y=1 | x), clipped away from exactly 0 and 1."""
-        z = np.asarray(X, dtype=float) @ self.weights + self.bias
+        """P(y=1 | x), clipped away from exactly 0 and 1; a row whose logit
+        overflows float64 raises ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.asarray(X, dtype=float) @ self.weights + self.bias
+        if not np.isfinite(z).all():
+            row = np.flatnonzero(~np.isfinite(z))[0]
+            raise ValueError(f"row {row}: its logit overflows float64")
         return np.clip(_sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 

@@ -31,12 +31,46 @@ advance in lockstep, each bit for bit the run it would be on its own.
 Below ``_TALL_N`` points its update bincounts all runs at once over tiled
 point columns, from there on one run at a time. Every point-centre squared
 distance comes from one kernel, :func:`_sq_dists`.
+
+The engine's labels pass screens when the widest run of the stack has k of
+at least ``_SCREEN_MIN_K`` (4) and the points ``_SCREEN_MIN_D`` (2) columns;
+below either, squaring every centre out is the cheaper pass. One matrix
+product per slab, ``[-2c, ‖c‖²] · [p, 1]``, gives each centre its screen
+value ``s_j = ‖c_j‖² - 2 c_j·p``: the squared distance ``D_j`` less
+``P = ‖p‖²``, which is the same for every centre of a point. The strict-<
+pass over the s_j picks a winner b and tracks the runner-up, and only
+``D_b`` is then computed, its columns added left to right as
+:func:`_sq_dists` adds them. With ``u = 2**-53``, ``γ_m = m·u / (1 - m·u)``
+and ``M`` the largest ``‖c‖²`` of the run, the two roundings are bounded:
+
+* the screen: ``‖c‖²`` sums d squares, off by at most ``γ_d·‖c‖²``; the
+  product adds d + 1 terms in any order, off by at most ``γ_{d+1}`` times
+  the sum of their magnitudes, and ``2|c·p| <= P + ‖c‖²`` bounds that sum
+  by ``P + (2 + γ_d)·M``; so ``|ŝ_j - (D_j - P)| <= γ_{3d+2}·(P + M)``;
+* the exact kernel: each term takes three roundings and the d - 1 additions
+  one more each, so ``|D̂_j - D_j| <= γ_{d+2}·D_j <= γ_{2d+4}·(P + M)``, as
+  ``D_j <= 2·(P + M)``.
+
+So ``ŝ_j - ŝ_b > τ >= 2·(γ_{3d+2} + γ_{2d+4})·(P + M)``, about
+``(10d + 12)·u·(P + M)``, gives ``D̂_j > D̂_b`` for every j other than b: b
+is the unique exact nearest centre, the label the dense strict-< pass gives.
+The screen takes ``τ = 32·(d + 3)·u·(P + M)``, 3.2 times that bound or more
+for every d, which also covers the roundings of τ, P and the gap; P carries
+an extra ``2**-969``, so τ also exceeds the absolute error of underflowing
+products (at most ``2**-1075`` each). A point whose runner-up is within τ
+of its winner (every point with an exact tie) gets the dense strict-< pass
+over its run's centres instead. The screen runs only while
+``4·(max P + max M)`` is finite, so no product or partial sum overflows
+(:func:`lloyd_fit` and :func:`choose_k` reject points whose P overflows).
+Labels, distances, traces and models are therefore bit for bit those of the
+dense pass.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +90,12 @@ _DISTANCE_ROWS = 128
 _COPY_SLAB_MIN = 16
 # points from which _lloyd_runs bincounts each run on its own
 _TALL_N = 8192
+# widest k and columns from which the labels pass screens centres by one
+# product per slab (measured break-even: dense squaring is cheaper below)
+_SCREEN_MIN_K = 4
+_SCREEN_MIN_D = 2
+# the screen's tie bound tau per (d + 3) and per unit of ||p||^2 + max ||c||^2
+_SCREEN_EPS = 32 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -152,15 +192,26 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = 
     return out
 
 
+def _take_closer(d2: np.ndarray, j: int, best: np.ndarray, labels: np.ndarray,
+                 below: np.ndarray) -> None:
+    """One step of the strict-< pass: points that ``d2``, centre j's row,
+    puts strictly closer than ``best`` take label j, and ``best`` keeps the
+    minimum. ``labels`` and ``below`` are small unsigned ints; as j exceeds
+    every earlier label, ``max(labels, j * below)`` sets the label without
+    a masked write."""
+    np.less(d2, best, out=below)
+    np.maximum(labels, np.multiply(below, below.dtype.type(j), out=below), out=labels)
+    np.minimum(best, d2, out=best)
+
+
 def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centre labels and squared distances of a :func:`_sq_dists`
-    matrix, from one pass over its rows; ties go to the lowest index."""
-    labels = np.zeros(d2.shape[1], dtype=np.intp)
+    matrix, from one strict-< pass over its rows; ties go to the lowest index."""
+    labels, below = np.zeros((2, d2.shape[1]), dtype=np.min_scalar_type(d2.shape[0]))
     best = d2[0].copy()
     for j in range(1, d2.shape[0]):
-        np.putmask(labels, d2[j] < best, j)
-        np.minimum(best, d2[j], out=best)
-    return labels, best
+        _take_closer(d2[j], j, best, labels, below)
+    return labels.astype(np.intp), best
 
 
 def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -187,20 +238,47 @@ def uniform_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return points[idx].astype(float)
 
 
+def _workspace(dtype=float) -> cached_property:
+    """A (runs, n) workspace of a :class:`_Slabs`, allocated on first use."""
+    return cached_property(lambda self: np.empty((self.runs, self.cols.shape[1]), dtype))
+
+
 class _Slabs:
-    """(rows, n) workspaces over one point matrix, allocated once, which
-    :func:`_sq_dists` fills for a slab of centres at a time.
+    """(runs, n) workspaces over one point matrix, each allocated on first
+    use, which :func:`_sq_dists` fills for a slab of centres at a time.
 
     A centre stack is an (R, K, d) array that holds run r's centres in
     ``[r, :k_r]`` and zeros past them, with the runs sorted by k descending,
     so slab j (centre j of every run with k > j) is ``[:m_j, j]`` for a
-    prefix of m_j runs.
+    prefix of m_j runs. ``k`` bounds the k of every stack, which sizes the
+    small ints of :attr:`marks`.
     """
 
-    def __init__(self, points: np.ndarray, runs: int):
-        self.points = points
-        self.cols = np.ascontiguousarray(points.T)  # (d, n): one contiguous row per column
-        self.best, self.slab, self.term = np.empty((3, runs, points.shape[0]))
+    best = _workspace()
+    slab = _workspace()
+    term = _workspace()
+
+    def __init__(self, points: np.ndarray, runs: int, k: int = 1):
+        self.points, self.runs = points, runs
+        n, d = points.shape
+        # (d + 1, n): one contiguous row per column, then a row of ones for
+        # the screen's product; cols is the first d rows
+        self.cols1 = np.empty((d + 1, n))
+        self.cols1[:d], self.cols1[d] = points.T, 1.0
+        self.cols = self.cols1[:d]
+        self.k = k
+
+    @cached_property
+    def marks(self) -> np.ndarray:
+        """(2, runs, n) small ints: the labels and the closer-mask of the
+        strict-< pass (see :func:`_take_closer`)."""
+        return np.empty((2, self.runs, self.cols.shape[1]), np.min_scalar_type(self.k))
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Each point's squared norm plus 2**-969: the P of the screen's
+        bound τ (see the module docstring)."""
+        return np.square(self.cols).sum(axis=0) + 2.0 ** -969
 
     def kmeanspp(self, ks: np.ndarray, rngs: list) -> np.ndarray:
         """k-means++ centres of runs sorted by k descending, each drawn from
@@ -227,19 +305,85 @@ class _Slabs:
                            out=d2[:m])
         return stack
 
-    def nearest(self, stack: np.ndarray, ks: np.ndarray,
-                labels: np.ndarray, below: np.ndarray) -> np.ndarray:
+    def nearest(self, stack: np.ndarray, ks: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Label every point of every run with its nearest centre (ties to the
-        lowest index, by the strict-< pass of :func:`_nearest`) and return the
-        (R, n) squared distances to it."""
-        best = _sq_dists(self.points, stack[:, 0], self.best[:ks.size], self)
-        labels.fill(0)
-        for j in range(1, ks[0]):
+        lowest index, as the strict-< pass of :func:`_nearest` gives them),
+        written into ``labels`` as stack rows ``r * K + j``, and return the
+        (R, n) squared distances to it.
+
+        From a widest k of ``_SCREEN_MIN_K`` and ``_SCREEN_MIN_D`` columns,
+        :meth:`screen` gives the same, whenever its products stay finite."""
+        R, K = ks.size, int(ks[0])
+        lab, below = self.marks[:, :R]
+        lab.fill(0)
+        if K >= _SCREEN_MIN_K and len(self.cols) >= _SCREEN_MIN_D:
+            squares = np.square(stack).sum(axis=2)  # (R, K) squared centre norms
+            if np.isfinite(4.0 * (self.norms.max() + squares.max())):
+                return self.screen(stack, ks, squares, labels)
+        best = _sq_dists(self.points, stack[:, 0], self.best[:R], self)
+        for j in range(1, K):
             m = int(np.count_nonzero(ks > j))
             d2 = _sq_dists(self.points, stack[:m, j], self.slab[:m], self)
-            np.putmask(labels[:m], np.less(d2, best[:m], out=below[:m]), j)
-            np.minimum(best[:m], d2, out=best[:m])
+            _take_closer(d2, j, best[:m], lab[:m], below[:m])
+        np.add(lab, (np.arange(R) * K)[:, None], out=labels)
         return best
+
+    def screen(self, stack: np.ndarray, ks: np.ndarray, squares: np.ndarray,
+               labels: np.ndarray) -> np.ndarray:
+        """:meth:`nearest` through the screen (see the module docstring).
+
+        One matrix product ``[-2c, ‖c‖²] · [p, 1]`` per slab ranks every
+        run's centres by ``‖c‖² - 2 c·p`` in the strict-< pass, which also
+        tracks each point's runner-up; the winner then gets its exact
+        squared distance, and points whose runner-up lies within τ of the
+        winner get the dense pass from :meth:`fallback`."""
+        R, K = ks.size, int(ks[0])
+        lab, below = self.marks[:, :R]
+        best, second = self.best[:R], self.term[:R]
+        weights = np.empty((K, R, self.cols1.shape[0]))  # slab j's rows contiguous
+        np.multiply(stack.transpose(1, 0, 2), -2.0, out=weights[:, :, :-1])
+        weights[:, :, -1] = squares.T
+        np.matmul(weights[0], self.cols1, out=best)
+        second.fill(np.inf)  # runs with k = 1 keep no runner-up
+        for j in range(1, K):
+            m = int(np.count_nonzero(ks > j))
+            v = np.matmul(weights[j, :m], self.cols1, out=self.slab[:m])
+            # second = min(second, max(best, v)), with no workspace for the max
+            np.minimum(second[:m], v, out=second[:m])
+            np.maximum(second[:m], best[:m], out=second[:m])
+            _take_closer(v, j, best[:m], lab[:m], below[:m])
+        gaps = np.subtract(second, best, out=second)
+        np.add(lab, (np.arange(R) * K)[:, None], out=labels)
+
+        # the exact distance to the winner, columns added in order
+        gathered = self.slab[:R]
+        centres = np.ascontiguousarray(stack.reshape(R * K, -1).T)  # (d, R * K)
+        for c, col in enumerate(self.cols):
+            np.take(centres[c], labels, out=gathered, mode="wrap")  # in range by construction
+            np.subtract(col, gathered, out=gathered)
+            if c == 0:
+                np.square(gathered, out=best)
+            else:
+                best += np.square(gathered, out=gathered)
+
+        # tau = scale * (P + M); a run whose smallest gap exceeds its largest
+        # tau has no point to check
+        scale = _SCREEN_EPS * (len(self.cols) + 3)
+        centre_tau = scale * squares.max(axis=1)
+        for r in np.flatnonzero(~(gaps.min(axis=1) > scale * self.norms.max() + centre_tau)):
+            close = np.flatnonzero(~(gaps[r] > scale * self.norms + centre_tau[r]))
+            if close.size:
+                self.fallback(stack[r, :ks[r]], close, labels[r], best[r], r * K)
+        return best
+
+    def fallback(self, centres: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+                 best: np.ndarray, offset: int) -> None:
+        """Exact labels and squared distances of ``rows`` of one run, from the
+        strict-< pass over all its centres, written at ``rows`` of that run's
+        ``labels`` (as stack rows, from ``offset``) and ``best``."""
+        lab, d2 = _nearest(_sq_dists(self.points[rows], centres))
+        labels[rows] = lab + offset
+        best[rows] = d2
 
 
 def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMeansModel]:
@@ -247,9 +391,10 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
 
     Run i starts from ``default_rng(seeds[i])`` and ``params.init`` with
     ``ks[i]`` centres; ``params.k`` is not read. The runs advance together:
-    one strict-< pass over the centre stack's slabs labels every run, and one
-    weighted ``np.bincount`` per column over the labels offset to stack rows
-    updates every run's centroids, each bin adding its weights in row order
+    one labels pass over the centre stack's slabs (:meth:`_Slabs.nearest`,
+    screened from k = 4) labels every run with stack rows, and one weighted
+    ``np.bincount`` per column over those labels updates every run's
+    centroids, each bin adding its weights in row order
     (from ``_TALL_N`` points, where tiled weights cost more than they save,
     each run is bincounted on its own). A run leaves the stack when it
     converges or reaches ``params.max_iters``. Each returned model, in the
@@ -259,7 +404,7 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     ids = np.argsort(-np.asarray(ks), kind="stable")  # input position of each stack row
     ks = np.asarray(ks)[ids]
     rngs = [np.random.default_rng(seeds[i]) for i in ids]
-    work = _Slabs(points, ks.size)
+    work = _Slabs(points, ks.size, int(ks[0]))
     if params.init == INIT_KMEANSPP:
         stack = work.kmeanspp(ks, rngs)
     else:
@@ -269,26 +414,24 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
 
     tall = n >= _TALL_N
     weights = None if tall else np.empty((ks.size, n))  # one point column per run
-    labels = np.empty((ks.size, n), dtype=np.intp)
-    below = np.empty((ks.size, n), dtype=bool)
+    labels = np.empty((ks.size, n), dtype=np.intp)  # stack rows r * K + j
     traces: list[list[float]] = [[] for _ in ks]
     models: list[KMeansModel | None] = [None] * ks.size
     for iteration in range(1, params.max_iters + 1):
         R, K = ks.size, int(ks[0])
-        nearest = work.nearest(stack, ks, labels[:R], below[:R])
+        nearest = work.nearest(stack, ks, labels[:R])
         for i, total in zip(ids, nearest.sum(axis=1).tolist()):
             traces[i].append(total)
 
         sums = np.empty((R, K, d))
+        flat = labels[:R].ravel()
+        counts = np.bincount(flat, minlength=R * K).reshape(R, K)
         if tall:
-            counts = np.empty((R, K), dtype=np.intp)
             for r in range(R):
-                counts[r] = np.bincount(labels[r], minlength=K)
                 for c, col in enumerate(work.cols):
-                    sums[r, :, c] = np.bincount(labels[r], weights=col, minlength=K)
+                    sums[r, :, c] = np.bincount(labels[r], weights=col,
+                                                minlength=(r + 1) * K)[r * K:]
         else:
-            flat = np.add(labels[:R], (np.arange(R) * K)[:, None], out=labels[:R]).ravel()
-            counts = np.bincount(flat, minlength=R * K).reshape(R, K)
             for c, col in enumerate(work.cols):
                 np.copyto(weights[:R], col)
                 sums[:, :, c] = np.bincount(flat, weights=weights[:R].ravel(),
@@ -322,7 +465,8 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
 
 def _checked_points(points: np.ndarray, k: int) -> np.ndarray:
     """``points`` as a float matrix with contiguous columns, checked for k and
-    for squared distances within float64 range."""
+    for squared distances and squared norms within float64 range (the norms
+    bound the centres' norms, which the shift test and the screen take)."""
     points = np.asfortranarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be a 2-D matrix")
@@ -335,6 +479,11 @@ def _checked_points(points: np.ndarray, k: int) -> np.ndarray:
         if not np.isfinite((span ** 2).sum()):
             j = int(np.argmax(span))
             raise ValueError(f"column {j} spans {span[j]:.3g}: squared distances overflow float64")
+        norms = np.square(points).sum(axis=1)
+    if not np.isfinite(norms).all():
+        i = int(np.argmax(~np.isfinite(norms)))
+        j = int(np.argmax(np.abs(points[i])))
+        raise ValueError(f"column {j} holds {points[i, j]:.3g}: squared norms overflow float64")
     return points
 
 

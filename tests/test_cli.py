@@ -236,14 +236,14 @@ def test_infinite_numeric_cell_exits_one(tmp_path, capsys, token):
     assert not (tmp_path / "out" / "model.json").exists()
 
 
-def _huge_x0_in_fold_0(tmp_path, split):
+def _huge_x0_in_fold_0(tmp_path, split, value="1e200"):
     """Toy files whose first fold-0 ``split`` row (``run --seed 1``, 5 folds)
-    holds x0 = 1e200, a finite value whose square overflows."""
+    holds x0 = ``value``, a finite value whose square overflows."""
     data, schema, config = write_toy_files(tmp_path)
     plan = stratified_kfold(load_with_schema(data, schema).labels, 5, derive_seed(1, "folds"))
     row = int((plan.test_indices[0] if split == "test" else plan.train_indices(0))[0])
     lines = data.read_text(encoding="utf-8").splitlines()
-    lines[row + 1] = "1e200," + lines[row + 1].split(",", 1)[1]
+    lines[row + 1] = value + "," + lines[row + 1].split(",", 1)[1]
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return config
 
@@ -257,6 +257,16 @@ def test_huge_cell_in_a_held_out_row_exits_one(tmp_path, capsys):
         "error: row 0: its squared distance to every centroid overflows float64",
         "  fold 0"]
     assert not (tmp_path / "out" / "report_kmeans.json").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--no-scale"]])
+def test_lr_logit_overflow_in_a_held_out_row_exits_one(tmp_path, capsys, argv):
+    config = _huge_x0_in_fold_0(tmp_path, "test", "1.7e308")
+    assert main(["run", "--config", str(config), "--seed", "1", "--method", "lr"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: row 0: its logit overflows float64", "  fold 0"]
+    assert not (tmp_path / "out" / "report_lr.json").exists()
 
 
 @pytest.mark.parametrize("argv", [[], ["--no-scale"]])
@@ -277,13 +287,58 @@ def test_huge_cell_in_training_rows_exits_one(tmp_path, capsys, argv):
 ])
 def test_select_features_candidates_need_the_target_search(tmp_path, capsys, config_tail,
                                                           argv, needle):
+    _assert_select_features_usage_error(tmp_path, capsys, config_tail,
+                                        ["--candidates", "2"] + argv, needle)
+
+
+@pytest.mark.parametrize("config_tail,argv,needle", [
+    ("", ["--target-k", "1"], "--cv-folds conflicts with --target-k/[rfe] target_k = 1: "),
+    ("\n[rfe]\nenabled = false\n", [], "--cv-folds conflicts with [rfe] enabled = false: "),
+])
+def test_select_features_cv_folds_need_the_target_search(tmp_path, capsys, config_tail,
+                                                        argv, needle):
+    _assert_select_features_usage_error(tmp_path, capsys, config_tail,
+                                        ["--cv-folds", "9"] + argv, needle)
+
+
+def _assert_select_features_usage_error(tmp_path, capsys, config_tail, argv, needle):
     data, schema, config = write_toy_files(tmp_path)
     config.write_text(config.read_text(encoding="utf-8") + config_tail, encoding="utf-8")
-    assert main(["select-features", "--config", str(config), "--candidates", "2"] + argv) == 2
+    assert main(["select-features", "--config", str(config)] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: " + needle)
     assert not (tmp_path / "out" / "selection.json").exists()
+
+
+def _far_from_the_origin(tmp_path):
+    """Toy files whose x0 is 1e160 plus noise of 1e150 in every row: the
+    spread is ordinary, but squared norms overflow unless the columns are
+    scaled."""
+    data, schema, config = write_toy_files(tmp_path)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    noise = np.random.default_rng(0).normal(size=len(lines) - 1).tolist()
+    lines[1:] = [f"{1e160 + e * 1e150!r}," + line.split(",", 1)[1]
+                 for e, line in zip(noise, lines[1:])]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("argv,note", [
+    (["train", "--no-scale", "--k", "3"], []),
+    (["run", "--no-scale", "--seed", "1"], ["  fold 0"]),
+])
+def test_points_far_from_the_origin_exit_one(tmp_path, capsys, argv, note):
+    config = _far_from_the_origin(tmp_path)
+    assert main(argv + ["--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: column 0 holds 1e+160: squared norms overflow float64"] + note
+    assert not (tmp_path / "out" / "model.json").exists()
+    # scaled, the same table fits
+    assert main(argv[:1] + argv[2:] + ["--config", str(config)]) == 0
+    capsys.readouterr()
 
 
 def test_run_requires_seed(tmp_path, capsys):

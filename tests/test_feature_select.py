@@ -7,6 +7,7 @@ import pytest
 
 from riskmeans.feature_select import (
     NEWTON_MAX_STEPS,
+    LogisticModel,
     _sigmoid,
     default_candidates,
     fit_logistic,
@@ -130,6 +131,14 @@ def test_probabilities_stay_in_open_interval():
     model = fit_logistic(X, y)
     p = model.predict_proba(X)
     assert (p > 0).all() and (p < 1).all()
+
+
+def test_logit_overflow_names_the_row():
+    model = LogisticModel(weights=np.array([2.0, -1.0]), bias=0.5, iterations=1, final_loss=0.0)
+    for row in ([1.7e308, 0.0], [-1e308, 1e308], [np.inf, 0.0], [np.inf, np.inf]):
+        with pytest.raises(ValueError, match=r"^row 1: its logit overflows float64$"):
+            model.predict_proba(np.array([[0.5, 0.5], row, [1.0, 1.0]]))
+    assert np.isfinite(model.predict_proba(np.array([[1e300, 1e300]]))).all()
 
 
 def _informative_problem(n=120, seed=0):

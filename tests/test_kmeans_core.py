@@ -419,7 +419,7 @@ def test_lloyd_runs_cover_repairs_wide_slabs_and_tall_inputs():
     tall[::2] += [0, 4]  # two blobs, bincounted one run at a time
     cases = [(dup, list(range(2, 10)) * 2, 300),  # empty clusters repaired in a shared stack
              (wide, [k for k in range(2, 10) for _ in range(kc._COPY_SLAB_MIN // 4)], 300),
-             (tall, [2, 3, 2, 3], 40)]
+             (tall, [2, 3, 2, 3], 40), (tall, [5, 4, 2], 40)]  # dense, then screened
     for points, ks, max_iters in cases:
         points = np.asfortranarray(points)
         params = KMeansParams(k=2, max_iters=max_iters, seed=4)
@@ -427,6 +427,110 @@ def test_lloyd_runs_cover_repairs_wide_slabs_and_tall_inputs():
         for model, k, seed in zip(kc._lloyd_runs(points, ks, seeds, params), ks, seeds):
             want = _oracle_lloyd_single(points, replace(params, k=k), seed)
             assert _model_bits(model) == _model_bits(want)
+
+
+@st.composite
+def _screen_cases(draw):
+    """Points that stress the screen's rounding (exact-tie integer grids,
+    duplicated rows, a large offset with small noise, column scales from
+    1e-8 to 1e8, one column), runs whose widest k is 4 to 12 with their
+    seeds, and shared parameters."""
+    n = draw(st.integers(12, 60))
+    d = draw(st.sampled_from([1, 2, 3, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "duplicates", "offset", "scales"]))
+    if kind == "grid":
+        points = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "duplicates":
+        points = rng.normal(size=(n // 4, d))[rng.integers(0, n // 4, size=n)]
+    elif kind == "offset":
+        points = 1e6 + rng.normal(size=(n, d)) * 1e-3
+    else:
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8, 8, size=d)
+    widest = draw(st.integers(4, 12))
+    ks = [widest] + draw(st.lists(st.integers(1, widest), max_size=8))
+    seeds = draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(ks), max_size=len(ks)))
+    params = KMeansParams(
+        k=widest, restarts=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10**6)),
+        tol=draw(st.sampled_from([0.0, 1e-6])), max_iters=draw(st.sampled_from([2, 300])),
+        init=draw(st.sampled_from([INIT_KMEANSPP, INIT_UNIFORM])),
+    )
+    return np.asfortranarray(points), ks, seeds, params
+
+
+@given(_screen_cases())
+@settings(deadline=None, max_examples=100)
+def test_screened_labels_match_the_dense_oracle_bitwise(case):
+    # as shipped, and with every stack screened (any k, any column count)
+    points, ks, seeds, params = case
+    want = [_model_bits(_oracle_lloyd_single(points, replace(params, k=k), seed))
+            for k, seed in zip(ks, seeds)]
+    for min_k, min_d in ((kc._SCREEN_MIN_K, kc._SCREEN_MIN_D), (1, 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kc, "_SCREEN_MIN_K", min_k)
+            mp.setattr(kc, "_SCREEN_MIN_D", min_d)
+            got = kc._lloyd_runs(points, ks, seeds, params)
+        assert [_model_bits(model) for model in got] == want
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to ``_Slabs.<name>``."""
+    calls, method = [], getattr(kc._Slabs, name)
+
+    def spy(self, *args):
+        calls.append((self,) + args)
+        return method(self, *args)
+
+    monkeypatch.setattr(kc._Slabs, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e9])
+def test_exact_ties_fall_back_to_the_dense_pass(monkeypatch, offset):
+    # rows 1 and 3 are exactly as far from centres 1 and 2 as from centre 0,
+    # so their screen values tie; around 1e9 the screen's squared norms also
+    # round (to multiples of 128), where the exact distances do not
+    centres = offset + np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [9.0, 9.0]])
+    points = np.asfortranarray(offset + np.array(
+        [[0.0, -1.0], [1.0, 1.0], [9.0, 8.0], [1.0, 1.0], [3.0, 0.0]]))
+    fallbacks = _spy(monkeypatch, "fallback")
+    work, labels = kc._Slabs(points, 1, 4), np.empty((1, 5), dtype=np.intp)
+    best = work.nearest(centres[None], np.array([4]), labels)
+    want_labels, want_best = _loop_nearest(_loop_sq_dists(points, centres))
+    assert labels[0].tolist() == want_labels.tolist() == [0, 0, 3, 0, 1]
+    assert best[0].tobytes() == want_best.tobytes()
+    assert len(fallbacks) == 1
+    rows = fallbacks[0][2].tolist()
+    if offset == 0:
+        assert rows == [1, 3]
+    else:  # every row lies within the bound of a second centre there
+        assert {1, 3} <= set(rows)
+
+
+def test_only_stacks_from_k_4_and_2_columns_take_the_screen(monkeypatch):
+    screens = _spy(monkeypatch, "screen")
+    points = np.random.default_rng(8).normal(size=(200, 5)) * [1, 2, 3, 4, 5]
+    params = KMeansParams(k=2, max_iters=50, seed=1)
+    seeds = [derive_seed(3, f"run:{i}") for i in range(8)]
+    kc._lloyd_runs(np.asfortranarray(points), [2, 3, 3, 2, 1, 3, 2, 2], seeds, params)
+    kc._lloyd_runs(np.asfortranarray(points[:, :1]), list(range(2, 10)), seeds, params)
+    assert screens == []
+    kc._lloyd_runs(np.asfortranarray(points), list(range(2, 10)), seeds, params)
+    assert screens and all(int(ks[0]) >= 4 for _, _, ks, *_ in screens)
+
+
+def test_points_far_from_the_origin_are_rejected():
+    # squared spans are finite, but every squared norm overflows; the shift
+    # test took norms of such centres and stopped after one iteration
+    points = np.random.default_rng(4).normal(size=(40, 3))
+    points[:, 1] = 1e160 + points[:, 1] * 1e150
+    message = "column 1 holds 1e+160: squared norms overflow float64"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lloyd_fit(points, KMeansParams(k=3))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        choose_k(points, range(2, 5), KMeansParams(k=2))
+    model = lloyd_fit(points / 1e150, KMeansParams(k=3))
+    assert np.isfinite(model.wcss)
 
 
 def test_choose_k_equals_per_k_lloyd_fit():
