@@ -119,10 +119,10 @@ def cmd_select_features(args) -> int:
             continue
         if not cfg.rfe_enabled:
             raise UsageError(f"{flag} conflicts with [rfe] enabled = false: "
-                             "candidates are searched only when RFE runs")
+                             "the target-size search runs only when RFE runs")
         if cfg.rfe_target_k is not None:
             raise UsageError(f"{flag} conflicts with --target-k/[rfe] target_k = "
-                             f"{cfg.rfe_target_k}: candidates are searched only when it is auto")
+                             f"{cfg.rfe_target_k}: the target-size search runs only when it is auto")
     seed = args.seed
     ds = _load_dataset(cfg, seed)
     proc, _ = preprocess(ds, scale=cfg.scale)
@@ -135,7 +135,7 @@ def cmd_select_features(args) -> int:
     if cfg.rfe_enabled:
         result = select_features(proc.features, proc.labels, target_k=cfg.rfe_target_k,
                                  step=cfg.rfe_step, seed=seed, candidates=candidates,
-                                 cv_folds=args.cv_folds or 3)
+                                 **({} if args.cv_folds is None else {"cv_folds": args.cv_folds}))
     else:
         result = RfeResult(selected=range(proc.d), elimination_trace=())
     target = len(result.selected)
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-k", dest="target_k",
                    help="feature count to keep, or 'auto'")
     p.add_argument("--candidates", help="comma-separated counts for auto, each in [1, d]")
-    p.add_argument("--cv-folds", type=int, help="folds of the target-size search (default 3)")
+    p.add_argument("--cv-folds", type=int, help="folds of the target-size search")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_select_features)
 

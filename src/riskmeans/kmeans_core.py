@@ -33,8 +33,8 @@ point columns, from there on one run at a time. Every point-centre squared
 distance comes from one kernel, :func:`_sq_dists`.
 
 The engine's labels pass screens when the widest run of the stack has k of
-at least ``_SCREEN_MIN_K`` (4) and the points ``_SCREEN_MIN_D`` (2) columns;
-below either, squaring every centre out is the cheaper pass. One matrix
+at least ``_SCREEN_MIN_K`` (4); below it, squaring every centre out is the
+cheaper pass. One matrix
 product per slab, ``[-2c, ‖c‖²] · [p, 1]``, gives each centre its screen
 value ``s_j = ‖c_j‖² - 2 c_j·p``: the squared distance ``D_j`` less
 ``P = ‖p‖²``, which is the same for every centre of a point. The strict-<
@@ -90,10 +90,9 @@ _DISTANCE_ROWS = 128
 _COPY_SLAB_MIN = 16
 # points from which _lloyd_runs bincounts each run on its own
 _TALL_N = 8192
-# widest k and columns from which the labels pass screens centres by one
-# product per slab (measured break-even: dense squaring is cheaper below)
+# widest k from which the labels pass screens centres by one product per
+# slab (measured break-even: dense squaring is cheaper below)
 _SCREEN_MIN_K = 4
-_SCREEN_MIN_D = 2
 # the screen's tie bound tau per (d + 3) and per unit of ||p||^2 + max ||c||^2
 _SCREEN_EPS = 32 * 2.0 ** -53
 
@@ -238,9 +237,9 @@ def uniform_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return points[idx].astype(float)
 
 
-def _workspace(dtype=float) -> cached_property:
+def _workspace() -> cached_property:
     """A (runs, n) workspace of a :class:`_Slabs`, allocated on first use."""
-    return cached_property(lambda self: np.empty((self.runs, self.cols.shape[1]), dtype))
+    return cached_property(lambda self: np.empty((self.runs, self.cols.shape[1])))
 
 
 class _Slabs:
@@ -311,14 +310,16 @@ class _Slabs:
         written into ``labels`` as stack rows ``r * K + j``, and return the
         (R, n) squared distances to it.
 
-        From a widest k of ``_SCREEN_MIN_K`` and ``_SCREEN_MIN_D`` columns,
-        :meth:`screen` gives the same, whenever its products stay finite."""
+        From a widest k of ``_SCREEN_MIN_K``, :meth:`screen` gives the same,
+        whenever its products stay finite."""
         R, K = ks.size, int(ks[0])
         lab, below = self.marks[:, :R]
         lab.fill(0)
-        if K >= _SCREEN_MIN_K and len(self.cols) >= _SCREEN_MIN_D:
-            squares = np.square(stack).sum(axis=2)  # (R, K) squared centre norms
-            if np.isfinite(4.0 * (self.norms.max() + squares.max())):
+        if K >= _SCREEN_MIN_K:
+            with np.errstate(over="ignore"):  # norms that overflow take the dense pass
+                squares = np.square(stack).sum(axis=2)  # (R, K) squared centre norms
+                screened = np.isfinite(4.0 * (self.norms.max() + squares.max()))
+            if screened:
                 return self.screen(stack, ks, squares, labels)
         best = _sq_dists(self.points, stack[:, 0], self.best[:R], self)
         for j in range(1, K):

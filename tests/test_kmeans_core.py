@@ -461,14 +461,13 @@ def _screen_cases(draw):
 @given(_screen_cases())
 @settings(deadline=None, max_examples=100)
 def test_screened_labels_match_the_dense_oracle_bitwise(case):
-    # as shipped, and with every stack screened (any k, any column count)
+    # as shipped, and with every stack screened (any k)
     points, ks, seeds, params = case
     want = [_model_bits(_oracle_lloyd_single(points, replace(params, k=k), seed))
             for k, seed in zip(ks, seeds)]
-    for min_k, min_d in ((kc._SCREEN_MIN_K, kc._SCREEN_MIN_D), (1, 1)):
+    for min_k in (kc._SCREEN_MIN_K, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kc, "_SCREEN_MIN_K", min_k)
-            mp.setattr(kc, "_SCREEN_MIN_D", min_d)
             got = kc._lloyd_runs(points, ks, seeds, params)
         assert [_model_bits(model) for model in got] == want
 
@@ -507,13 +506,12 @@ def test_exact_ties_fall_back_to_the_dense_pass(monkeypatch, offset):
         assert {1, 3} <= set(rows)
 
 
-def test_only_stacks_from_k_4_and_2_columns_take_the_screen(monkeypatch):
+def test_only_stacks_from_k_4_take_the_screen(monkeypatch):
     screens = _spy(monkeypatch, "screen")
     points = np.random.default_rng(8).normal(size=(200, 5)) * [1, 2, 3, 4, 5]
     params = KMeansParams(k=2, max_iters=50, seed=1)
     seeds = [derive_seed(3, f"run:{i}") for i in range(8)]
     kc._lloyd_runs(np.asfortranarray(points), [2, 3, 3, 2, 1, 3, 2, 2], seeds, params)
-    kc._lloyd_runs(np.asfortranarray(points[:, :1]), list(range(2, 10)), seeds, params)
     assert screens == []
     kc._lloyd_runs(np.asfortranarray(points), list(range(2, 10)), seeds, params)
     assert screens and all(int(ks[0]) >= 4 for _, _, ks, *_ in screens)
@@ -531,6 +529,23 @@ def test_points_far_from_the_origin_are_rejected():
         choose_k(points, range(2, 5), KMeansParams(k=2))
     model = lloyd_fit(points / 1e150, KMeansParams(k=3))
     assert np.isfinite(model.wcss)
+
+
+def test_squared_norms_near_the_float64_limit_take_the_dense_pass(monkeypatch):
+    # every squared norm is finite (about 1.3e308) but two of them add past
+    # the float64 limit, so the screen's range check itself must not warn;
+    # the dense pass labels these points exactly
+    screens = _spy(monkeypatch, "screen")
+    rng = np.random.default_rng(6)
+    points = np.asfortranarray(8e153 + rng.normal(size=(60, 2)) * 1e150)
+    assert np.isfinite(np.square(points).sum(axis=1)).all()
+    params = KMeansParams(k=4, seed=2)
+    ks, seeds = [4, 4, 5], [derive_seed(5, f"run:{i}") for i in range(3)]
+    for model, k, seed in zip(kc._lloyd_runs(points, ks, seeds, params), ks, seeds):
+        want = _oracle_lloyd_single(points, replace(params, k=k), seed)
+        assert _model_bits(model) == _model_bits(want)
+    assert lloyd_fit(points, params).iterations_run > 1
+    assert screens == []
 
 
 def test_choose_k_equals_per_k_lloyd_fit():
