@@ -6,9 +6,19 @@ itself all come from train rows only, and the held-out rows are transformed
 by replaying the recorded preprocessing. That makes the no-leakage property
 structural rather than accidental: :func:`fit_fold` never receives test rows.
 
+One cross-validation loop serves :func:`run_pipeline` (one method) and
+:func:`compare_methods` (several). The fold plan and each fold's seed come
+from the config's seed alone, and neither preprocessing nor feature
+selection reads the method, so each fold's preprocessing report and
+selection are fitted once, by one :func:`fit_fold` call, and every method's
+model is fitted on them. A method's report is therefore the one it gets
+when run alone.
+
 Reports carry per-fold and mean metrics, the full config fingerprint needed
 to re-run identically, and wall-clock timing kept in a separate field so that
-same-seed reruns are byte-identical once timing is excluded.
+same-seed reruns are byte-identical once timing is excluded. A method's
+``wall_seconds`` is what it would cost run alone: each fold's shared state
+plus that method's own model fit and scoring.
 
 The comparison table surfaces transcribed results from prior published
 benchmarks on the same datasets alongside the computed rows; those reference
@@ -84,6 +94,12 @@ REFERENCE_CLAIMS = {
 }
 
 
+def _check_methods(methods) -> None:
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything that determines a cross-validated run, minus the dataset."""
@@ -103,10 +119,7 @@ class PipelineConfig:
     kmeans_init: str = INIT_KMEANSPP
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(
-                f"unknown method {self.method!r}; valid methods: {', '.join(METHODS)}"
-            )
+        _check_methods((self.method,))
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
 
@@ -116,7 +129,12 @@ class PipelineConfig:
 
 @dataclass
 class FoldFit:
-    """All state fitted on one training fold; test rows never touch it."""
+    """All state fitted on one training fold; test rows never touch it.
+
+    The preprocessing report and the selection are shared by every model the
+    fit holds: one per method it was asked for. ``fit_seconds`` is the wall
+    time of each model's own fit, by method.
+    """
 
     fold: int
     train_indices: np.ndarray
@@ -125,6 +143,14 @@ class FoldFit:
     chosen_k: int | None
     kmeans: ClusterClassifier | None
     logistic: LogisticModel | None
+    fit_seconds: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def only(self, method: str) -> FoldFit:
+        """This fit with the models of every other method removed."""
+        seconds = {method: self.fit_seconds[method]}
+        if method == "kmeans":
+            return replace(self, logistic=None, fit_seconds=seconds)
+        return replace(self, chosen_k=None, kmeans=None, fit_seconds=seconds)
 
 
 def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
@@ -133,9 +159,44 @@ def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
     )
 
 
+def _fit_kmeans(train: Dataset, config: PipelineConfig,
+                fold_seed: int) -> tuple[int, ClusterClassifier]:
+    """The fixed or silhouette-chosen k and its cluster classifier."""
+    Xs = train.features
+    carrier = KMeansParams(
+        k=2, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
+        restarts=config.kmeans_restarts,
+        seed=derive_seed(fold_seed, "kmeans"), init=config.kmeans_init,
+    )
+    distinct = np.unique(Xs, axis=0).shape[0]  # a larger k repeats centroids
+    if config.kmeans_k is not None:
+        if config.kmeans_k > distinct:
+            raise ValueError(f"k={config.kmeans_k} exceeds the {distinct} "
+                             "distinct training rows")
+        chosen_k, model = config.kmeans_k, None
+    else:
+        if Xs.shape[0] < 3:  # the silhouette needs 2 <= k <= rows - 1
+            raise ValueError("k = auto needs at least 3 training rows, "
+                             f"but there are {Xs.shape[0]}")
+        if distinct < 2:
+            raise ValueError("k = auto needs at least 2 distinct training rows, "
+                             f"but the selected columns hold {distinct}")
+        k_hi = min(config.kmeans_k_max, Xs.shape[0] - 1, distinct)
+        chosen_k, _, model = choose_k(Xs, range(2, k_hi + 1), carrier)
+    return chosen_k, fit_classifier(train, replace(carrier, k=chosen_k), model=model)
+
+
 def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
-             fold_seed: int, fold: int = 0) -> FoldFit:
-    """Fit preprocessing, feature selection, and the model on train rows only."""
+             fold_seed: int, fold: int = 0, *, methods=None) -> FoldFit:
+    """Fit preprocessing and feature selection on train rows only, then a
+    model for each of ``methods`` (default ``(config.method,)``), in the
+    order given, on that shared state.
+
+    Neither the preprocessing nor the selection reads the method, so each
+    model is the one a fit for its method alone would give.
+    """
+    methods = (config.method,) if methods is None else tuple(methods)
+    _check_methods(methods)
     train_raw = _subset(ds, train_indices)
     train_proc, report = preprocess(train_raw, scale=config.scale)
     X = np.asarray(train_proc.features, dtype=float)
@@ -146,40 +207,20 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
                                    step=config.rfe_step, seed=fold_seed).selected
     else:
         selected = tuple(range(X.shape[1]))
-    Xs = X[:, selected]
+    train = Dataset(features=X[:, selected], labels=y, name=ds.name,
+                    schema=[train_proc.schema[j] for j in selected])
 
-    chosen_k = None
-    km: ClusterClassifier | None = None
-    lm: LogisticModel | None = None
-    if config.method == "kmeans":
-        carrier = KMeansParams(
-            k=2, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
-            restarts=config.kmeans_restarts,
-            seed=derive_seed(fold_seed, "kmeans"), init=config.kmeans_init,
-        )
-        distinct = np.unique(Xs, axis=0).shape[0]  # a larger k repeats centroids
-        if config.kmeans_k is not None:
-            if config.kmeans_k > distinct:
-                raise ValueError(f"k={config.kmeans_k} exceeds the {distinct} "
-                                 "distinct training rows")
-            chosen_k, model = config.kmeans_k, None
+    fit = FoldFit(fold=fold, train_indices=np.asarray(train_indices),
+                  preprocess=report, selected=selected, chosen_k=None,
+                  kmeans=None, logistic=None)
+    for method in methods:
+        start = time.perf_counter()
+        if method == "kmeans":
+            fit.chosen_k, fit.kmeans = _fit_kmeans(train, config, fold_seed)
         else:
-            if Xs.shape[0] < 3:  # the silhouette needs 2 <= k <= rows - 1
-                raise ValueError("k = auto needs at least 3 training rows, "
-                                 f"but there are {Xs.shape[0]}")
-            if distinct < 2:
-                raise ValueError("k = auto needs at least 2 distinct training rows, "
-                                 f"but the selected columns hold {distinct}")
-            k_hi = min(config.kmeans_k_max, Xs.shape[0] - 1, distinct)
-            chosen_k, _, model = choose_k(Xs, range(2, k_hi + 1), carrier)
-        sub_schema = [train_proc.schema[j] for j in selected]
-        sub_ds = Dataset(features=Xs, labels=y, schema=sub_schema, name=ds.name)
-        km = fit_classifier(sub_ds, replace(carrier, k=chosen_k), model=model)
-    else:
-        lm = fit_logistic(Xs, y)
-    return FoldFit(fold=fold, train_indices=np.asarray(train_indices),
-                   preprocess=report, selected=selected, chosen_k=chosen_k,
-                   kmeans=km, logistic=lm)
+            fit.logistic = fit_logistic(train.features, y)
+        fit.fit_seconds[method] = time.perf_counter() - start
+    return fit
 
 
 def score_fold(fit: FoldFit, ds: Dataset, test_indices: np.ndarray,
@@ -242,25 +283,40 @@ def _mean_bundle(bundles) -> MetricBundle:
     )
 
 
-def run_pipeline(ds: Dataset, config: PipelineConfig) -> CvReport:
-    """Cross-validate one method on one dataset.
+def _cross_validate(ds: Dataset, methods: tuple,
+                    config: PipelineConfig) -> dict[str, CvReport]:
+    """One cross-validation loop for every method in ``methods``.
 
-    Folds run in index order. An error inside a fold propagates with its type
-    and message unchanged and a ``fold <i>`` note added.
+    Each fold is fitted once by :func:`fit_fold`, with a model per method,
+    and each method's model is then scored on the fold's test rows. A
+    method's ``wall_seconds`` adds, over the folds, the fold's shared state
+    (the fit less every model's own fit), its own model's fit and its own
+    scoring: what the method costs run alone.
     """
     plan = stratified_kfold(ds.labels, config.folds, derive_seed(config.seed, "folds"))
-    start = time.perf_counter()
-    results = []
+    results = {m: [] for m in methods}
+    wall = dict.fromkeys(methods, 0.0)
     for i in range(plan.k):
         try:
+            start = time.perf_counter()
             fold_seed = derive_seed(config.seed, f"fold:{i}")
-            fit = fit_fold(ds, plan.train_indices(i), config, fold_seed, fold=i)
-            results.append((fit, score_fold(fit, ds, plan.test_indices[i], config)))
+            fit = fit_fold(ds, plan.train_indices(i), config, fold_seed, fold=i,
+                           methods=methods)
+            shared = time.perf_counter() - start - sum(fit.fit_seconds.values())
+            for m in methods:
+                start = time.perf_counter()
+                own = fit.only(m)
+                results[m].append((own, score_fold(own, ds, plan.test_indices[i], config)))
+                wall[m] += shared + own.fit_seconds[m] + time.perf_counter() - start
         except Exception as exc:
             exc.add_note(f"fold {i}")
             raise
-    wall = time.perf_counter() - start
+    return {m: _report(ds, replace(config, method=m), plan, results[m], wall[m])
+            for m in methods}
 
+
+def _report(ds: Dataset, config: PipelineConfig, plan: FoldPlan, results: list,
+            wall: float) -> CvReport:
     bundles = []
     details = []
     fits = []
@@ -305,6 +361,15 @@ def run_pipeline(ds: Dataset, config: PipelineConfig) -> CvReport:
     )
 
 
+def run_pipeline(ds: Dataset, config: PipelineConfig) -> CvReport:
+    """Cross-validate one method on one dataset.
+
+    Folds run in index order. An error inside a fold propagates with its type
+    and message unchanged and a ``fold <i>`` note added.
+    """
+    return _cross_validate(ds, (config.method,), config)[config.method]
+
+
 @dataclass
 class ComparisonResult:
     """Computed rows; reports show REFERENCE_ROWS and REFERENCE_CLAIMS beside them."""
@@ -336,17 +401,21 @@ class ComparisonResult:
 
 
 def compare_methods(ds: Dataset, methods, config: PipelineConfig) -> ComparisonResult:
-    """Run each requested method and assemble the comparison table."""
+    """Cross-validate the methods in one shared loop (:func:`_cross_validate`)
+    and assemble the comparison table.
+
+    Method m's row is the report ``run_pipeline(ds, replace(config,
+    method=m))`` gives. Folds run in index order and, within a fold, methods
+    in the order given; the first error propagates with its type and message
+    unchanged and a ``fold <i>`` note added.
+    """
     methods = list(methods)
     if not methods:
         raise ValueError("at least one method required")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
-    computed = tuple(
-        (m, run_pipeline(ds, replace(config, method=m))) for m in methods
-    )
-    return ComparisonResult(dataset=ds.name, computed=computed)
+    _check_methods(methods)
+    reports = _cross_validate(ds, tuple(dict.fromkeys(methods)), config)
+    return ComparisonResult(dataset=ds.name,
+                            computed=tuple((m, reports[m]) for m in methods))
 
 
 _COLS = ("auc", "acc", "f1", "brier", "tpr")

@@ -217,7 +217,12 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
         correct = 0
         for fold in range(plan.k):
             tr, te = plan.train_indices(fold), plan.test_indices[fold]
-            clf = fit_classifier(_as_dataset(X[tr][:, sel], y[tr]), params)
+            train = X[tr][:, sel]
+            # lloyd_fit rejects 2 clusters on one distinct row; one cluster
+            # predicts the labels the 2 repeated centroids did
+            one_row = not np.ptp(train, axis=0).any()
+            clf = fit_classifier(_as_dataset(train, y[tr]),
+                                 replace(params, k=1) if one_row else params)
             correct += int(np.sum(predict_labels(clf, X[te][:, sel]) == y[te]))
         scored.append((cand, correct, result))
     return min(scored, key=lambda s: (-s[1], s[0]))[2]

@@ -397,15 +397,19 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     ``np.bincount`` per column over those labels updates every run's
     centroids, each bin adding its weights in row order
     (from ``_TALL_N`` points, where tiled weights cost more than they save,
-    each run is bincounted on its own). A run leaves the stack when it
-    converges or reaches ``params.max_iters``. Each returned model, in the
-    order of ``ks``, is bit for bit the fit of that run on its own.
+    each run is bincounted on its own). A run converges when no centre c
+    moves by ``params.tol * (1 + ||c - mu||)`` or more, mu the mean of the
+    points, so translating the points does not move the stopping point. It
+    leaves the stack when it converges or reaches ``params.max_iters``. Each
+    returned model, in the order of ``ks``, is bit for bit the fit of that
+    run on its own.
     """
     n, d = points.shape
     ids = np.argsort(-np.asarray(ks), kind="stable")  # input position of each stack row
     ks = np.asarray(ks)[ids]
     rngs = [np.random.default_rng(seeds[i]) for i in ids]
     work = _Slabs(points, ks.size, int(ks[0]))
+    mean = work.cols.mean(axis=1)  # the shift test measures centres from here
     if params.init == INIT_KMEANSPP:
         stack = work.kmeanspp(ks, rngs)
     else:
@@ -444,7 +448,7 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
             new[r, j] = points[np.argmax(_sq_dists(points, stack[r, j:j + 1], work=work)[0])]
 
         shift = (np.linalg.norm(new - stack, axis=2)
-                 / (1.0 + np.linalg.norm(stack, axis=2))).max(axis=1)
+                 / (1.0 + np.linalg.norm(stack - mean, axis=2))).max(axis=1)
         converged = shift < params.tol
         done = converged | (iteration == params.max_iters)
         for r in np.flatnonzero(done):
@@ -502,11 +506,19 @@ def lloyd_fit(points: np.ndarray, params: KMeansParams) -> KMeansModel:
 
     Restart r uses the derived seed ``(params.seed, "restart:r")``, so single
     restarts can be reproduced in isolation. The restarts run in lockstep
-    (see :func:`_lloyd_runs`); ties keep the earliest restart.
+    (see :func:`_lloyd_runs`); ties keep the earliest restart. A k above the
+    number of distinct rows raises ``ValueError`` naming that number: such a
+    fit can only repeat centroids, so the rows are counted only when the
+    winner does.
     """
     points = _checked_points(points, params.k)
     seeds = _restart_seeds(params)
-    return _lowest_wcss(_lloyd_runs(points, [params.k] * len(seeds), seeds, params))
+    model = _lowest_wcss(_lloyd_runs(points, [params.k] * len(seeds), seeds, params))
+    if np.unique(model.centroids, axis=0).shape[0] < params.k:
+        distinct = np.unique(points, axis=0).shape[0]
+        if distinct < params.k:
+            raise ValueError(f"k={params.k} exceeds the {distinct} distinct rows")
+    return model
 
 
 def assign(model: KMeansModel, x: np.ndarray) -> int:

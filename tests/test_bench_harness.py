@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -276,6 +279,114 @@ def test_compare_methods_rejects_bad_input():
         compare_methods(ds, [], _config())
     with pytest.raises(ValueError, match="unknown method"):
         compare_methods(ds, ["kmeans", "svm"], _config())
+
+
+@pytest.mark.parametrize("methods", [["kmeans", "lr"], ["lr", "kmeans"], ["lr"]])
+@pytest.mark.parametrize("auto", [False, True], ids=["fixed", "auto"])
+def test_compare_methods_rows_equal_separate_runs(methods, auto):
+    # the shared loop fits each fold's preprocessing and selection once, yet
+    # every row is the report its method gives run alone
+    ds = _bench_dataset()
+    config = _config(rfe_target_k=None, kmeans_k=None, kmeans_k_max=4) if auto else _config()
+    result = compare_methods(ds, methods, replace(config, method="kmeans"))
+    assert [m for m, _ in result.computed] == methods
+    for m, report in result.computed:
+        alone = run_pipeline(ds, replace(config, method=m))
+        assert report.to_json(include_timing=False) == alone.to_json(include_timing=False)
+        assert report.timing["wall_seconds"] > 0
+        for fit in report.fits:  # each row holds its own method's models only
+            assert (fit.kmeans is not None, fit.logistic is not None) == (m == "kmeans",
+                                                                          m == "lr")
+            assert list(fit.fit_seconds) == [m]
+
+
+def test_compare_methods_fits_each_fold_state_once(monkeypatch):
+    counts = {"preprocess": 0, "select_features": 0, "fit_fold": 0}
+
+    def counting(name):
+        real = getattr(bench_harness, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(bench_harness, name, counting(name))
+    result = compare_methods(_bench_dataset(), ["kmeans", "lr"], _config())
+    assert counts == {"preprocess": 3, "select_features": 3, "fit_fold": 3}
+    assert [len(r.fits) for _, r in result.computed] == [3, 3]
+
+
+def test_compare_methods_wall_seconds_are_each_method_run_alone(monkeypatch):
+    # a method's wall_seconds holds every fold's shared state and its own
+    # model fit, not the other method's fit
+    real_preprocess, real_fit_kmeans = bench_harness.preprocess, bench_harness._fit_kmeans
+
+    def slow_preprocess(*args, **kwargs):
+        time.sleep(0.05)
+        return real_preprocess(*args, **kwargs)
+
+    def slow_fit_kmeans(*args, **kwargs):
+        time.sleep(0.1)
+        return real_fit_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(bench_harness, "preprocess", slow_preprocess)
+    monkeypatch.setattr(bench_harness, "_fit_kmeans", slow_fit_kmeans)
+    result = compare_methods(_bench_dataset(), ["kmeans", "lr"], _config())
+    wall = {m: r.timing["wall_seconds"] for m, r in result.computed}
+    assert wall["lr"] >= 3 * 0.05
+    assert wall["kmeans"] >= 3 * (0.05 + 0.1)
+    assert wall["kmeans"] - wall["lr"] > 3 * 0.1 - 0.05
+
+
+def test_fit_fold_fills_the_slot_of_every_method():
+    ds = _bench_dataset()
+    both = fit_fold(ds, np.arange(ds.n), _config(), fold_seed=5, methods=("lr", "kmeans"))
+    assert list(both.fit_seconds) == ["lr", "kmeans"]
+    for method in ("kmeans", "lr"):
+        alone = fit_fold(ds, np.arange(ds.n), _config(method=method), fold_seed=5)
+        own = both.only(method)
+        assert own.selected == alone.selected and own.chosen_k == alone.chosen_k
+        assert own.preprocess.to_json() == alone.preprocess.to_json()
+        if method == "kmeans":
+            assert own.logistic is None
+            assert own.kmeans.model.centroids.tobytes() == alone.kmeans.model.centroids.tobytes()
+        else:
+            assert own.kmeans is None and own.chosen_k is None
+            assert own.logistic.weights.tobytes() == alone.logistic.weights.tobytes()
+    with pytest.raises(ValueError, match="unknown method 'svm'"):
+        fit_fold(ds, np.arange(ds.n), _config(), fold_seed=5, methods=("kmeans", "svm"))
+
+
+@pytest.mark.parametrize("methods", [["kmeans", "lr"], ["lr", "kmeans"]])
+def test_compare_methods_fold_errors_keep_type_message_and_note(methods, monkeypatch):
+    # a failure in the shared state
+    ds = _bench_dataset()
+    ds.features[:, 1] = np.nan
+    with pytest.raises(AllMissingColumnError) as info:
+        compare_methods(ds, methods, _config())
+    assert str(info.value) == str(AllMissingColumnError("f1"))
+    assert info.value.__notes__ == ["fold 0"]
+    # a failure in one method's model fit, listed first or second
+    with pytest.raises(ValueError) as info:
+        compare_methods(_bench_dataset(n_per=10), methods, _config(kmeans_k=64))
+    assert str(info.value).startswith("k=64 exceeds the ")
+    assert info.value.__notes__ == ["fold 0"]
+
+    # a failure in scoring, past the first fold
+    real_score = bench_harness.score_fold
+
+    def failing_score(fit, ds, test_indices, config):
+        if fit.fold == 1 and fit.logistic is not None:
+            raise CellParseError(row=4, column="amount", token="x?")
+        return real_score(fit, ds, test_indices, config)
+
+    monkeypatch.setattr(bench_harness, "score_fold", failing_score)
+    with pytest.raises(CellParseError) as info:
+        compare_methods(_bench_dataset(), methods, _config())
+    assert str(info.value) == str(CellParseError(row=4, column="amount", token="x?"))
+    assert info.value.__notes__ == ["fold 1"]
 
 
 def _fake_report(method, acc):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from riskmeans.mg_scanner import window_count
 from riskmeans.seeding import derive_seed
 
 from conftest import write_toy_files
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read_json(path):
@@ -388,6 +394,67 @@ def test_compare_writes_all_artifacts(tmp_path, capsys):
     assert (base / "comparison.txt").exists()
     assert (base / "report_kmeans.json").exists()
     assert (base / "report_lr.json").exists()
+
+
+def _without_timing(path):
+    payload = _read_json(path)
+    payload.pop("timing")
+    return payload
+
+
+def test_compare_reports_equal_run_reports(tmp_path, capsys):
+    # compare fits each fold's preprocessing and selection once for both
+    # methods; each method's report is still the one run writes
+    data, schema, config = write_toy_files(tmp_path)
+    common = ["--config", str(config), "--seed", "4", "--folds", "3"]
+    assert main(["compare", *common, "--methods", "kmeans,lr",
+                 "--out", str(tmp_path / "compare")]) == 0
+    for method in ("kmeans", "lr"):
+        assert main(["run", *common, "--method", method,
+                     "--out", str(tmp_path / method)]) == 0
+        name = f"report_{method}.json"
+        assert (_without_timing(tmp_path / "compare" / name)
+                == _without_timing(tmp_path / method / name))
+    capsys.readouterr()
+
+
+def _run_in_subprocess(tmp_path, config, out, blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads), MKL_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "riskmeans.cli", "run", "--config", str(config),
+                           "--seed", "9", "--folds", "3", "--out", str(out)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.dumps(_without_timing(out / "report_kmeans.json"), indent=2, sort_keys=True)
+
+
+def test_run_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # criterion 8 across processes: the CLI does not pin BLAS threads, so a
+    # report must not change with them. 1200 rows, 8 of 10 columns kept and
+    # k up to 10 make the labels pass's products (54 runs x 9 x 800 training
+    # rows) larger than OpenBLAS's threshold for splitting a product
+    rng = np.random.default_rng(8)
+    n, d = 1200, 10
+    y = (rng.random(n) < 0.3).astype(int)
+    X = rng.normal(size=(n, d)) + np.outer(y, np.linspace(2.0, 0.0, d))
+    data = tmp_path / "wide.csv"
+    names = [f"x{j}" for j in range(d)]
+    data.write_text(",".join(names + ["outcome"]) + "\n" + "".join(
+        ",".join(f"{v:.6f}" for v in row) + f",{'bad' if label else 'good'}\n"
+        for row, label in zip(X, y)), encoding="utf-8")
+    schema = tmp_path / "wide.schema"
+    schema.write_text("".join(f"column {c} numeric\n" for c in names)
+                      + "column outcome categorical\nlabel outcome positive=bad\n",
+                      encoding="utf-8")
+    config = tmp_path / "wide.ini"
+    config.write_text(f"[data]\npath = {data}\nschema = {schema}\nname = wide\n"
+                      "\n[rfe]\ntarget_k = 8\n"
+                      "\n[kmeans]\nk = auto\nk_max = 10\nrestarts = 6\n",
+                      encoding="utf-8")
+    one = _run_in_subprocess(tmp_path, config, tmp_path / "one", 1)
+    two = _run_in_subprocess(tmp_path, config, tmp_path / "two", 2)
+    assert one == two
 
 
 def test_compare_empty_methods_exits_two(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from riskmeans.feature_select import (
     select_features,
     select_target_k,
 )
+from riskmeans.kmeans_core import PROBE_PARAMS, KMeansModel, fit_classifier, predict_labels
 from riskmeans.seeding import derive_seed
 
-from conftest import make_labeled_blobs
+from conftest import make_labeled_blobs, numeric_dataset
 
 
 def finite_difference_grad(w, b, X, y, l2, eps=1e-6):
@@ -251,6 +254,22 @@ def test_select_target_k_tie_prefers_smaller():
     base = np.where(y == 1, 3.0, -3.0) + 0.3 * rng.normal(size=n)
     X = np.column_stack([base, base])
     assert len(select_target_k(X, y, [2, 1], cv_folds=3, seed=0).selected) == 1
+
+
+def test_select_target_k_probes_one_distinct_row_with_one_cluster():
+    # lloyd_fit rejects the probe's 2 clusters on one distinct row; 1 cluster
+    # predicts the labels that 2 repeated centroids did, so the search goes on
+    X = np.ones((30, 3))
+    queries = np.array([[1.0, 1.0, 1.0], [0.0, 2.0, -1.0]])
+    for y in (np.array([0, 1, 1] * 10), np.array([1, 0, 0] * 10)):
+        assert len(select_target_k(X, y, [3, 1], cv_folds=3, seed=0).selected) == 1
+        ds = numeric_dataset(X, y)
+        repeated = KMeansModel(centroids=np.ones((2, 3)), wcss=0.0, iterations_run=1,
+                               converged=True, wcss_trace=(0.0, 0.0))
+        two = fit_classifier(ds, PROBE_PARAMS, model=repeated)
+        one = fit_classifier(ds, replace(PROBE_PARAMS, k=1))
+        assert predict_labels(two, queries).tolist() == predict_labels(one, queries).tolist()
+        assert len(set(predict_labels(one, queries).tolist())) == 1
 
 
 def test_select_target_k_validations():

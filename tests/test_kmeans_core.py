@@ -142,9 +142,58 @@ def test_lloyd_two_blobs_recovers_means():
 
 def test_lloyd_identical_points():
     points = np.full((5, 2), 3.0)
-    model = lloyd_fit(points, KMeansParams(k=2, seed=0))
+    model = lloyd_fit(points, KMeansParams(k=1, seed=0))
     assert model.wcss == 0.0
     assert model.converged and model.iterations_run == 1
+    # a second centroid could only repeat the one row
+    with pytest.raises(ValueError, match=r"^k=2 exceeds the 1 distinct rows$"):
+        lloyd_fit(points, KMeansParams(k=2, seed=0))
+
+
+def test_lloyd_stopping_rule_ignores_where_the_points_sit():
+    # the shift test measures centres from the points' mean, so moving every
+    # point by one offset stops each run at the same iteration; the shift
+    # relative to 1 + ||c|| stopped after one iteration from 1e6 on
+    x = np.random.default_rng(0).normal(size=(60, 3))
+    ks = [k for k in (2, 3, 4, 5) for _ in range(3)]
+    seeds = [derive_seed(0, f"run:{i}") for i in range(len(ks))]
+    fits = {}
+    for offset in (0.0, 1e6, 1e10):
+        points = np.asfortranarray(x + offset)
+        runs = kc._lloyd_runs(points, ks, seeds, KMeansParams(k=2))
+        fits[offset] = [(m.iterations_run, m.converged, assign_many(m, points).tolist())
+                        for m in runs]
+    assert fits[1e6] == fits[0.0]
+    assert fits[1e10] == fits[0.0]
+    assert [fit[0] for fit in fits[0.0]] != [1] * len(ks)
+    assert [lloyd_fit(x + offset, KMeansParams(k=3)).iterations_run
+            for offset in (0.0, 1e6, 1e10)] == [7, 7, 7]
+
+
+def test_lloyd_fit_rejects_k_above_the_distinct_rows():
+    points = np.repeat([[0.0, 1.0], [2.0, 3.0]], 5, axis=0)
+    with pytest.raises(ValueError, match=r"^k=4 exceeds the 2 distinct rows$"):
+        lloyd_fit(points, KMeansParams(k=4))
+    with pytest.raises(ValueError, match=r"^k=3 exceeds the 2 distinct rows$"):
+        lloyd_fit(points, KMeansParams(k=3, restarts=2, max_iters=5))
+    assert len(np.unique(lloyd_fit(points, KMeansParams(k=2)).centroids, axis=0)) == 2
+
+
+def test_lloyd_fit_counts_distinct_rows_only_after_repeated_centroids(monkeypatch):
+    shapes = []
+    unique = np.unique
+
+    def spy(ar, *args, **kwargs):
+        shapes.append(np.shape(ar))
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(kc.np, "unique", spy)
+    lloyd_fit(make_blobs(20, np.eye(3, 4) * 6, seed=1), KMeansParams(k=3))
+    assert shapes == [(3, 4)]  # the winner's centroids alone
+    shapes.clear()
+    with pytest.raises(ValueError, match="exceeds the 2 distinct rows"):
+        lloyd_fit(np.repeat([[0.0], [1.0]], 4, axis=0), KMeansParams(k=3))
+    assert shapes == [(3, 1), (8, 1)]
 
 
 def test_lloyd_rejects_non_finite():
@@ -233,12 +282,15 @@ def _loop_update(points, labels, d2, k):
 
 
 def _one_update_both_ways(points, k, seed):
-    """Centroids after one Lloyd step, from lloyd_fit and from the loop."""
+    """Centroids after one Lloyd step, from the engine and from the loop."""
     params = KMeansParams(k=k, restarts=1, max_iters=1, seed=seed)
     init = kmeanspp_init(points, k, np.random.default_rng(derive_seed(seed, "restart:0")))
     d2 = ((points[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
-    return lloyd_fit(points, params).centroids, _loop_update(points, labels, d2, k), labels
+    # the engine, as lloyd_fit runs it, which rejects the k-above-distinct case
+    got = kc._lloyd_runs(np.asfortranarray(points), [k], [derive_seed(seed, "restart:0")],
+                         params)[0]
+    return got.centroids, _loop_update(points, labels, d2, k), labels
 
 
 def _update_cases(d):
@@ -320,10 +372,12 @@ def test_lloyd_matches_exhaustive_two_partition_on_small_instances():
 
 def _oracle_lloyd_single(points, params, seed):
     """Reference Lloyd run: one restart on its own, one Python iteration at a
-    time, seeded by a loop k-means++ or :func:`uniform_init`."""
+    time, seeded by a loop k-means++ or :func:`uniform_init`; it stops once no
+    centre c moves by ``tol * (1 + ||c - mean of the points||)`` or more."""
     rng = np.random.default_rng(seed)
     init = _loop_kmeanspp_init if params.init == INIT_KMEANSPP else uniform_init
     centers = init(points, params.k, rng)
+    mean = np.ascontiguousarray(points.T).mean(axis=1)  # each column summed on its own
 
     trace = []
     iterations = 0
@@ -345,7 +399,7 @@ def _oracle_lloyd_single(points, params, seed):
 
         shift = np.max(
             np.linalg.norm(new_centers - centers, axis=1)
-            / (1.0 + np.linalg.norm(centers, axis=1))
+            / (1.0 + np.linalg.norm(centers - mean, axis=1))
         )
         centers = new_centers
         if shift < params.tol:
@@ -408,7 +462,13 @@ def test_lloyd_runs_match_single_run_oracle_bitwise(case):
     for k, seed, model in zip(ks, seeds, got):
         want = _oracle_lloyd_single(points, replace(params, k=k), seed)
         assert _model_bits(model) == _model_bits(want)
-    assert _model_bits(lloyd_fit(points, params)) == _model_bits(_oracle_lloyd_fit(points, params))
+    want = _oracle_lloyd_fit(points, params)
+    distinct = len(np.unique(points, axis=0))
+    if len(np.unique(want.centroids, axis=0)) < params.k and distinct < params.k:
+        with pytest.raises(ValueError, match=f"^k={params.k} exceeds the {distinct} distinct"):
+            lloyd_fit(points, params)
+    else:
+        assert _model_bits(lloyd_fit(points, params)) == _model_bits(want)
 
 
 def test_lloyd_runs_cover_repairs_wide_slabs_and_tall_inputs():
@@ -775,10 +835,14 @@ def test_fit_classifier_pure_cluster_posterior():
 
 
 def test_fit_classifier_empty_cluster_posterior_half():
-    # all-identical rows collapse to one cluster; the empty one smooths to 1/2
+    # all-identical rows fall in one cluster; the empty one smooths to 1/2
+    # (lloyd_fit rejects k = 2 on one distinct row, so the model is given)
     X = np.zeros((4, 2))
     y = np.array([1, 1, 1, 0])
-    clf = fit_classifier(numeric_dataset(X, y), KMeansParams(k=2, restarts=2, seed=0))
+    model = KMeansModel(centroids=np.array([[0.0, 0.0], [5.0, 5.0]]), wcss=0.0,
+                        iterations_run=1, converged=True, wcss_trace=(0.0, 0.0))
+    clf = fit_classifier(numeric_dataset(X, y), KMeansParams(k=2, restarts=2, seed=0),
+                         model=model)
     assert 0.5 in list(clf.posteriors)
     assert (3 + 1) / (4 + 2) in list(clf.posteriors)
     assert clf.bandwidth == 1.0  # zero mean distance falls back to 1

@@ -157,6 +157,16 @@ def test_unfitted_estimator_rejected():
         est.transform_many(np.zeros((1, 4)))
 
 
+def test_kmeans_estimator_rejects_k_above_the_distinct_windows():
+    windows = np.repeat([[0.0, 1.0], [2.0, 3.0]], 6, axis=0)
+    labels = np.tile([0, 1], 6)
+    est = KMeansWindowEstimator(KMeansParams(k=4, restarts=2))
+    with pytest.raises(ValueError, match=r"^k=4 exceeds the 2 distinct rows$"):
+        est.fit(windows, labels)
+    assert est.classifier is None
+    assert KMeansWindowEstimator(KMeansParams(k=2, restarts=2)).fit(windows, labels).classifier
+
+
 def test_estimator_seeds_give_distinct_centroids():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(40, 10))
