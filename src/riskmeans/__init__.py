@@ -69,14 +69,10 @@ from .metrics import (
     tpr,
 )
 from .mg_scanner import (
-    ConstantProbEstimator,
-    KMeansWindowEstimator,
     ScanConfig,
-    WindowEstimator,
     fit_window_estimators,
     scan,
     transform_matrix,
-    transform_vector,
     window_count,
 )
 from .seeding import derive_seed

@@ -95,9 +95,11 @@ REFERENCE_CLAIMS = {
 
 
 def _check_methods(methods) -> None:
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} repeated")
 
 
 @dataclass(frozen=True)
@@ -407,13 +409,14 @@ def compare_methods(ds: Dataset, methods, config: PipelineConfig) -> ComparisonR
     Method m's row is the report ``run_pipeline(ds, replace(config,
     method=m))`` gives. Folds run in index order and, within a fold, methods
     in the order given; the first error propagates with its type and message
-    unchanged and a ``fold <i>`` note added.
+    unchanged and a ``fold <i>`` note added. A repeated method raises
+    ``ValueError``.
     """
     methods = list(methods)
     if not methods:
         raise ValueError("at least one method required")
     _check_methods(methods)
-    reports = _cross_validate(ds, tuple(dict.fromkeys(methods)), config)
+    reports = _cross_validate(ds, tuple(methods), config)
     return ComparisonResult(dataset=ds.name,
                             computed=tuple((m, reports[m]) for m in methods))
 

@@ -198,9 +198,11 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods is empty; valid methods: " + ", ".join(METHODS))
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; valid methods: " + ", ".join(METHODS))
+        if m in methods[:i]:
+            raise UsageError(f"--methods: method {m!r} repeated")
     ds = _load_dataset(cfg, args.seed)
     result = compare_methods(ds, methods, cfg.pipeline(methods[0], seed=args.seed))
     out = _outdir(cfg)
@@ -238,12 +240,15 @@ def cmd_scan(args) -> int:
     if not windows or not all(1 <= w <= proc.d for w in windows):
         raise UsageError(f"--windows/[scanner] windows: need window sizes in [1, {proc.d}], "
                          f"got {','.join(map(str, windows)) or 'none'}")
-    scan_cfg = ScanConfig(
-        input_dim=proc.d,
-        windows=cfg.scanner_windows,
-        stride=cfg.scanner_stride,
-        estimators=cfg.scanner_estimators,
-    )
+    try:
+        scan_cfg = ScanConfig(
+            input_dim=proc.d,
+            windows=windows,
+            stride=cfg.scanner_stride,
+            estimators=cfg.scanner_estimators,
+        )
+    except ValueError as exc:  # a repeated window size
+        raise UsageError(f"--windows/[scanner] windows: {exc}") from None
     fitted = fit_window_estimators(proc, scan_cfg, seed=seed)
     mats = transform_matrix(proc.features, scan_cfg, fitted)
     out = _outdir(cfg)

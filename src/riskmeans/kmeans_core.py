@@ -119,7 +119,7 @@ class KMeansParams:
             raise ValueError(f"unknown init {self.init!r}")
 
 
-# The target-size search's and the window estimators' model; seed it with ``replace``.
+# The target-size search's and the scanner's cluster classifiers; seed with ``replace``.
 PROBE_PARAMS = KMeansParams(k=2, restarts=2, max_iters=100)
 
 

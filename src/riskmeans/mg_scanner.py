@@ -9,16 +9,14 @@ separate (keyed by w) so downstream stages can choose how to combine them.
 
 Windowing is one strided view over the whole input matrix (the
 multi-grained scanning of Zhou & Feng, "Deep Forest", IJCAI 2017), so each
-estimator sees every window of one size in a single call. Estimators are
-pluggable: anything with fit(windows, labels) and transform_many(windows) ->
-(count, c) probabilities works. The default is a small K-means
-cluster-posterior classifier; a constant stub exists for exercising the
-dimension contract without any fitting.
+estimator sees every window of one size in a single call. Each estimator is
+a small K-means cluster classifier (:func:`~riskmeans.kmeans_core.fit_classifier`
+with :data:`~riskmeans.kmeans_core.PROBE_PARAMS` and a derived seed) whose
+score s on a window gives the pair (1 - s, s).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +26,6 @@ from .data_ingest import ColumnSpec, Dataset, NUMERIC
 from .kmeans_core import (
     PROBE_PARAMS,
     ClusterClassifier,
-    KMeansParams,
     fit_classifier,
     predict_scores,
 )
@@ -54,9 +51,11 @@ class ScanConfig:
             raise ValueError("input_dim must be >= 1")
         if not self.windows:
             raise ValueError("at least one window size required")
-        for w in self.windows:
+        for i, w in enumerate(self.windows):
             if not 1 <= w <= self.input_dim:
                 raise ValueError(f"window size {w} outside [1, {self.input_dim}]")
+            if w in self.windows[:i]:
+                raise ValueError(f"window size {w} repeated")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if self.estimators < 1:
@@ -86,66 +85,12 @@ def scan(x: np.ndarray, w: int, s: int = 1) -> np.ndarray:
     return sliding_window_view(x, w, axis=-1)[..., ::s, :]
 
 
-class WindowEstimator(ABC):
-    """Per-window probabilistic model: fit on window vectors, emit c class
-    probabilities per window (summing to 1)."""
-
-    @abstractmethod
-    def fit(self, windows: np.ndarray, labels: np.ndarray) -> "WindowEstimator":
-        ...
-
-    @abstractmethod
-    def transform_many(self, windows: np.ndarray) -> np.ndarray:
-        """(count, w) windows -> (count, c) class probabilities."""
-
-
-class ConstantProbEstimator(WindowEstimator):
-    """Stub that ignores its input and always emits a fixed distribution.
-
-    Exists so the output-dimension contract can be tested with no fitting.
-    """
-
-    def __init__(self, probs=(0.5, 0.5)):
-        p = np.asarray(probs, dtype=float)
-        if abs(p.sum() - 1.0) > PROB_TOL or np.any(p < 0):
-            raise ValueError("probs must be a distribution")
-        self.probs = p
-
-    def fit(self, windows, labels):
-        return self
-
-    def transform_many(self, windows):
-        return np.tile(self.probs, (np.asarray(windows).shape[0], 1))
-
-
-class KMeansWindowEstimator(WindowEstimator):
-    """Cluster-posterior classifier over window vectors; emits (1 - s, s)
-    where s is the continuous positive-class score."""
-
-    def __init__(self, params: KMeansParams | None = None):
-        self.params = params or PROBE_PARAMS
-        self.classifier: ClusterClassifier | None = None
-
-    def fit(self, windows, labels):
-        windows = np.asarray(windows, dtype=float)
-        schema = [ColumnSpec(name=f"x{j}", kind=NUMERIC) for j in range(windows.shape[1])]
-        ds = Dataset(features=windows, labels=np.asarray(labels, dtype=int),
-                     schema=schema, name="window-pool")
-        self.classifier = fit_classifier(ds, self.params)
-        return self
-
-    def transform_many(self, windows):
-        if self.classifier is None:
-            raise RuntimeError("estimator not fitted")
-        s = predict_scores(self.classifier, np.asarray(windows, dtype=float))
-        return np.column_stack([1.0 - s, s])
-
-
 def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0) -> dict:
-    """Fit config.estimators K-means window models per window size.
+    """Fit config.estimators K-means cluster classifiers per window size:
+    {w: [ClusterClassifier, ...]}.
 
     For each w, every training row is sliced into its windows and the slices
-    pooled in row order (each inheriting the row label); the m estimators
+    pooled in row order (each inheriting the row label); the m classifiers
     differ only in their derived seeds.
     """
     X = np.asarray(train.features, dtype=float)
@@ -153,15 +98,17 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0) -> 
         raise ValueError(
             f"dataset dimension {X.shape[1]} != configured input_dim {config.input_dim}"
         )
-    y = np.asarray(train.labels)
-    fitted: dict[int, list[WindowEstimator]] = {}
+    y = np.asarray(train.labels, dtype=int)
+    fitted: dict[int, list[ClusterClassifier]] = {}
     for w in config.windows:
-        pool = scan(X, w, config.stride).reshape(-1, w)
-        pool_labels = np.repeat(y, window_count(config.input_dim, w, config.stride))
+        pool = Dataset(
+            features=scan(X, w, config.stride).reshape(-1, w),
+            labels=np.repeat(y, window_count(config.input_dim, w, config.stride)),
+            schema=[ColumnSpec(name=f"x{j}", kind=NUMERIC) for j in range(w)],
+            name="window-pool",
+        )
         fitted[w] = [
-            KMeansWindowEstimator(
-                replace(PROBE_PARAMS, seed=derive_seed(seed, f"scan:w{w}:e{e}"))
-            ).fit(pool, pool_labels)
+            fit_classifier(pool, replace(PROBE_PARAMS, seed=derive_seed(seed, f"scan:w{w}:e{e}")))
             for e in range(config.estimators)
         ]
     return fitted
@@ -170,8 +117,9 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0) -> 
 def transform_matrix(X: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
     """Expand each row of an (n, L) matrix: {w: (n, window_count*m*c) matrix}.
 
-    Layout per w: window index outer, estimator next, class innermost, so the
-    flat column index is win*m*c + est*c + cls. Each estimator sees all n *
+    Layout per w: window index outer, classifier next, class innermost, so
+    the flat column index is win*m*c + est*c + cls. Classifier e's score s
+    on a window gives the pair (1 - s, s); each classifier scores all n *
     window_count windows of one size in a single call.
     """
     X = np.asarray(X, dtype=float)
@@ -186,18 +134,13 @@ def transform_matrix(X: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
     for w in config.windows:
         windows = scan(X, w, config.stride).reshape(-1, w)
         probs = out[w].reshape(windows.shape[0], m, c)
-        np.stack([est.transform_many(windows) for est in fitted[w]], axis=1, out=probs)
+        for e, clf in enumerate(fitted[w]):
+            s = predict_scores(clf, windows)
+            np.subtract(1.0, s, out=probs[:, e, 0])
+            probs[:, e, 1] = s
         if np.any(np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL):
             raise ValueError("estimator probabilities do not sum to 1")
     return out
-
-
-def transform_vector(x: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
-    """One L-vector through :func:`transform_matrix`: {w: feature vector}."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (config.input_dim,):
-        raise ValueError(f"expected a vector of length {config.input_dim}, got {x.shape}")
-    return {w: m[0] for w, m in transform_matrix(x[None, :], config, fitted).items()}
 
 
 def feature_names(config: ScanConfig, w: int) -> list[str]:

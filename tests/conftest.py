@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from riskmeans.data_ingest import ColumnSpec, Dataset
+from riskmeans.kmeans_core import ClusterClassifier, KMeansModel
 
 
 def make_blobs(n_per: int, centers, spread: float = 0.5, seed: int = 0) -> np.ndarray:
@@ -32,6 +33,17 @@ def numeric_dataset(X: np.ndarray, y: np.ndarray, name: str = "synthetic") -> Da
     schema = [ColumnSpec(name=f"f{j}", kind="numeric") for j in range(X.shape[1])]
     return Dataset(features=np.asarray(X, dtype=float),
                    labels=np.asarray(y, dtype=int), schema=schema, name=name)
+
+
+def constant_scanner(config) -> dict:
+    """Fitted scanner state whose every window score is exactly 0.5: per
+    window size, config.estimators k = 1 classifiers with one zero centroid,
+    posterior 0.5 and bandwidth 1.0."""
+    def half(w):
+        model = KMeansModel(centroids=np.zeros((1, w)), wcss=0.0,
+                            iterations_run=0, converged=True)
+        return ClusterClassifier(model=model, posteriors=np.array([0.5]), bandwidth=1.0)
+    return {w: [half(w)] * config.estimators for w in config.windows}
 
 
 @pytest.fixture

@@ -36,9 +36,15 @@ from riskmeans.metrics import (
     roc_curve,
     tpr,
 )
-from riskmeans.mg_scanner import ConstantProbEstimator, ScanConfig, transform_vector
+from riskmeans.mg_scanner import ScanConfig, transform_matrix
 
-from conftest import make_labeled_blobs, mixed_raw_cells, numeric_dataset, write_toy_files
+from conftest import (
+    constant_scanner,
+    make_labeled_blobs,
+    mixed_raw_cells,
+    numeric_dataset,
+    write_toy_files,
+)
 from test_feature_select import finite_difference_grad
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,10 +61,8 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
 def test_criterion_01_scanner_output_dimensions():
     t0 = time.perf_counter()
     config = ScanConfig(input_dim=400, windows=(100, 200, 300))
-    fitted = {w: [ConstantProbEstimator(), ConstantProbEstimator()]
-              for w in config.windows}
-    out = transform_vector(np.zeros(400), config, fitted)
-    dims = {w: int(out[w].shape[0]) for w in (100, 200, 300)}
+    out = transform_matrix(np.zeros((1, 400)), config, constant_scanner(config))
+    dims = {w: int(out[w].shape[1]) for w in (100, 200, 300)}
     elapsed = time.perf_counter() - t0
     ok = dims == {100: 1204, 200: 804, 300: 404} and elapsed < 1.0
     _verdict(1, ok, f"400-dim scan output dims {dims} "

@@ -279,6 +279,8 @@ def test_compare_methods_rejects_bad_input():
         compare_methods(ds, [], _config())
     with pytest.raises(ValueError, match="unknown method"):
         compare_methods(ds, ["kmeans", "svm"], _config())
+    with pytest.raises(ValueError, match=r"^method 'kmeans' repeated$"):
+        compare_methods(ds, ["kmeans", "lr", "kmeans"], _config())
 
 
 @pytest.mark.parametrize("methods", [["kmeans", "lr"], ["lr", "kmeans"], ["lr"]])

@@ -471,6 +471,14 @@ def test_compare_unknown_method_exits_two(tmp_path, capsys):
     assert "svm" in capsys.readouterr().err
 
 
+def test_compare_repeated_method_exits_two(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["compare", "--config", str(config), "--seed", "1",
+                 "--methods", "kmeans,kmeans"]) == 2
+    assert "--methods: method 'kmeans' repeated" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "comparison.json").exists()
+
+
 def test_scan_writes_window_features(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["scan", "--config", str(config), "--windows", "2",
@@ -501,6 +509,25 @@ def test_scan_window_out_of_range_exits_two(tmp_path, capsys):
     assert "--windows/[scanner] windows: need window sizes in [1, 3], got 2,4" \
         in capsys.readouterr().err
     assert not (tmp_path / "out" / "scan_meta.json").exists()
+
+
+def test_scan_repeated_window_exits_two(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["scan", "--config", str(config), "--windows", "2,2",
+                 "--seed", "1"]) == 2
+    assert "--windows/[scanner] windows: window size 2 repeated" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scan_w2.csv").exists()
+
+
+def test_demo_script_runs_every_command(tmp_path):
+    # the demo drives ingest, select-features, run, compare and scan end to end
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "demo_synthetic.py"),
+                           "--out", str(tmp_path), "--seed", "0"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("report_kmeans.json", "comparison.json", "scan_w2.csv", "scan_w3.csv",
+                 "scan_meta.json"):
+        assert (tmp_path / name).is_file(), name
 
 
 def test_fold_error_names_fold(tmp_path, capsys):

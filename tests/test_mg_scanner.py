@@ -1,4 +1,4 @@
-"""Sliding-window scanning: counting, slicing, dimension contract, estimators."""
+"""Sliding-window scanning: counting, slicing, dimension contract, classifiers."""
 
 from __future__ import annotations
 
@@ -10,22 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmeans.cv import stratified_kfold
-from riskmeans.kmeans_core import KMeansParams, fit_classifier, predict_labels
+from riskmeans.kmeans_core import (
+    PROBE_PARAMS,
+    KMeansParams,
+    fit_classifier,
+    predict_labels,
+    predict_scores,
+)
 from riskmeans.mg_scanner import (
-    ConstantProbEstimator,
-    KMeansWindowEstimator,
     ScanConfig,
     dump_features,
     feature_names,
     fit_window_estimators,
     scan,
     transform_matrix,
-    transform_vector,
     window_count,
 )
 from riskmeans.seeding import derive_seed
 
-from conftest import numeric_dataset
+from conftest import constant_scanner, numeric_dataset
 
 
 def test_window_count_reference_values():
@@ -103,19 +106,19 @@ def test_scan_config_validation():
         ScanConfig(input_dim=10, windows=(5,), stride=0)
     with pytest.raises(ValueError):
         ScanConfig(input_dim=0, windows=(1,))
+    with pytest.raises(ValueError, match=r"^window size 3 repeated$"):
+        ScanConfig(input_dim=10, windows=(3, 5, 3))
 
 
 def test_constant_stub_dimension_contract():
     # the published geometry: L=400, windows 100/200/300, 2 estimators, 2 classes
     config = ScanConfig(input_dim=400, windows=(100, 200, 300))
-    fitted = {w: [ConstantProbEstimator(), ConstantProbEstimator()]
-              for w in config.windows}
-    out = transform_vector(np.zeros(400), config, fitted)
-    assert out[100].shape == (1204,)
-    assert out[200].shape == (804,)
-    assert out[300].shape == (404,)
-    for vec in out.values():
-        assert (vec == 0.5).all()
+    out = transform_matrix(np.zeros((1, 400)), config, constant_scanner(config))
+    assert out[100].shape == (1, 1204)
+    assert out[200].shape == (1, 804)
+    assert out[300].shape == (1, 404)
+    for mat in out.values():
+        assert (mat == 0.5).all()
 
 
 @given(
@@ -128,9 +131,8 @@ def test_constant_stub_dimension_contract():
 def test_output_dimension_property_sweep(L, w_frac, s, m):
     w = max(1, int(L * w_frac))
     config = ScanConfig(input_dim=L, windows=(w,), stride=s, estimators=m)
-    fitted = {w: [ConstantProbEstimator() for _ in range(m)]}
-    vec = transform_vector(np.zeros(L), config, fitted)[w]
-    assert vec.shape == (window_count(L, w, s) * m * 2,)
+    mat = transform_matrix(np.zeros((1, L)), config, constant_scanner(config))[w]
+    assert mat.shape == (1, window_count(L, w, s) * m * 2)
 
 
 def test_probability_pairs_sum_to_one():
@@ -139,32 +141,20 @@ def test_probability_pairs_sum_to_one():
     y = np.array([0, 1] * 15)
     config = ScanConfig(input_dim=8, windows=(3,), estimators=2)
     fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=1)
-    vec = transform_vector(X[0], config, fitted)[3]
-    pairs = vec.reshape(-1, 2)
+    pairs = transform_matrix(X[:1], config, fitted)[3].reshape(-1, 2)
     assert np.abs(pairs.sum(axis=1) - 1.0).max() < 1e-9
 
 
-def test_constant_stub_validates_distribution():
-    with pytest.raises(ValueError):
-        ConstantProbEstimator((0.7, 0.7))
-    with pytest.raises(ValueError):
-        ConstantProbEstimator((-0.5, 1.5))
-
-
-def test_unfitted_estimator_rejected():
-    est = KMeansWindowEstimator()
-    with pytest.raises(RuntimeError, match="not fitted"):
-        est.transform_many(np.zeros((1, 4)))
-
-
 def test_kmeans_estimator_rejects_k_above_the_distinct_windows():
-    windows = np.repeat([[0.0, 1.0], [2.0, 3.0]], 6, axis=0)
-    labels = np.tile([0, 1], 6)
-    est = KMeansWindowEstimator(KMeansParams(k=4, restarts=2))
-    with pytest.raises(ValueError, match=r"^k=4 exceeds the 2 distinct rows$"):
-        est.fit(windows, labels)
-    assert est.classifier is None
-    assert KMeansWindowEstimator(KMeansParams(k=2, restarts=2)).fit(windows, labels).classifier
+    # every window of a constant row is the same, so a table whose rows all
+    # hold one value pools a single distinct window; two values pool two
+    config = ScanConfig(input_dim=4, windows=(2,))
+    y = np.tile([0, 1], 6)
+    flat = numeric_dataset(np.full((12, 4), 3.0), y)
+    with pytest.raises(ValueError, match=r"^k=2 exceeds the 1 distinct rows$"):
+        fit_window_estimators(flat, config, seed=0)
+    two = numeric_dataset(np.repeat([[0.0], [1.0]], 6, axis=0) * np.ones(4), y)
+    assert [clf.model.k for clf in fit_window_estimators(two, config, seed=0)[2]] == [2, 2]
 
 
 def test_estimator_seeds_give_distinct_centroids():
@@ -174,7 +164,7 @@ def test_estimator_seeds_give_distinct_centroids():
     config = ScanConfig(input_dim=10, windows=(4,), estimators=2)
     fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=3)
     a, b = fitted[4]
-    assert not np.allclose(a.classifier.model.centroids, b.classifier.model.centroids)
+    assert not np.allclose(a.model.centroids, b.model.centroids)
 
 
 def test_single_class_labels_propagate_error():
@@ -187,9 +177,8 @@ def test_single_class_labels_propagate_error():
 
 def test_dimension_mismatch_rejected():
     config = ScanConfig(input_dim=8, windows=(3,))
-    fitted = {3: [ConstantProbEstimator(), ConstantProbEstimator()]}
-    with pytest.raises(ValueError, match="length 8"):
-        transform_vector(np.zeros(5), config, fitted)
+    with pytest.raises(ValueError, match="8 columns"):
+        transform_matrix(np.zeros((1, 5)), config, constant_scanner(config))
     X = np.zeros((4, 5))
     y = np.array([0, 1, 0, 1])
     with pytest.raises(ValueError, match="input_dim"):
@@ -198,9 +187,9 @@ def test_dimension_mismatch_rejected():
 
 def test_missing_fitted_estimators_rejected():
     config = ScanConfig(input_dim=8, windows=(3, 4))
-    fitted = {3: [ConstantProbEstimator(), ConstantProbEstimator()]}
+    fitted = constant_scanner(ScanConfig(input_dim=8, windows=(3,)))
     with pytest.raises(ValueError, match="window size 4"):
-        transform_vector(np.zeros(8), config, fitted)
+        transform_matrix(np.zeros((1, 8)), config, fitted)
 
 
 def _reference_windows(row, w, s):
@@ -209,13 +198,15 @@ def _reference_windows(row, w, s):
 
 
 def _reference_transform(X, config, fitted):
-    """The per-row loop: slice one row at a time and stack its estimator outputs."""
+    """The per-row loop: slice one row at a time and stack each classifier's
+    (1 - s, s) pairs."""
     out = {}
     for w in config.windows:
         rows = []
         for row in X:
             windows = _reference_windows(row, w, config.stride)
-            rows.append(np.stack([est.transform_many(windows) for est in fitted[w]],
+            scores = [predict_scores(clf, windows) for clf in fitted[w]]
+            rows.append(np.stack([np.column_stack([1.0 - s, s]) for s in scores],
                                  axis=1).ravel())
         out[w] = np.array(rows).reshape(X.shape[0], config.output_dim(w))
     return out
@@ -237,21 +228,21 @@ def _fit_scanner(windows, stride, estimators):
 ])
 def test_matrix_path_matches_per_row_loop_bitwise(windows, stride, estimators):
     X, y, config, fitted, Xt = _fit_scanner(windows, stride, estimators)
-    base = KMeansParams(k=2, restarts=2, max_iters=100)
     for w in windows:
-        pool = np.concatenate([_reference_windows(row, w, stride) for row in X])
-        labels = np.repeat(y, window_count(9, w, stride))
-        for e, est in enumerate(fitted[w]):
-            ref = KMeansWindowEstimator(
-                replace(base, seed=derive_seed(2, f"scan:w{w}:e{e}"))).fit(pool, labels)
-            assert (est.classifier.model.centroids.tobytes()
-                    == ref.classifier.model.centroids.tobytes())
+        pool = numeric_dataset(
+            np.concatenate([_reference_windows(row, w, stride) for row in X]),
+            np.repeat(y, window_count(9, w, stride)))
+        for e, clf in enumerate(fitted[w]):
+            ref = fit_classifier(pool, replace(PROBE_PARAMS,
+                                               seed=derive_seed(2, f"scan:w{w}:e{e}")))
+            assert clf.model.centroids.tobytes() == ref.model.centroids.tobytes()
     got = transform_matrix(Xt, config, fitted)
     want = _reference_transform(Xt, config, fitted)
     for w in windows:
         assert got[w].shape == (17, config.output_dim(w))
         assert got[w].tobytes() == want[w].tobytes()
-        assert transform_vector(Xt[5], config, fitted)[w].tobytes() == want[w][5].tobytes()
+        assert (transform_matrix(Xt[5:6], config, fitted)[w][0].tobytes()
+                == want[w][5].tobytes())
 
 
 def test_one_window_per_row_matches_per_row_loop_bitwise():
@@ -264,7 +255,7 @@ def test_one_window_per_row_matches_per_row_loop_bitwise():
         got = transform_matrix(Xt, config, fitted)[w]
         want = _reference_transform(Xt, config, fitted)[w]
         assert got.tobytes() == want.tobytes()
-        assert transform_vector(Xt[5], config, fitted)[w].tobytes() == want[5].tobytes()
+        assert transform_matrix(Xt[5:6], config, fitted)[w][0].tobytes() == want[5].tobytes()
 
 
 def test_transform_matrix_with_no_rows():
@@ -279,7 +270,7 @@ def test_transform_matrix_with_no_rows():
 
 def test_transform_matrix_rejects_wrong_width():
     config = ScanConfig(input_dim=8, windows=(3,))
-    fitted = {3: [ConstantProbEstimator(), ConstantProbEstimator()]}
+    fitted = constant_scanner(config)
     with pytest.raises(ValueError, match="8 columns"):
         transform_matrix(np.zeros((4, 5)), config, fitted)
     with pytest.raises(ValueError, match="8 columns"):
@@ -310,8 +301,7 @@ def test_feature_names_layout():
 
 def test_dump_features_writes_header_and_rows(tmp_path):
     config = ScanConfig(input_dim=5, windows=(4,), estimators=2)
-    fitted = {4: [ConstantProbEstimator(), ConstantProbEstimator()]}
-    mat = transform_matrix(np.zeros((3, 5)), config, fitted)[4]
+    mat = transform_matrix(np.zeros((3, 5)), config, constant_scanner(config))[4]
     path = tmp_path / "scan.csv"
     dump_features(mat, config, 4, path)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
