@@ -4,7 +4,8 @@
 Creates a small credit-shaped dataset (two informative numerics, one noise
 numeric, one categorical, some missing cells), writes the matching schema and
 experiment file, then drives the command-line pipeline through ingest,
-feature selection, a cross-validated run of both methods, and a window scan.
+feature selection, training on all rows, a cross-validated run of one
+method, a comparison of both, and a window scan.
 
     python3 scripts/demo_synthetic.py --out runs/demo --seed 0
 """
@@ -87,6 +88,7 @@ def main() -> int:
     cfg = ["--config", str(config)]
     run(["ingest", *cfg, "--seed", str(args.seed)])
     run(["select-features", *cfg, "--target-k", "auto", "--seed", str(args.seed)])
+    run(["train", *cfg, "--seed", str(args.seed)])
     run(["run", *cfg, "--method", "kmeans", "--seed", str(args.seed),
          "--emit-plot-data"])
     run(["compare", *cfg, "--methods", "kmeans,lr", "--seed", str(args.seed)])

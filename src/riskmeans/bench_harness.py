@@ -37,7 +37,7 @@ import numpy as np
 
 from .cv import FoldPlan, stratified_kfold
 from .data_ingest import Dataset, PreprocessReport, apply_report, preprocess
-from .feature_select import LogisticModel, fit_logistic, select_features
+from .feature_select import LogisticModel, RfeResult, fit_logistic, select_features
 from .kmeans_core import (
     INIT_KMEANSPP,
     ClusterClassifier,
@@ -141,7 +141,7 @@ class FoldFit:
     fold: int
     train_indices: np.ndarray
     preprocess: PreprocessReport
-    selected: tuple
+    selection: RfeResult
     chosen_k: int | None
     kmeans: ClusterClassifier | None
     logistic: LogisticModel | None
@@ -205,15 +205,16 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
     y = np.asarray(train_proc.labels)
 
     if config.rfe_enabled:
-        selected = select_features(X, y, target_k=config.rfe_target_k,
-                                   step=config.rfe_step, seed=fold_seed).selected
+        selection = select_features(X, y, target_k=config.rfe_target_k,
+                                    step=config.rfe_step, seed=fold_seed)
     else:
-        selected = tuple(range(X.shape[1]))
+        selection = RfeResult(selected=range(X.shape[1]), elimination_trace=())
+    selected = selection.selected
     train = Dataset(features=X[:, selected], labels=y, name=ds.name,
                     schema=[train_proc.schema[j] for j in selected])
 
     fit = FoldFit(fold=fold, train_indices=np.asarray(train_indices),
-                  preprocess=report, selected=selected, chosen_k=None,
+                  preprocess=report, selection=selection, chosen_k=None,
                   kmeans=None, logistic=None)
     for method in methods:
         start = time.perf_counter()
@@ -230,7 +231,7 @@ def score_fold(fit: FoldFit, ds: Dataset, test_indices: np.ndarray,
     """Continuous scores for held-out rows using only train-fitted state."""
     test_raw = _subset(ds, test_indices)
     test_proc = apply_report(test_raw, fit.preprocess, scale=config.scale)
-    Xt = np.asarray(test_proc.features, dtype=float)[:, fit.selected]
+    Xt = np.asarray(test_proc.features, dtype=float)[:, fit.selection.selected]
     if fit.kmeans is not None:
         return predict_scores(fit.kmeans, Xt)
     return fit.logistic.predict_proba(Xt)
@@ -335,8 +336,8 @@ def _report(ds: Dataset, config: PipelineConfig, plan: FoldPlan, results: list,
             "fold": i,
             "train_size": int(fit.train_indices.size),
             "test_size": int(test_idx.size),
-            "selected_columns": [ds.schema[j].name for j in fit.selected],
-            "selected_indices": [int(j) for j in fit.selected],
+            "selected_columns": [ds.schema[j].name for j in fit.selection.selected],
+            "selected_indices": list(fit.selection.selected),
             "chosen_k": fit.chosen_k,
         })
 

@@ -8,10 +8,9 @@ Exit codes: 0 success, 1 runtime failure (malformed data, failed fit),
 2 usage or configuration error (bad flags, missing files, bad config values).
 
 ``train`` fits exactly as one ``run`` fold does (:func:`fit_fold`), on all rows.
-``select-features`` selects through the same :func:`select_features` call as
-that fit, so with the default ``--candidates`` and ``--cv-folds`` both keep the
-same columns for the same seed and settings; with ``[rfe] enabled = false``
-both keep every column.
+``select-features`` is that same fit without a model (``methods=()``) and
+writes its selection, so both keep the same columns for the same seed and
+settings; with ``[rfe] enabled = false`` both keep every column.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .bench_harness import (
     roc_plot_data,
     run_pipeline,
 )
-from .config import KEYS, ConfigError, ExperimentConfig, load_config, parse_int_list
+from .config import KEYS, ConfigError, ExperimentConfig, load_config
 from .data_ingest import (
     DataError,
     SchemaError,
@@ -42,7 +41,6 @@ from .data_ingest import (
     preprocess,
     write_processed,
 )
-from .feature_select import RfeResult, select_features
 from .kmeans_core import classifier_to_json
 from .seeding import derive_seed
 
@@ -111,49 +109,27 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_select_features(args) -> int:
-    if args.cv_folds is not None and args.cv_folds < 2:
-        raise UsageError("--cv-folds must be >= 2")
     cfg = _resolve_config(args)
-    for flag, value in (("--candidates", args.candidates), ("--cv-folds", args.cv_folds)):
-        if value is None:
-            continue
-        if not cfg.rfe_enabled:
-            raise UsageError(f"{flag} conflicts with [rfe] enabled = false: "
-                             "the target-size search runs only when RFE runs")
-        if cfg.rfe_target_k is not None:
-            raise UsageError(f"{flag} conflicts with --target-k/[rfe] target_k = "
-                             f"{cfg.rfe_target_k}: the target-size search runs only when it is auto")
     seed = args.seed
     ds = _load_dataset(cfg, seed)
-    proc, _ = preprocess(ds, scale=cfg.scale)
-    candidates = None
-    if args.candidates is not None:
-        candidates = parse_int_list("--candidates", args.candidates)
-        if not candidates or not all(1 <= c <= proc.d for c in candidates):
-            raise UsageError(f"--candidates: need feature counts in [1, {proc.d}], "
-                             f"got {','.join(map(str, candidates)) or 'none'}")
-    if cfg.rfe_enabled:
-        result = select_features(proc.features, proc.labels, target_k=cfg.rfe_target_k,
-                                 step=cfg.rfe_step, seed=seed, candidates=candidates,
-                                 **({} if args.cv_folds is None else {"cv_folds": args.cv_folds}))
-    else:
-        result = RfeResult(selected=range(proc.d), elimination_trace=())
-    target = len(result.selected)
-    names = proc.column_names()
+    selection = fit_fold(ds, np.arange(ds.n), cfg.pipeline("kmeans", seed=seed), seed,
+                         methods=()).selection
+    target = len(selection.selected)
+    names = ds.column_names()
     out = _outdir(cfg)
     path = os.path.join(out, "selection.json")
     _write(path, json.dumps({
         "fingerprint": _fingerprint(cfg, seed),
         "target_k": target,
-        "selected_indices": list(result.selected),
-        "selected_columns": [names[j] for j in result.selected],
+        "selected_indices": list(selection.selected),
+        "selected_columns": [names[j] for j in selection.selected],
         "elimination_trace": [
             {"round": r, "dropped_index": j, "dropped_column": names[j], "score": s}
-            for r, j, s in result.elimination_trace
+            for r, j, s in selection.elimination_trace
         ],
     }, indent=2, sort_keys=True) + "\n")
-    print(f"selected {target} of {proc.d} features: "
-          + ", ".join(names[j] for j in result.selected))
+    print(f"selected {target} of {ds.d} features: "
+          + ", ".join(names[j] for j in selection.selected))
     print(f"wrote {path}")
     return 0
 
@@ -168,7 +144,7 @@ def cmd_train(args) -> int:
     _write(path, classifier_to_json(fit.kmeans, seed=seed,
                                     config_hash=cfg.fingerprint_hash()) + "\n")
     print(f"trained k={fit.chosen_k} cluster classifier on {ds.name} "
-          f"({len(fit.selected)} of {ds.d} features)")
+          f"({len(fit.selection.selected)} of {ds.d} features)")
     print(f"wrote {path}")
     return 0
 
@@ -296,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_data_flags(p)
     p.add_argument("--target-k", dest="target_k",
                    help="feature count to keep, or 'auto'")
-    p.add_argument("--candidates", help="comma-separated counts for auto, each in [1, d]")
-    p.add_argument("--cv-folds", type=int, help="folds of the target-size search")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_select_features)
 

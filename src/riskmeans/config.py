@@ -91,7 +91,7 @@ def _parse_bool(prefix, raw):
     raise ConfigError(f"{prefix}: expected a boolean, got {raw!r}")
 
 
-def parse_int_list(prefix, raw):
+def _parse_int_list(prefix, raw):
     try:
         return tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
@@ -134,7 +134,7 @@ KEYS = (
     Key("rfe", "enabled", "rfe_enabled", _parse_bool),
     Key("rfe", "target_k", "rfe_target_k", _parse_int_or_auto, 1, "--target-k"),
     Key("rfe", "step", "rfe_step", _parse_int, 1),
-    Key("scanner", "windows", "scanner_windows", parse_int_list, flag="--windows"),
+    Key("scanner", "windows", "scanner_windows", _parse_int_list, flag="--windows"),
     Key("scanner", "stride", "scanner_stride", _parse_int, 1, "--stride"),
     Key("scanner", "estimators", "scanner_estimators", _parse_int, 1, "--estimators"),
     Key("kmeans", "k", "kmeans_k", _parse_int_or_auto, 1, "--k"),
@@ -182,7 +182,8 @@ class ExperimentConfig:
         """Reject out-of-range values, whether a file or a flag set them."""
         for row in KEYS:
             value = getattr(self, row.field)
-            if row.floor is not None and value is not None and value < row.floor:  # None is "auto"
+            # None is "auto"; "not >=" also rejects NaN
+            if row.floor is not None and value is not None and not value >= row.floor:
                 raise ConfigError(f"{source}: {row.name} must be >= {row.floor}")
 
     def fingerprint(self) -> dict:

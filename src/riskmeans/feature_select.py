@@ -28,6 +28,7 @@ from .seeding import derive_seed
 
 PROB_FLOOR = 1e-12
 L2 = 1e-4  # the ranker's and the lr baseline's penalty on the weights
+TARGET_K_FOLDS = 3  # inner folds of the target-size search
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -229,14 +230,12 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
 
 
 def select_features(X: np.ndarray, y: np.ndarray, *, target_k: int | None, step: int,
-                    seed: int, candidates=None, cv_folds: int = 3) -> RfeResult:
-    """Feature selection for ``fit_fold`` and ``select-features``: one rfe to a
-    fixed ``target_k``, or for ``None`` the :func:`select_target_k` winner over
-    ``candidates`` (default :func:`default_candidates`), seeded (seed, "target_k").
+                    seed: int) -> RfeResult:
+    """The selection of ``fit_fold``: one rfe to a fixed ``target_k``, or for
+    ``None`` the :func:`select_target_k` winner over :func:`default_candidates`
+    with :data:`TARGET_K_FOLDS` folds, seeded (seed, "target_k").
     """
     if target_k is not None:
         return rfe(X, y, target_k=target_k, step=step)
-    if candidates is None:
-        candidates = default_candidates(np.shape(X)[1])
-    return select_target_k(X, y, candidates, cv_folds,
+    return select_target_k(X, y, default_candidates(np.shape(X)[1]), TARGET_K_FOLDS,
                            seed=derive_seed(seed, "target_k"), step=step)

@@ -113,7 +113,7 @@ class KMeansParams:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:  # NaN too
             raise ValueError("tol must be >= 0")
         if self.init not in (INIT_KMEANSPP, INIT_UNIFORM):
             raise ValueError(f"unknown init {self.init!r}")

@@ -31,7 +31,6 @@ from .kmeans_core import (
 )
 from .seeding import derive_seed
 
-PROB_TOL = 1e-9
 CLASSES = 2  # probabilities per window per estimator: (1 - score, score)
 
 
@@ -138,8 +137,6 @@ def transform_matrix(X: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
             s = predict_scores(clf, windows)
             np.subtract(1.0, s, out=probs[:, e, 0])
             probs[:, e, 1] = s
-        if np.any(np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL):
-            raise ValueError("estimator probabilities do not sum to 1")
     return out
 
 

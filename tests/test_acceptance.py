@@ -314,7 +314,7 @@ def test_criterion_10_test_rows_never_shape_fitted_state():
 
     same = {
         "preprocess": fit1.preprocess.to_json() == fit2.preprocess.to_json(),
-        "selection": fit1.selected == fit2.selected,
+        "selection": fit1.selection == fit2.selection,
         "centroids": bool(np.array_equal(fit1.kmeans.model.centroids,
                                          fit2.kmeans.model.centroids)),
         "posteriors": bool(np.array_equal(fit1.kmeans.posteriors,

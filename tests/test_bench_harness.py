@@ -174,7 +174,7 @@ def test_fold_fit_ignores_test_rows():
     fit2 = fit_fold(ds2, tr, config, fold_seed=123)
 
     assert fit1.preprocess.to_json() == fit2.preprocess.to_json()
-    assert fit1.selected == fit2.selected
+    assert fit1.selection == fit2.selection
     assert np.array_equal(fit1.kmeans.model.centroids, fit2.kmeans.model.centroids)
     assert np.array_equal(fit1.kmeans.posteriors, fit2.kmeans.posteriors)
     assert fit1.kmeans.bandwidth == fit2.kmeans.bandwidth
@@ -232,7 +232,7 @@ def test_fit_fold_runs_rfe_once_per_candidate(monkeypatch):
     monkeypatch.undo()
     # the two-pass oracle: search for the size, then rerun rfe to it
     proc, _ = preprocess(ds, scale=True)
-    assert fit.selected == rfe(proc.features, proc.labels, len(fit.selected)).selected
+    assert fit.selection == rfe(proc.features, proc.labels, len(fit.selection.selected))
 
 
 def _three_distinct_rows(n_each=20):
@@ -349,7 +349,7 @@ def test_fit_fold_fills_the_slot_of_every_method():
     for method in ("kmeans", "lr"):
         alone = fit_fold(ds, np.arange(ds.n), _config(method=method), fold_seed=5)
         own = both.only(method)
-        assert own.selected == alone.selected and own.chosen_k == alone.chosen_k
+        assert own.selection == alone.selection and own.chosen_k == alone.chosen_k
         assert own.preprocess.to_json() == alone.preprocess.to_json()
         if method == "kmeans":
             assert own.logistic is None

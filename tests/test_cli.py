@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskmeans import cli, feature_select
 from riskmeans.bench_harness import fit_fold
 from riskmeans.cli import main
 from riskmeans.config import load_config
@@ -128,25 +127,6 @@ def test_select_features_artifact(tmp_path, capsys):
     assert "fingerprint" in payload
 
 
-@pytest.mark.parametrize("candidates", ["", ",", "0", "2,4"])
-def test_select_features_bad_candidates_exit_two(tmp_path, capsys, candidates):
-    data, schema, config = write_toy_files(tmp_path)
-    assert main(["select-features", "--config", str(config),
-                 "--candidates", candidates]) == 2
-    assert "--candidates: need feature counts in [1, 3], got " in capsys.readouterr().err
-    assert not (tmp_path / "out" / "selection.json").exists()
-
-
-def test_select_features_searches_given_candidates(tmp_path, capsys):
-    data, schema, config = write_toy_files(tmp_path)
-    assert main(["select-features", "--config", str(config),
-                 "--candidates", "1,2"]) == 0
-    capsys.readouterr()
-    payload = _read_json(tmp_path / "out" / "selection.json")
-    assert payload["target_k"] in (1, 2)
-    assert len(payload["selected_indices"]) == payload["target_k"]
-
-
 def test_target_k_above_column_count_exits_one(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["select-features", "--config", str(config), "--target-k", "4"]) == 1
@@ -163,7 +143,7 @@ def test_train_writes_model(tmp_path, capsys):
     pcfg = dataclasses.replace(load_config(config).pipeline("kmeans", seed=2), kmeans_k=3)
     fit = fit_fold(ds, np.arange(ds.n), pcfg, 2)
     assert model["k"] == 3
-    assert model["d"] == len(fit.selected)
+    assert model["d"] == len(fit.selection.selected)
     assert model["centroids"] == fit.kmeans.model.centroids.tolist()
     assert len(model["centroids"]) == 3
     assert len(model["posteriors"]) == 3
@@ -183,33 +163,32 @@ def test_train_model_does_not_depend_on_out_dir(tmp_path, capsys):
             == (tmp_path / "b" / "model.json").read_bytes())
 
 
-def test_select_features_and_train_pick_the_same_target(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("config_tail", ["", "\n[rfe]\ntarget_k = 2\n",
+                                         "\n[rfe]\nenabled = false\n"])
+def test_select_features_writes_the_selection_of_trains_fit(tmp_path, capsys, config_tail):
     data, schema, config = write_toy_files(tmp_path)
-    real_search = feature_select.select_target_k
-    seeds = {}
-    fits = []
-
-    def recording_search(command):
-        def search(*args, **kwargs):
-            seeds[command] = kwargs["seed"]
-            return real_search(*args, **kwargs)
-        return search
-
-    def recording_fit(*args, **kwargs):
-        fits.append(fit_fold(*args, **kwargs))
-        return fits[-1]
-
-    monkeypatch.setattr(cli, "fit_fold", recording_fit)
-    monkeypatch.setattr(feature_select, "select_target_k",
-                        recording_search("select-features"))
-    assert main(["select-features", "--config", str(config), "--seed", "4"]) == 0
-    monkeypatch.setattr(feature_select, "select_target_k", recording_search("train"))
-    assert main(["train", "--config", str(config), "--seed", "4"]) == 0
+    config.write_text(config.read_text(encoding="utf-8") + config_tail, encoding="utf-8")
+    for command in ("select-features", "train"):
+        assert main([command, "--config", str(config), "--seed", "4"]) == 0
     capsys.readouterr()
-    assert seeds == {"select-features": derive_seed(4, "target_k"),
-                     "train": derive_seed(4, "target_k")}
+    ds = load_with_schema(data, schema, name="toy")
+    fit = fit_fold(ds, np.arange(ds.n), load_config(config).pipeline("kmeans", seed=4), 4,
+                   methods=())
     selection = _read_json(tmp_path / "out" / "selection.json")
-    assert selection["selected_indices"] == list(fits[0].selected)
+    assert selection["selected_indices"] == list(fit.selection.selected)
+    assert ([(e["round"], e["dropped_index"], e["score"]) for e in selection["elimination_trace"]]
+            == list(fit.selection.elimination_trace))
+    assert _read_json(tmp_path / "out" / "model.json")["d"] == len(selection["selected_indices"])
+
+
+@pytest.mark.parametrize("argv", [["--candidates", "2"], ["--cv-folds", "3"]])
+def test_select_features_has_no_search_flags(tmp_path, capsys, argv):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["select-features", "--config", str(config)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv) in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_honours_rfe_disabled(tmp_path, capsys):
@@ -285,36 +264,6 @@ def test_huge_cell_in_training_rows_exits_one(tmp_path, capsys, argv):
         "error: column 'x0': values too large, their standard deviation overflows float64",
         "  fold 0"]
     assert not (tmp_path / "out" / "report_kmeans.json").exists()
-
-
-@pytest.mark.parametrize("config_tail,argv,needle", [
-    ("", ["--target-k", "1"], "--candidates conflicts with --target-k/[rfe] target_k = 1: "),
-    ("\n[rfe]\nenabled = false\n", [], "--candidates conflicts with [rfe] enabled = false: "),
-])
-def test_select_features_candidates_need_the_target_search(tmp_path, capsys, config_tail,
-                                                          argv, needle):
-    _assert_select_features_usage_error(tmp_path, capsys, config_tail,
-                                        ["--candidates", "2"] + argv, needle)
-
-
-@pytest.mark.parametrize("config_tail,argv,needle", [
-    ("", ["--target-k", "1"], "--cv-folds conflicts with --target-k/[rfe] target_k = 1: "),
-    ("\n[rfe]\nenabled = false\n", [], "--cv-folds conflicts with [rfe] enabled = false: "),
-])
-def test_select_features_cv_folds_need_the_target_search(tmp_path, capsys, config_tail,
-                                                        argv, needle):
-    _assert_select_features_usage_error(tmp_path, capsys, config_tail,
-                                        ["--cv-folds", "9"] + argv, needle)
-
-
-def _assert_select_features_usage_error(tmp_path, capsys, config_tail, argv, needle):
-    data, schema, config = write_toy_files(tmp_path)
-    config.write_text(config.read_text(encoding="utf-8") + config_tail, encoding="utf-8")
-    assert main(["select-features", "--config", str(config)] + argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: " + needle)
-    assert not (tmp_path / "out" / "selection.json").exists()
 
 
 def _far_from_the_origin(tmp_path):
@@ -520,14 +469,16 @@ def test_scan_repeated_window_exits_two(tmp_path, capsys):
 
 
 def test_demo_script_runs_every_command(tmp_path):
-    # the demo drives ingest, select-features, run, compare and scan end to end
+    # the demo drives ingest, select-features, train, run, compare and scan end to end
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "demo_synthetic.py"),
                            "--out", str(tmp_path), "--seed", "0"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for name in ("report_kmeans.json", "comparison.json", "scan_w2.csv", "scan_w3.csv",
-                 "scan_meta.json"):
+    for name in ("processed.csv", "selection.json", "model.json", "report_kmeans.json",
+                 "comparison.json", "scan_w2.csv", "scan_w3.csv", "scan_meta.json"):
         assert (tmp_path / name).is_file(), name
+    selection = _read_json(tmp_path / "selection.json")
+    assert len(selection["selected_indices"]) == _read_json(tmp_path / "model.json")["d"]
 
 
 def test_fold_error_names_fold(tmp_path, capsys):
@@ -595,7 +546,7 @@ def test_too_few_class_members_message_shows_plain_class(tmp_path, capsys):
 @pytest.mark.parametrize("argv,needle", [
     (["run", "--seed", "1", "--folds", "1"], "folds"),
     (["train", "--subsample", "-1"], "subsample"),
-    (["select-features", "--target-k", "auto", "--cv-folds", "1"], "--cv-folds"),
+    (["compare", "--methods", "kmeans", "--seed", "1", "--folds", "1"], "--folds/[cv] folds"),
     (["run", "--seed", "1", "--k", "0"], "--k/[kmeans] k"),
     (["train", "--target-k", "0"], "--target-k/[rfe] target_k"),
     (["select-features", "--target-k", "0"], "--target-k/[rfe] target_k"),

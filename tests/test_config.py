@@ -182,6 +182,7 @@ def test_folds_floor_enforced(tmp_path):
     ("kmeans", "restarts", "0", 1),
     ("kmeans", "max_iters", "0", 1),
     ("kmeans", "tol", "-1", 0),
+    ("kmeans", "tol", "nan", 0),
     ("scanner", "stride", "0", 1),
     ("scanner", "estimators", "0", 1),
 ])

@@ -313,9 +313,6 @@ def test_select_features_auto_runs_the_seeded_search():
     expected = select_target_k(X, y, default_candidates(8), 3,
                                seed=derive_seed(5, "target_k"))
     assert select_features(X, y, target_k=None, step=1, seed=5) == expected
-    searched = select_target_k(X, y, [2, 4], 2, seed=derive_seed(5, "target_k"))
-    assert select_features(X, y, target_k=None, step=1, seed=5,
-                           candidates=[2, 4], cv_folds=2) == searched
 
 
 def test_default_candidates_grid():

@@ -972,6 +972,8 @@ def test_params_validation():
         KMeansParams(k=0)
     with pytest.raises(ValueError):
         KMeansParams(k=2, tol=-1.0)
+    with pytest.raises(ValueError, match="^tol must be >= 0$"):
+        KMeansParams(k=2, tol=float("nan"))  # no shift is below a NaN tol
     with pytest.raises(ValueError):
         KMeansParams(k=2, init="fancy")
     with pytest.raises(ValueError, match="restarts must be >= 1"):

@@ -141,8 +141,13 @@ def test_probability_pairs_sum_to_one():
     y = np.array([0, 1] * 15)
     config = ScanConfig(input_dim=8, windows=(3,), estimators=2)
     fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=1)
-    pairs = transform_matrix(X[:1], config, fitted)[3].reshape(-1, 2)
-    assert np.abs(pairs.sum(axis=1) - 1.0).max() < 1e-9
+    # posteriors at the ends of [0, 1] give scores s for which 1 - s rounds
+    ends = [replace(clf, posteriors=np.array(p)) for clf, p in
+            zip(fitted[3], ([1e-20, 3e-17], [1.0 - 2.0**-53, 1.0]))]
+    for estimators in (fitted[3], ends):
+        pairs = transform_matrix(X, config, {3: estimators})[3].reshape(-1, 2)
+        assert np.abs(pairs.sum(axis=1) - 1.0).max() <= 2.0**-52
+    assert pairs[0::2, 1].max() < 2.0**-53 and pairs[1::2, 0].min() < 2.0**-52
 
 
 def test_kmeans_estimator_rejects_k_above_the_distinct_windows():
