@@ -40,12 +40,10 @@ from .kmeans_core import (
     ClusterClassifier,
     KMeansModel,
     KMeansParams,
-    assign,
     choose_k,
     fit_classifier,
     kmeanspp_init,
     lloyd_fit,
-    predict_score,
     predict_scores,
     silhouette_score,
 )
@@ -62,7 +60,6 @@ from .metrics import (
     compute_bundle,
     confusion,
     f1,
-    fpr,
     precision,
     recall,
     roc_curve,

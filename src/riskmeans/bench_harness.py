@@ -67,9 +67,10 @@ __all__ = [
 ]
 
 METHODS = ("kmeans", "lr")
+_COLS = tuple(f.name for f in dataclasses.fields(MetricBundle))  # table column order
 
 # Results transcribed from previously published benchmarks on the German
-# credit data (same auc/acc/f1/brier/tpr column order). Shown in comparison
+# credit data, in MetricBundle's column order. Shown in comparison
 # tables for context only; nothing in this package tries to reproduce the
 # tree-ensemble rows, and none of these numbers is a test target.
 REFERENCE_ROWS = (
@@ -142,17 +143,21 @@ class FoldFit:
     train_indices: np.ndarray
     preprocess: PreprocessReport
     selection: RfeResult
-    chosen_k: int | None
     kmeans: ClusterClassifier | None
     logistic: LogisticModel | None
     fit_seconds: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def chosen_k(self) -> int | None:
+        """The k of the k-means model, None without one."""
+        return None if self.kmeans is None else self.kmeans.model.k
 
     def only(self, method: str) -> FoldFit:
         """This fit with the models of every other method removed."""
         seconds = {method: self.fit_seconds[method]}
         if method == "kmeans":
             return replace(self, logistic=None, fit_seconds=seconds)
-        return replace(self, chosen_k=None, kmeans=None, fit_seconds=seconds)
+        return replace(self, kmeans=None, fit_seconds=seconds)
 
 
 def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
@@ -162,8 +167,8 @@ def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
 
 
 def _fit_kmeans(train: Dataset, config: PipelineConfig,
-                fold_seed: int) -> tuple[int, ClusterClassifier]:
-    """The fixed or silhouette-chosen k and its cluster classifier."""
+                fold_seed: int) -> ClusterClassifier:
+    """The cluster classifier of the fixed or silhouette-chosen k."""
     Xs = train.features
     carrier = KMeansParams(
         k=2, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
@@ -185,7 +190,7 @@ def _fit_kmeans(train: Dataset, config: PipelineConfig,
                              f"but the selected columns hold {distinct}")
         k_hi = min(config.kmeans_k_max, Xs.shape[0] - 1, distinct)
         chosen_k, _, model = choose_k(Xs, range(2, k_hi + 1), carrier)
-    return chosen_k, fit_classifier(train, replace(carrier, k=chosen_k), model=model)
+    return fit_classifier(train, replace(carrier, k=chosen_k), model=model)
 
 
 def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
@@ -214,12 +219,11 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
                     schema=[train_proc.schema[j] for j in selected])
 
     fit = FoldFit(fold=fold, train_indices=np.asarray(train_indices),
-                  preprocess=report, selection=selection, chosen_k=None,
-                  kmeans=None, logistic=None)
+                  preprocess=report, selection=selection, kmeans=None, logistic=None)
     for method in methods:
         start = time.perf_counter()
         if method == "kmeans":
-            fit.chosen_k, fit.kmeans = _fit_kmeans(train, config, fold_seed)
+            fit.kmeans = _fit_kmeans(train, config, fold_seed)
         else:
             fit.logistic = fit_logistic(train.features, y)
         fit.fit_seconds[method] = time.perf_counter() - start
@@ -276,14 +280,8 @@ class CvReport:
 
 
 def _mean_bundle(bundles) -> MetricBundle:
-    k = len(bundles)
-    return MetricBundle(
-        auc=sum(b.auc for b in bundles) / k,
-        acc=sum(b.acc for b in bundles) / k,
-        f1=sum(b.f1 for b in bundles) / k,
-        brier=sum(b.brier for b in bundles) / k,
-        tpr=sum(b.tpr for b in bundles) / k,
-    )
+    return MetricBundle(**{c: sum(getattr(b, c) for b in bundles) / len(bundles)
+                           for c in _COLS})
 
 
 def _cross_validate(ds: Dataset, methods: tuple,
@@ -422,7 +420,8 @@ def compare_methods(ds: Dataset, methods, config: PipelineConfig) -> ComparisonR
                             computed=tuple((m, reports[m]) for m in methods))
 
 
-_COLS = ("auc", "acc", "f1", "brier", "tpr")
+def _metric_header(name: str) -> str:
+    return f"{name:<12}  " + "  ".join(f"{c:>7}" for c in _COLS)
 
 
 def _metric_row(name: str, b: MetricBundle, note: str = "") -> str:
@@ -437,7 +436,7 @@ def render_report(report: CvReport, include_timing: bool = True) -> str:
         f"method: {report.method}",
         f"seed: {report.fingerprint['config']['seed']}",
         "",
-        f"{'fold':<12}  {'auc':>7}  {'acc':>7}  {'f1':>7}  {'brier':>7}  {'tpr':>7}",
+        _metric_header("fold"),
     ]
     for i, b in enumerate(report.fold_metrics):
         lines.append(_metric_row(f"fold {i}", b))
@@ -462,7 +461,7 @@ def render_comparison(result: ComparisonResult, include_timing: bool = True) -> 
     lines = [
         f"dataset: {result.dataset}",
         "",
-        f"{'method':<12}  {'auc':>7}  {'acc':>7}  {'f1':>7}  {'brier':>7}  {'tpr':>7}",
+        _metric_header("method"),
     ]
     for m, rep in result.computed:
         lines.append(_metric_row(m, rep.mean, "computed"))

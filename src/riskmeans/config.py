@@ -47,6 +47,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -77,9 +78,12 @@ def _parse_int_or_auto(prefix, raw):
 
 def _parse_float(prefix, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{prefix}: expected a number, got {raw!r}") from None
+    if value == math.inf:  # NaN and -inf are left to the floor check
+        raise ConfigError(f"{prefix}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(prefix, raw):

@@ -4,6 +4,8 @@
 hold their values; categorical cells hold interned ids, numbered per column
 in order of first appearance, and :attr:`Dataset.vocabularies` maps each id
 back to its category string. Missing cells are NaN in both kinds.
+:func:`read_schema` parses the schema file and checks its declared
+dimension; :meth:`Dataset.numeric` wraps an all-numeric matrix.
 :func:`preprocess` fits a :class:`PreprocessReport` on such a table, one
 column at a time: the fill for missing cells (mean or mode), the category
 code table (first appearance) and, when scaling, the column mean and
@@ -140,6 +142,13 @@ class Dataset:
         return cls(features=features, labels=np.asarray(labels, dtype=int),
                    schema=list(schema), name=name, vocabularies=tuple(vocabularies))
 
+    @classmethod
+    def numeric(cls, X, y, name: str = "") -> "Dataset":
+        """Dataset of a float matrix and 0/1 labels: numeric columns f0, f1, ..."""
+        X = np.asarray(X, dtype=float)
+        return cls(features=X, labels=np.asarray(y, dtype=int), name=name,
+                   schema=[ColumnSpec(f"f{j}", NUMERIC) for j in range(X.shape[1])])
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -203,7 +212,8 @@ def read_schema(path) -> SchemaFile:
     """Parse the plain-text schema grammar.
 
     Lines: ``column <name> <numeric|categorical> [missing=<token>]``,
-    ``label <name> [positive=<token>]``, optional ``dimension <int>``.
+    ``label <name> [positive=<token>]``, optional ``dimension <int>``: the
+    column count, label included, which must match the column lines.
     ``#`` starts a comment; blank lines are ignored.
     """
     columns: list[ColumnSpec] = []
@@ -251,6 +261,12 @@ def read_schema(path) -> SchemaFile:
         raise SchemaError(f"{path}: duplicate column names")
     if label_column not in names:
         raise SchemaError(f"{path}: label column {label_column!r} not among declared columns")
+    if declared_dimension is not None and len(columns) != declared_dimension:
+        # Declared dimension counts feature columns plus the label column.
+        raise SchemaError(
+            f"declared dimension {declared_dimension} implies {declared_dimension - 1} features, "
+            f"schema has {len(columns) - 1}"
+        )
     return SchemaFile(
         columns=columns,
         label_column=label_column,
@@ -294,8 +310,7 @@ def _raise_first_bad_cell(rows: list, first_row: int, specs: list[ColumnSpec],
 
 
 def load_csv(path, schema: list[ColumnSpec], label_column: str,
-             positive_label: str | None = None, name: str = "",
-             declared_dimension: int | None = None) -> Dataset:
+             positive_label: str | None = None, name: str = "") -> Dataset:
     """Load a delimited text file (comma or whitespace separated, one header row).
 
     The result is a raw :class:`Dataset`: a float64 matrix in which missing
@@ -326,12 +341,6 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
         raise SchemaError(f"label column {label_column!r} not in schema")
     if len(lines) == 1:
         raise EmptyDataError("no data rows")
-    if declared_dimension is not None and len(schema) != declared_dimension:
-        # Declared dimension counts feature columns plus the label column.
-        raise SchemaError(
-            f"declared dimension {declared_dimension} implies {declared_dimension - 1} features, "
-            f"schema has {len(schema) - 1}"
-        )
 
     label_idx = expected.index(label_column)
     feature_specs = [c for i, c in enumerate(schema) if i != label_idx]
@@ -391,14 +400,7 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
 def load_with_schema(data_path, schema_path, name: str = "") -> Dataset:
     """Convenience wrapper: read a schema file, then the data file it describes."""
     sf = read_schema(schema_path)
-    return load_csv(
-        data_path,
-        schema=sf.columns,
-        label_column=sf.label_column,
-        positive_label=sf.positive_label,
-        name=name,
-        declared_dimension=sf.declared_dimension,
-    )
+    return load_csv(data_path, sf.columns, sf.label_column, sf.positive_label, name)
 
 
 def _vocabularies(ds: Dataset) -> tuple:

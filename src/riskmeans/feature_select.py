@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cv as _cv
-from .data_ingest import ColumnSpec, Dataset, NUMERIC
+from .data_ingest import Dataset
 from .kmeans_core import PROBE_PARAMS, fit_classifier, predict_labels
 from .seeding import derive_seed
 
@@ -184,12 +184,6 @@ def default_candidates(d: int) -> list[int]:
     return sorted(k for k in raw if k >= 1)
 
 
-def _as_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
-    schema = [ColumnSpec(name=f"f{j}", kind=NUMERIC) for j in range(X.shape[1])]
-    return Dataset(features=np.asarray(X, dtype=float), labels=np.asarray(y, dtype=int),
-                   schema=schema, name="selection-probe")
-
-
 def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
                     seed: int = 0, step: int = 1) -> RfeResult:
     """The rfe selection of the candidate size with the best K-means-classifier CV accuracy.
@@ -222,7 +216,7 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
             # lloyd_fit rejects 2 clusters on one distinct row; one cluster
             # predicts the labels the 2 repeated centroids did
             one_row = not np.ptp(train, axis=0).any()
-            clf = fit_classifier(_as_dataset(train, y[tr]),
+            clf = fit_classifier(Dataset.numeric(train, y[tr]),
                                  replace(params, k=1) if one_row else params)
             correct += int(np.sum(predict_labels(clf, X[te][:, sel]) == y[te]))
         scored.append((cand, correct, result))

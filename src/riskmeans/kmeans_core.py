@@ -115,6 +115,8 @@ class KMeansParams:
             raise ValueError("max_iters must be >= 1")
         if not self.tol >= 0:  # NaN too
             raise ValueError("tol must be >= 0")
+        if self.tol == float("inf"):  # would stop every run after one update
+            raise ValueError("tol must be finite")
         if self.init not in (INIT_KMEANSPP, INIT_UNIFORM):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -521,15 +523,8 @@ def lloyd_fit(points: np.ndarray, params: KMeansParams) -> KMeansModel:
     return model
 
 
-def assign(model: KMeansModel, x: np.ndarray) -> int:
-    """Index of the nearest centroid; exact ties go to the lowest index."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"expected a vector of length {model.d}, got shape {x.shape}")
-    return int(assign_many(model, x[None, :])[0])
-
-
 def assign_many(model: KMeansModel, X: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid; exact ties go to the lowest index."""
     X = np.asarray(X, dtype=float)
     return _nearest(_sq_dists(X, model.centroids))[0]
 
@@ -667,25 +662,16 @@ def fit_classifier(train: Dataset, params: KMeansParams,
     if model is None:
         model = lloyd_fit(X, params)
     labels, nearest = _nearest(_sq_dists(X, model.centroids))
-    posteriors = np.empty(model.k)
-    for j in range(model.k):
-        members = labels == j
-        posteriors[j] = (int(y[members].sum()) + 1) / (int(members.sum()) + 2)
+    positives = np.bincount(labels, weights=y, minlength=model.k)
+    posteriors = (positives + 1) / (np.bincount(labels, minlength=model.k) + 2)
     sigma = float(np.sqrt(nearest).mean())
     return ClusterClassifier(model=model, posteriors=posteriors,
                              bandwidth=sigma if sigma > 0 else 1.0)
 
 
-def predict_score(clf: ClusterClassifier, x: np.ndarray) -> float:
-    """Posterior-weighted soft score in [0, 1] for one point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (clf.model.d,):
-        raise ValueError(f"expected a vector of length {clf.model.d}, got shape {x.shape}")
-    return float(predict_scores(clf, x[None, :])[0])
-
-
 def predict_scores(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`predict_score`: softmax cluster weights times posteriors.
+    """Posterior-weighted soft scores in [0, 1], one per row of ``X``:
+    softmax cluster weights times posteriors.
 
     The weights are normalised and mixed by adding the k clusters' terms in
     order, so each row's score depends on that row alone.

@@ -8,7 +8,7 @@ suite cross-checks one against the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,13 +84,6 @@ def f1(cc: ConfusionCounts) -> float:
 def tpr(cc: ConfusionCounts) -> float:
     """True positive rate; identical to recall by definition."""
     return recall(cc)
-
-
-def fpr(cc: ConfusionCounts) -> float:
-    # 0/0 convention: no actual negatives -> 0.
-    _check_total(cc)
-    denom = cc.fp + cc.tn
-    return cc.fp / denom if denom else 0.0
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,7 @@ class MetricBundle:
     tpr: float
 
     def as_dict(self) -> dict:
-        return {"auc": self.auc, "acc": self.acc, "f1": self.f1, "brier": self.brier, "tpr": self.tpr}
+        return asdict(self)
 
 
 def compute_bundle(labels, scores) -> MetricBundle:

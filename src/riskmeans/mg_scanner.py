@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_ingest import ColumnSpec, Dataset, NUMERIC
+from .data_ingest import Dataset
 from .kmeans_core import (
     PROBE_PARAMS,
     ClusterClassifier,
@@ -100,12 +100,8 @@ def fit_window_estimators(train: Dataset, config: ScanConfig, seed: int = 0) -> 
     y = np.asarray(train.labels, dtype=int)
     fitted: dict[int, list[ClusterClassifier]] = {}
     for w in config.windows:
-        pool = Dataset(
-            features=scan(X, w, config.stride).reshape(-1, w),
-            labels=np.repeat(y, window_count(config.input_dim, w, config.stride)),
-            schema=[ColumnSpec(name=f"x{j}", kind=NUMERIC) for j in range(w)],
-            name="window-pool",
-        )
+        pool = Dataset.numeric(scan(X, w, config.stride).reshape(-1, w),
+                               np.repeat(y, window_count(config.input_dim, w, config.stride)))
         fitted[w] = [
             fit_classifier(pool, replace(PROBE_PARAMS, seed=derive_seed(seed, f"scan:w{w}:e{e}")))
             for e in range(config.estimators)

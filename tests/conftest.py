@@ -29,12 +29,6 @@ def make_labeled_blobs(n_per: int, sep: float = 6.0, d: int = 2,
     return X, y
 
 
-def numeric_dataset(X: np.ndarray, y: np.ndarray, name: str = "synthetic") -> Dataset:
-    schema = [ColumnSpec(name=f"f{j}", kind="numeric") for j in range(X.shape[1])]
-    return Dataset(features=np.asarray(X, dtype=float),
-                   labels=np.asarray(y, dtype=int), schema=schema, name=name)
-
-
 def constant_scanner(config) -> dict:
     """Fitted scanner state whose every window score is exactly 0.5: per
     window size, config.estimators k = 1 classifiers with one zero centroid,
@@ -49,7 +43,7 @@ def constant_scanner(config) -> dict:
 @pytest.fixture
 def blob_dataset() -> Dataset:
     X, y = make_labeled_blobs(40, seed=3)
-    return numeric_dataset(X, y)
+    return Dataset.numeric(X, y)
 
 
 def mixed_raw_cells(n: int = 120, seed: int = 0, missing_rate: float = 0.1):

@@ -42,7 +42,6 @@ from conftest import (
     constant_scanner,
     make_labeled_blobs,
     mixed_raw_cells,
-    numeric_dataset,
     write_toy_files,
 )
 from test_feature_select import finite_difference_grad
@@ -224,7 +223,7 @@ def test_criterion_06_credit_benchmark_reproduces_published_range():
 
 def test_criterion_07_external_claims_are_annotations_only():
     X, y = make_labeled_blobs(30, sep=4.0, d=3, spread=0.9, seed=2)
-    ds = numeric_dataset(X, y, name="blobs")
+    ds = Dataset.numeric(X, y, name="blobs")
     result = compare_methods(
         ds, ["kmeans"],
         PipelineConfig(method="kmeans", folds=3, seed=1, rfe_target_k=3, kmeans_k=2,

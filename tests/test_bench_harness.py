@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from riskmeans.bench_harness import (
     REFERENCE_CLAIMS,
     ComparisonResult,
     CvReport,
+    FoldFit,
     PipelineConfig,
     compare_methods,
     fit_fold,
@@ -28,7 +30,7 @@ from riskmeans.data_ingest import AllMissingColumnError, CellParseError, Dataset
 from riskmeans.feature_select import rfe
 from riskmeans.metrics import MetricBundle
 
-from conftest import make_labeled_blobs, mixed_raw_cells, numeric_dataset
+from conftest import make_labeled_blobs, mixed_raw_cells
 
 
 def _bench_dataset(n_per=30, seed=7):
@@ -36,7 +38,7 @@ def _bench_dataset(n_per=30, seed=7):
     X, y = make_labeled_blobs(n_per, sep=4.0, d=2, spread=0.8, seed=seed)
     rng = np.random.default_rng(seed + 1)
     X = np.column_stack([X, rng.normal(size=(X.shape[0], 3))])
-    return numeric_dataset(X, y, name="bench-blobs")
+    return Dataset.numeric(X, y, name="bench-blobs")
 
 
 def _config(**kw):
@@ -90,7 +92,7 @@ def test_lr_method_separates_unscaled_large_magnitude_columns():
         20.0 + 8.0 * y + 10.0 * rng.normal(size=n),
         35.0 + 10.0 * rng.normal(size=n),
     ])
-    ds = numeric_dataset(X, y, name="raw-magnitudes")
+    ds = Dataset.numeric(X, y, name="raw-magnitudes")
     report = run_pipeline(ds, _config(method="lr", scale=False, rfe_enabled=False))
     assert report.mean.auc > 0.85
     assert all(fit.logistic.final_loss < np.log(2) for fit in report.fits)
@@ -238,7 +240,7 @@ def test_fit_fold_runs_rfe_once_per_candidate(monkeypatch):
 def _three_distinct_rows(n_each=20):
     """Three distinct rows, each repeated with both labels."""
     rows = np.repeat([[0.0, 1.0], [4.0, -2.0], [1.0, 5.0]], n_each, axis=0)
-    return numeric_dataset(rows, np.tile([0, 1], 3 * n_each // 2))
+    return Dataset.numeric(rows, np.tile([0, 1], 3 * n_each // 2))
 
 
 def test_auto_k_sweep_capped_at_distinct_rows(monkeypatch):
@@ -359,6 +361,19 @@ def test_fit_fold_fills_the_slot_of_every_method():
             assert own.logistic.weights.tobytes() == alone.logistic.weights.tobytes()
     with pytest.raises(ValueError, match="unknown method 'svm'"):
         fit_fold(ds, np.arange(ds.n), _config(), fold_seed=5, methods=("kmeans", "svm"))
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_fold_fit_stores_k_once(k):
+    ds = _bench_dataset()
+    fit = fit_fold(ds, np.arange(ds.n), _config(kmeans_k=k), fold_seed=5,
+                   methods=("kmeans", "lr"))
+    assert fit.chosen_k == fit.kmeans.model.k
+    assert k is None or fit.chosen_k == k
+    assert fit.only("lr").chosen_k is None
+    assert "chosen_k" not in {f.name for f in dataclasses.fields(FoldFit)}
+    with pytest.raises(AttributeError):
+        fit.chosen_k = 4
 
 
 @pytest.mark.parametrize("methods", [["kmeans", "lr"], ["lr", "kmeans"]])

@@ -103,6 +103,15 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
     assert "[kmeans]" in err and "wheels" in err
 
 
+def test_infinite_tol_exits_two(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace("[kmeans]\n", "[kmeans]\ntol = inf\n"), encoding="utf-8")
+    assert main(["train", "--config", str(config), "--seed", "1"]) == 2
+    assert "[kmeans] tol: expected a finite number, got 'inf'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_numeric_cell_exits_one(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     lines = data.read_text(encoding="utf-8").splitlines()
@@ -479,6 +488,29 @@ def test_demo_script_runs_every_command(tmp_path):
         assert (tmp_path / name).is_file(), name
     selection = _read_json(tmp_path / "selection.json")
     assert len(selection["selected_indices"]) == _read_json(tmp_path / "model.json")["d"]
+
+
+def _run_benchmark(tmp_path, config):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "run_benchmark.py"),
+                           "--config", str(config), "--seed", "1", "--folds", "2"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+
+
+def test_run_benchmark_script_writes_the_comparison(tmp_path):
+    data, schema, config = write_toy_files(tmp_path)
+    proc = _run_benchmark(tmp_path, config)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("comparison.json", "roc_kmeans.csv"):
+        assert (tmp_path / "out" / name).is_file(), name
+
+
+def test_run_benchmark_script_without_data_exits_one(tmp_path):
+    data, schema, config = write_toy_files(tmp_path)
+    data.unlink()
+    proc = _run_benchmark(tmp_path, config)
+    assert proc.returncode == 1
+    assert "fetch it first" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_fold_error_names_fold(tmp_path, capsys):

@@ -156,6 +156,14 @@ def test_bad_float_rejected(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("value", ["inf", "+Infinity", "1e400"])
+def test_infinite_tol_rejected(tmp_path, value):
+    # an infinite tol would stop every Lloyd run after its first update
+    p = _write(tmp_path, f"[kmeans]\ntol = {value}\n")
+    with pytest.raises(ConfigError, match=r"\[kmeans\] tol: expected a finite number"):
+        load_config(p)
+
+
 def test_bad_init_rejected(tmp_path):
     p = _write(tmp_path, "[kmeans]\ninit = random\n")
     with pytest.raises(ConfigError, match="kmeanspp"):

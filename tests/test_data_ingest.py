@@ -151,12 +151,19 @@ def test_load_header_only(tmp_path):
         load_csv(p, SCHEMA, "label")
 
 
-def test_load_declared_dimension_checked(tmp_path):
-    p = write(tmp_path, "amount,grade,label\n10,a,bad\n20,b,good\n")
-    ds = load_csv(p, SCHEMA, "label", positive_label="bad", declared_dimension=3)
-    assert ds.d == 2
-    with pytest.raises(SchemaError, match="dimension"):
-        load_csv(p, SCHEMA, "label", positive_label="bad", declared_dimension=25)
+def test_read_schema_checks_declared_dimension(tmp_path):
+    columns = ("column amount numeric\ncolumn grade categorical\n"
+               "column label categorical\nlabel label positive=bad\n")
+    good = write(tmp_path, columns + "dimension 3\n", name="good.schema")
+    data = write(tmp_path, "amount,grade,label\n10,a,bad\n20,b,good\n")
+    assert load_with_schema(data, good).d == 2
+    bad = write(tmp_path, columns + "dimension 25\n", name="bad.schema")
+    message = "^declared dimension 25 implies 24 features, schema has 2$"
+    with pytest.raises(SchemaError, match=message):
+        read_schema(bad)
+    # the mismatch is raised before the data file is opened
+    with pytest.raises(SchemaError, match=message):
+        load_with_schema(tmp_path / "absent.csv", bad)
 
 
 def _loop_load_csv(path, schema, label_column, positive_label=None):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from riskmeans.data_ingest import Dataset
 from riskmeans.feature_select import (
     NEWTON_MAX_STEPS,
     LogisticModel,
@@ -21,7 +22,7 @@ from riskmeans.feature_select import (
 from riskmeans.kmeans_core import PROBE_PARAMS, KMeansModel, fit_classifier, predict_labels
 from riskmeans.seeding import derive_seed
 
-from conftest import make_labeled_blobs, numeric_dataset
+from conftest import make_labeled_blobs
 
 
 def finite_difference_grad(w, b, X, y, l2, eps=1e-6):
@@ -263,7 +264,7 @@ def test_select_target_k_probes_one_distinct_row_with_one_cluster():
     queries = np.array([[1.0, 1.0, 1.0], [0.0, 2.0, -1.0]])
     for y in (np.array([0, 1, 1] * 10), np.array([1, 0, 0] * 10)):
         assert len(select_target_k(X, y, [3, 1], cv_folds=3, seed=0).selected) == 1
-        ds = numeric_dataset(X, y)
+        ds = Dataset.numeric(X, y)
         repeated = KMeansModel(centroids=np.ones((2, 3)), wcss=0.0, iterations_run=1,
                                converged=True, wcss_trace=(0.0, 0.0))
         two = fit_classifier(ds, PROBE_PARAMS, model=repeated)

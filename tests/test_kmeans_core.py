@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskmeans.kmeans_core as kc
+from riskmeans.data_ingest import Dataset
 from riskmeans.kmeans_core import (
     INIT_KMEANSPP,
     INIT_UNIFORM,
     ClusterClassifier,
     KMeansModel,
     KMeansParams,
-    assign,
     assign_many,
     choose_k,
     classifier_from_json,
@@ -27,14 +27,13 @@ from riskmeans.kmeans_core import (
     fit_classifier,
     kmeanspp_init,
     lloyd_fit,
-    predict_score,
     predict_scores,
     silhouette_score,
     uniform_init,
 )
 from riskmeans.seeding import derive_seed
 
-from conftest import make_blobs, make_labeled_blobs, numeric_dataset
+from conftest import make_blobs, make_labeled_blobs
 
 
 def recompute_wcss(points, centroids):
@@ -631,25 +630,24 @@ def test_choose_k_equals_per_k_lloyd_fit():
 def test_assign_exact_centroid_and_ties():
     model = KMeansModel(centroids=np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]]),
                         wcss=0.0, iterations_run=1, converged=True)
-    assert assign(model, np.array([5.0, 5.0])) == 2
-    assert assign(model, np.array([1.0, 0.0])) == 0  # equidistant 0 and 1 -> lowest
+    # equidistant 0 and 1 -> lowest
+    assert assign_many(model, np.array([[5.0, 5.0], [1.0, 0.0]])).tolist() == [2, 0]
 
 
 def test_assign_matches_brute_force():
     rng = np.random.default_rng(3)
     cents = rng.normal(size=(4, 3))
     model = KMeansModel(centroids=cents, wcss=0.0, iterations_run=1, converged=True)
-    for _ in range(20):
-        x = rng.normal(size=3)
-        naive = int(np.argmin([((x - c) ** 2).sum() for c in cents]))
-        assert assign(model, x) == naive
+    X = rng.normal(size=(20, 3))
+    naive = [int(np.argmin([((x - c) ** 2).sum() for c in cents])) for x in X]
+    assert assign_many(model, X).tolist() == naive
 
 
 def test_assign_dimension_mismatch():
     model = KMeansModel(centroids=np.zeros((2, 3)), wcss=0.0,
                         iterations_run=1, converged=True)
-    with pytest.raises(ValueError):
-        assign(model, np.zeros(2))
+    with pytest.raises(ValueError, match="expected a matrix with 3 columns"):
+        assign_many(model, np.zeros((1, 2)))
 
 
 def test_assign_matches_assign_many_on_every_row():
@@ -660,7 +658,8 @@ def test_assign_matches_assign_many_on_every_row():
     mids = (cents[:, None, :] + cents[None, :, :]).reshape(-1, 12) / 2
     X = np.concatenate([rng.normal(size=(200, 12)) * 3, mids])
     labels = assign_many(model, X)
-    assert [assign(model, x) for x in X] == labels.tolist()
+    one = np.concatenate([assign_many(model, X[i:i + 1]) for i in range(X.shape[0])])
+    assert one.tolist() == labels.tolist()
 
 
 def test_silhouette_hand_oracle_line():
@@ -830,7 +829,7 @@ def test_fit_classifier_pure_cluster_posterior():
     # far-apart singleton-class blobs force pure clusters: 5 positives -> 6/7
     X = np.concatenate([np.zeros((5, 2)), np.full((7, 2), 50.0)])
     y = np.array([1] * 5 + [0] * 7)
-    clf = fit_classifier(numeric_dataset(X, y), KMeansParams(k=2, restarts=4, seed=0))
+    clf = fit_classifier(Dataset.numeric(X, y), KMeansParams(k=2, restarts=4, seed=0))
     assert sorted(clf.posteriors) == pytest.approx(sorted([6 / 7, 1 / 9]))
 
 
@@ -841,11 +840,30 @@ def test_fit_classifier_empty_cluster_posterior_half():
     y = np.array([1, 1, 1, 0])
     model = KMeansModel(centroids=np.array([[0.0, 0.0], [5.0, 5.0]]), wcss=0.0,
                         iterations_run=1, converged=True, wcss_trace=(0.0, 0.0))
-    clf = fit_classifier(numeric_dataset(X, y), KMeansParams(k=2, restarts=2, seed=0),
+    clf = fit_classifier(Dataset.numeric(X, y), KMeansParams(k=2, restarts=2, seed=0),
                          model=model)
     assert 0.5 in list(clf.posteriors)
     assert (3 + 1) / (4 + 2) in list(clf.posteriors)
     assert clf.bandwidth == 1.0  # zero mean distance falls back to 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_classifier_posteriors_match_a_per_cluster_loop(seed):
+    # 6 centroids, some far from every row, so k exceeds the labels in use
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 3))
+    y = (rng.random(40) < 0.3).astype(int)
+    y[:2] = [0, 1]
+    centroids = np.concatenate([rng.normal(size=(3, 3)), np.full((3, 3), 100.0)])
+    model = KMeansModel(centroids=centroids, wcss=0.0, iterations_run=1, converged=True)
+    clf = fit_classifier(Dataset.numeric(X, y), KMeansParams(k=6), model=model)
+    labels = assign_many(model, X)
+    assert np.unique(labels).size < 6
+    want = np.empty(6)
+    for j in range(6):
+        members = labels == j
+        want[j] = (int(y[members].sum()) + 1) / (int(members.sum()) + 2)
+    assert clf.posteriors.tobytes() == want.tobytes()
 
 
 def test_fit_classifier_single_class_rejected(blob_dataset):
@@ -865,18 +883,17 @@ def _manual_clf(centroids, posteriors, bandwidth=1.0):
 def test_predict_score_single_cluster_returns_posterior():
     clf = _manual_clf([[0.0, 0.0]], [0.7])
     for x in ([0.0, 0.0], [5.0, -3.0], [100.0, 100.0]):
-        assert predict_score(clf, np.array(x)) == pytest.approx(0.7, abs=1e-12)
+        assert predict_scores(clf, np.array([x]))[0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_predict_score_equidistant_averages():
     clf = _manual_clf([[0.0], [2.0]], [0.9, 0.3])
-    assert predict_score(clf, np.array([1.0])) == pytest.approx(0.6, abs=1e-12)
+    assert predict_scores(clf, np.array([[1.0]]))[0] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_predict_score_tiny_bandwidth_limits_to_posterior():
     clf = _manual_clf([[0.0], [2.0]], [0.8, 0.4], bandwidth=1e-3)
-    assert predict_score(clf, np.array([0.0])) == pytest.approx(0.8, abs=1e-12)
-    assert predict_score(clf, np.array([2.0])) == pytest.approx(0.4, abs=1e-12)
+    assert predict_scores(clf, np.array([[0.0], [2.0]])) == pytest.approx([0.8, 0.4], abs=1e-12)
 
 
 def test_predict_scores_bounded_unit_interval():
@@ -890,15 +907,15 @@ def test_predict_score_monotone_in_posterior():
     prev = -1.0
     for p1 in (0.1, 0.3, 0.5, 0.9):
         clf = _manual_clf([[0.0], [2.0]], [0.2, p1])
-        s = predict_score(clf, np.array([1.5]))
+        s = predict_scores(clf, np.array([[1.5]]))[0]
         assert s > prev
         prev = s
 
 
 def test_predict_score_dimension_mismatch():
     clf = _manual_clf([[0.0, 0.0]], [0.5])
-    with pytest.raises(ValueError):
-        predict_score(clf, np.zeros(3))
+    with pytest.raises(ValueError, match="expected a matrix with 2 columns"):
+        predict_scores(clf, np.zeros((1, 3)))
 
 
 def _wide_problem(n=600, d=12):
@@ -912,12 +929,11 @@ def _wide_problem(n=600, d=12):
 @pytest.mark.parametrize("k", [4, 9])  # k >= 8 is where a one-row sum over k turns pairwise
 def test_predict_scores_are_row_exact_and_layout_free(k):
     X, y = _wide_problem()
-    clf = fit_classifier(numeric_dataset(X, y), KMeansParams(k=k, restarts=2, seed=3))
+    clf = fit_classifier(Dataset.numeric(X, y), KMeansParams(k=k, restarts=2, seed=3))
     want = predict_scores(clf, X).tobytes()
     assert predict_scores(clf, np.asfortranarray(X)).tobytes() == want
     one = np.concatenate([predict_scores(clf, X[i:i + 1]) for i in range(X.shape[0])])
     assert one.tobytes() == want
-    assert np.array([predict_score(clf, x) for x in X]).tobytes() == want
     chunks = np.concatenate([predict_scores(clf, X[i:i + 7]) for i in range(0, X.shape[0], 7)])
     assert chunks.tobytes() == want
 
@@ -931,8 +947,8 @@ def test_fits_are_layout_free():
     assert (a.wcss, a.wcss_trace, a.iterations_run) == (b.wcss, b.wcss_trace, b.iterations_run)
     # the bandwidth is the mean root of each row's nearest kernel distance
     sigma = np.sqrt(_loop_sq_dists(X, a.centroids).min(axis=1)).mean()
-    assert fit_classifier(numeric_dataset(X, y), params, model=a).bandwidth == sigma
-    assert fit_classifier(numeric_dataset(XF, y), params, model=a).bandwidth == sigma
+    assert fit_classifier(Dataset.numeric(X, y), params, model=a).bandwidth == sigma
+    assert fit_classifier(Dataset.numeric(XF, y), params, model=a).bandwidth == sigma
     labels = assign_many(a, X)
     assert labels.tobytes() == assign_many(a, XF).tobytes()
     assert silhouette_score(X, labels) == silhouette_score(XF, labels)
@@ -980,6 +996,12 @@ def test_params_validation():
         KMeansParams(k=2, restarts=0)
     with pytest.raises(ValueError, match="max_iters must be >= 1"):
         KMeansParams(k=2, max_iters=0)
+
+
+def test_params_reject_infinite_tol():
+    # every first move is below an infinite tol, so each run would stop there
+    with pytest.raises(ValueError, match="^tol must be finite$"):
+        KMeansParams(k=2, tol=float("inf"))
 
 
 def test_model_centroids_read_only():

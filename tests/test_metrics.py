@@ -19,7 +19,6 @@ from riskmeans.metrics import (
     compute_bundle,
     confusion,
     f1,
-    fpr,
     precision,
     recall,
     roc_curve,
@@ -62,21 +61,18 @@ def test_metric_formulas_plug_in():
     assert precision(cc) == pytest.approx(2 / 3)
     assert recall(cc) == 1.0
     assert f1(cc) == pytest.approx(0.8)
-    assert fpr(cc) == pytest.approx(1 / 3)
 
 
 def test_metrics_all_correct():
     cc = ConfusionCounts(tp=3, tn=5, fp=0, fn=0)
     assert accuracy(cc) == 1.0
     assert f1(cc) == 1.0
-    assert fpr(cc) == 0.0
 
 
 def test_zero_over_zero_conventions():
     assert precision(ConfusionCounts(tp=0, tn=3, fp=0, fn=1)) == 0.0
     assert f1(ConfusionCounts(tp=0, tn=3, fp=0, fn=1)) == 0.0
     assert recall(ConfusionCounts(tp=0, tn=2, fp=2, fn=0)) == 0.0
-    assert fpr(ConfusionCounts(tp=2, tn=0, fp=0, fn=2)) == 0.0
 
 
 def test_empty_confusion_rejected():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmeans.cv import stratified_kfold
+from riskmeans.data_ingest import Dataset
 from riskmeans.kmeans_core import (
     PROBE_PARAMS,
     KMeansParams,
@@ -28,7 +29,7 @@ from riskmeans.mg_scanner import (
 )
 from riskmeans.seeding import derive_seed
 
-from conftest import constant_scanner, numeric_dataset
+from conftest import constant_scanner
 
 
 def test_window_count_reference_values():
@@ -140,7 +141,7 @@ def test_probability_pairs_sum_to_one():
     X = rng.normal(size=(30, 8))
     y = np.array([0, 1] * 15)
     config = ScanConfig(input_dim=8, windows=(3,), estimators=2)
-    fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=1)
+    fitted = fit_window_estimators(Dataset.numeric(X, y), config, seed=1)
     # posteriors at the ends of [0, 1] give scores s for which 1 - s rounds
     ends = [replace(clf, posteriors=np.array(p)) for clf, p in
             zip(fitted[3], ([1e-20, 3e-17], [1.0 - 2.0**-53, 1.0]))]
@@ -155,10 +156,10 @@ def test_kmeans_estimator_rejects_k_above_the_distinct_windows():
     # hold one value pools a single distinct window; two values pool two
     config = ScanConfig(input_dim=4, windows=(2,))
     y = np.tile([0, 1], 6)
-    flat = numeric_dataset(np.full((12, 4), 3.0), y)
+    flat = Dataset.numeric(np.full((12, 4), 3.0), y)
     with pytest.raises(ValueError, match=r"^k=2 exceeds the 1 distinct rows$"):
         fit_window_estimators(flat, config, seed=0)
-    two = numeric_dataset(np.repeat([[0.0], [1.0]], 6, axis=0) * np.ones(4), y)
+    two = Dataset.numeric(np.repeat([[0.0], [1.0]], 6, axis=0) * np.ones(4), y)
     assert [clf.model.k for clf in fit_window_estimators(two, config, seed=0)[2]] == [2, 2]
 
 
@@ -167,7 +168,7 @@ def test_estimator_seeds_give_distinct_centroids():
     X = rng.normal(size=(40, 10))
     y = np.array([0, 1] * 20)
     config = ScanConfig(input_dim=10, windows=(4,), estimators=2)
-    fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=3)
+    fitted = fit_window_estimators(Dataset.numeric(X, y), config, seed=3)
     a, b = fitted[4]
     assert not np.allclose(a.model.centroids, b.model.centroids)
 
@@ -177,7 +178,7 @@ def test_single_class_labels_propagate_error():
     y = np.zeros(20, dtype=int)
     config = ScanConfig(input_dim=6, windows=(3,))
     with pytest.raises(ValueError, match="both classes"):
-        fit_window_estimators(numeric_dataset(X, y), config, seed=0)
+        fit_window_estimators(Dataset.numeric(X, y), config, seed=0)
 
 
 def test_dimension_mismatch_rejected():
@@ -187,7 +188,7 @@ def test_dimension_mismatch_rejected():
     X = np.zeros((4, 5))
     y = np.array([0, 1, 0, 1])
     with pytest.raises(ValueError, match="input_dim"):
-        fit_window_estimators(numeric_dataset(X, y), config, seed=0)
+        fit_window_estimators(Dataset.numeric(X, y), config, seed=0)
 
 
 def test_missing_fitted_estimators_rejected():
@@ -223,7 +224,7 @@ def _fit_scanner(windows, stride, estimators):
     y = np.array([0, 1] * 12)
     config = ScanConfig(input_dim=9, windows=windows, stride=stride,
                         estimators=estimators)
-    fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=2)
+    fitted = fit_window_estimators(Dataset.numeric(X, y), config, seed=2)
     return X, y, config, fitted, rng.normal(size=(17, 9))
 
 
@@ -234,7 +235,7 @@ def _fit_scanner(windows, stride, estimators):
 def test_matrix_path_matches_per_row_loop_bitwise(windows, stride, estimators):
     X, y, config, fitted, Xt = _fit_scanner(windows, stride, estimators)
     for w in windows:
-        pool = numeric_dataset(
+        pool = Dataset.numeric(
             np.concatenate([_reference_windows(row, w, stride) for row in X]),
             np.repeat(y, window_count(9, w, stride)))
         for e, clf in enumerate(fitted[w]):
@@ -267,7 +268,7 @@ def test_transform_matrix_with_no_rows():
     X = np.random.default_rng(9).normal(size=(20, 6))
     y = np.array([0, 1] * 10)
     config = ScanConfig(input_dim=6, windows=(2, 6), stride=2)
-    fitted = fit_window_estimators(numeric_dataset(X, y), config, seed=0)
+    fitted = fit_window_estimators(Dataset.numeric(X, y), config, seed=0)
     out = transform_matrix(np.zeros((0, 6)), config, fitted)
     for w in config.windows:
         assert out[w].shape == (0, config.output_dim(w))
@@ -286,7 +287,7 @@ def test_fit_and_transform_deterministic():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 8))
     y = np.array([0, 1] * 15)
-    ds = numeric_dataset(X, y)
+    ds = Dataset.numeric(X, y)
     config = ScanConfig(input_dim=8, windows=(3, 5))
     a = transform_matrix(X, config, fit_window_estimators(ds, config, seed=9))
     b = transform_matrix(X, config, fit_window_estimators(ds, config, seed=9))
@@ -334,13 +335,13 @@ def _cv_accuracy(X, y, seed, use_scanner):
         tr, te = plan.train_indices(i), plan.test_indices[i]
         if use_scanner:
             config = ScanConfig(input_dim=X.shape[1], windows=(4,), estimators=2)
-            fitted = fit_window_estimators(numeric_dataset(X[tr], y[tr]),
+            fitted = fit_window_estimators(Dataset.numeric(X[tr], y[tr]),
                                            config, seed=seed)
             Xtr = transform_matrix(X[tr], config, fitted)[4]
             Xte = transform_matrix(X[te], config, fitted)[4]
         else:
             Xtr, Xte = X[tr], X[te]
-        clf = fit_classifier(numeric_dataset(Xtr, y[tr]),
+        clf = fit_classifier(Dataset.numeric(Xtr, y[tr]),
                              KMeansParams(k=2, restarts=3, seed=seed))
         correct += int(np.sum(predict_labels(clf, Xte) == y[te]))
     return correct / len(y)
