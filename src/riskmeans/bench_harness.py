@@ -39,7 +39,6 @@ from .cv import FoldPlan, stratified_kfold
 from .data_ingest import Dataset, PreprocessReport, apply_report, preprocess
 from .feature_select import LogisticModel, RfeResult, fit_logistic, select_features
 from .kmeans_core import (
-    INIT_KMEANSPP,
     ClusterClassifier,
     KMeansParams,
     choose_k,
@@ -58,6 +57,7 @@ __all__ = [
     "ComparisonResult",
     "REFERENCE_ROWS",
     "REFERENCE_CLAIMS",
+    "check_methods",
     "fit_fold",
     "score_fold",
     "run_pipeline",
@@ -95,7 +95,8 @@ REFERENCE_CLAIMS = {
 }
 
 
-def _check_methods(methods) -> None:
+def check_methods(methods) -> None:
+    """Raise ValueError for an unknown or a repeated method."""
     for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
@@ -116,13 +117,13 @@ class PipelineConfig:
     rfe_step: int = 1
     kmeans_k: int | None = None      # None -> silhouette sweep
     kmeans_k_max: int = 10
-    kmeans_restarts: int = 10
-    kmeans_max_iters: int = 300
-    kmeans_tol: float = 1e-6
-    kmeans_init: str = INIT_KMEANSPP
+    kmeans_restarts: int = KMeansParams.restarts
+    kmeans_max_iters: int = KMeansParams.max_iters
+    kmeans_tol: float = KMeansParams.tol
+    kmeans_init: str = KMeansParams.init
 
     def __post_init__(self):
-        _check_methods((self.method,))
+        check_methods((self.method,))
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
 
@@ -203,7 +204,7 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
     model is the one a fit for its method alone would give.
     """
     methods = (config.method,) if methods is None else tuple(methods)
-    _check_methods(methods)
+    check_methods(methods)
     train_raw = _subset(ds, train_indices)
     train_proc, report = preprocess(train_raw, scale=config.scale)
     X = np.asarray(train_proc.features, dtype=float)
@@ -230,11 +231,9 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
     return fit
 
 
-def score_fold(fit: FoldFit, ds: Dataset, test_indices: np.ndarray,
-               config: PipelineConfig) -> np.ndarray:
-    """Continuous scores for held-out rows using only train-fitted state."""
-    test_raw = _subset(ds, test_indices)
-    test_proc = apply_report(test_raw, fit.preprocess, scale=config.scale)
+def score_fold(fit: FoldFit, ds: Dataset, test_indices: np.ndarray) -> np.ndarray:
+    """Continuous scores for held-out rows using only the fit's own state."""
+    test_proc = apply_report(_subset(ds, test_indices), fit.preprocess)
     Xt = np.asarray(test_proc.features, dtype=float)[:, fit.selection.selected]
     if fit.kmeans is not None:
         return predict_scores(fit.kmeans, Xt)
@@ -307,7 +306,7 @@ def _cross_validate(ds: Dataset, methods: tuple,
             for m in methods:
                 start = time.perf_counter()
                 own = fit.only(m)
-                results[m].append((own, score_fold(own, ds, plan.test_indices[i], config)))
+                results[m].append((own, score_fold(own, ds, plan.test_indices[i])))
                 wall[m] += shared + own.fit_seconds[m] + time.perf_counter() - start
         except Exception as exc:
             exc.add_note(f"fold {i}")
@@ -414,7 +413,7 @@ def compare_methods(ds: Dataset, methods, config: PipelineConfig) -> ComparisonR
     methods = list(methods)
     if not methods:
         raise ValueError("at least one method required")
-    _check_methods(methods)
+    check_methods(methods)
     reports = _cross_validate(ds, tuple(methods), config)
     return ComparisonResult(dataset=ds.name,
                             computed=tuple((m, reports[m]) for m in methods))

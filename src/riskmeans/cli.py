@@ -25,6 +25,7 @@ import numpy as np
 
 from .bench_harness import (
     METHODS,
+    check_methods,
     compare_methods,
     fit_fold,
     render_comparison,
@@ -50,10 +51,10 @@ class UsageError(Exception):
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    overrides = {"scale": False} if getattr(args, "no_scale", False) else {}
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    overrides = {"scale": False} if args.no_scale else {}
     for row in KEYS:
-        raw = getattr(args, row.flag[2:].replace("-", "_"), None) if row.flag else None
+        raw = vars(args).get(row.field)  # None: not given, or not this command's flag
         if raw is not None:
             value = row.parse(row.flag, raw)  # integer parsers reject a blank value
             if raw:
@@ -74,14 +75,17 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
     return ds
 
 
-def _fingerprint(cfg: ExperimentConfig, seed: int) -> dict:
-    return {"config": cfg.fingerprint(), "config_hash": cfg.fingerprint_hash(),
-            "seed": seed}
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _write_artifact(path: str, cfg: ExperimentConfig, seed: int, body: dict) -> None:
+    """``body`` as sorted JSON, with the fingerprint that reproduces it."""
+    fingerprint = {"config": cfg.fingerprint(), "config_hash": cfg.fingerprint_hash(),
+                   "seed": seed}
+    _write(path, json.dumps({"fingerprint": fingerprint, **body},
+                            indent=2, sort_keys=True) + "\n")
 
 
 def _outdir(cfg: ExperimentConfig) -> str:
@@ -98,10 +102,7 @@ def cmd_ingest(args) -> int:
     matrix_path = os.path.join(out, "processed.csv")
     report_path = os.path.join(out, "preprocess.json")
     write_processed(proc, matrix_path)
-    _write(report_path, json.dumps(
-        {"fingerprint": _fingerprint(cfg, seed),
-         "preprocess": json.loads(report.to_json())},
-        indent=2, sort_keys=True) + "\n")
+    _write_artifact(report_path, cfg, seed, {"preprocess": json.loads(report.to_json())})
     pos, neg = ds.class_counts()
     print(f"ingested {ds.name}: n={ds.n}, d={ds.d}, positives={pos}, negatives={neg}")
     print(f"wrote {matrix_path} and {report_path}")
@@ -118,8 +119,7 @@ def cmd_select_features(args) -> int:
     names = ds.column_names()
     out = _outdir(cfg)
     path = os.path.join(out, "selection.json")
-    _write(path, json.dumps({
-        "fingerprint": _fingerprint(cfg, seed),
+    _write_artifact(path, cfg, seed, {
         "target_k": target,
         "selected_indices": list(selection.selected),
         "selected_columns": [names[j] for j in selection.selected],
@@ -127,7 +127,7 @@ def cmd_select_features(args) -> int:
             {"round": r, "dropped_index": j, "dropped_column": names[j], "score": s}
             for r, j, s in selection.elimination_trace
         ],
-    }, indent=2, sort_keys=True) + "\n")
+    })
     print(f"selected {target} of {ds.d} features: "
           + ", ".join(names[j] for j in selection.selected))
     print(f"wrote {path}")
@@ -172,13 +172,12 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
+    if not methods:  # check_methods allows none: select-features fits no model
         raise UsageError("--methods is empty; valid methods: " + ", ".join(METHODS))
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}; valid methods: " + ", ".join(METHODS))
-        if m in methods[:i]:
-            raise UsageError(f"--methods: method {m!r} repeated")
+    try:
+        check_methods(methods)
+    except ValueError as exc:
+        raise UsageError(f"--methods: {exc}") from None
     ds = _load_dataset(cfg, args.seed)
     result = compare_methods(ds, methods, cfg.pipeline(methods[0], seed=args.seed))
     out = _outdir(cfg)
@@ -236,9 +235,7 @@ def cmd_scan(args) -> int:
         written.append(path)
         dims[str(w)] = int(mats[w].shape[1])
     meta_path = os.path.join(out, "scan_meta.json")
-    _write(meta_path, json.dumps(
-        {"fingerprint": _fingerprint(cfg, seed), "output_dims": dims},
-        indent=2, sort_keys=True) + "\n")
+    _write_artifact(meta_path, cfg, seed, {"output_dims": dims})
     written.append(meta_path)
     for w in scan_cfg.windows:
         print(f"window {w}: {dims[str(w)]} output dims")
@@ -246,14 +243,22 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, summary: str, func, *flags: str,
+             seed_required: bool = False) -> argparse.ArgumentParser:
+    """A subcommand with ``--config``, ``--no-scale``, ``--seed``, the flags of
+    the [data] and [output] keys and the named key flags, each built from
+    its :data:`KEYS` row."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
     p.add_argument("--config", help="experiment config file (INI format)")
-    p.add_argument("--data", help="data file (overrides the config)")
-    p.add_argument("--schema", help="schema file (overrides the config)")
-    p.add_argument("--name", help="dataset name for reports")
-    p.add_argument("--out", help="output directory (overrides the config)")
-    p.add_argument("--subsample", help="balanced rows per class (0 = off)")
-    p.add_argument("--no-scale", action="store_true", help="skip standardization")
+    p.add_argument("--no-scale", action="store_true",
+                   help="skip standardization (sets [preprocess] scale = false)")
+    p.add_argument("--seed", type=int, default=0, required=seed_required, help="root seed")
+    for row in KEYS:
+        if row.flag and (row.section in ("data", "output") or row.flag in flags):
+            p.add_argument(row.flag, dest=row.field,
+                           help=f"overrides [{row.section}] {row.key}")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,57 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="K-means credit-risk benchmark pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="load, preprocess, and dump a dataset")
-    _add_common_data_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("select-features", help="rank features and pick a subset")
-    _add_common_data_flags(p)
-    p.add_argument("--target-k", dest="target_k",
-                   help="feature count to keep, or 'auto'")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_select_features)
-
-    p = sub.add_parser("train", help="fit one cluster classifier on all rows")
-    _add_common_data_flags(p)
-    p.add_argument("--k", help="cluster count, or 'auto'")
-    p.add_argument("--target-k", dest="target_k",
-                   help="feature count to keep before fitting")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("run", help="cross-validate one method")
-    _add_common_data_flags(p)
+    _command(sub, "ingest", "load, preprocess, and dump a dataset", cmd_ingest)
+    _command(sub, "select-features", "rank features and pick a subset",
+             cmd_select_features, "--target-k")
+    _command(sub, "train", "fit one cluster classifier on all rows", cmd_train,
+             "--k", "--target-k")
+    p = _command(sub, "run", "cross-validate one method", cmd_run,
+                 "--folds", "--k", "--target-k", seed_required=True)
     p.add_argument("--method", choices=list(METHODS), default="kmeans")
-    p.add_argument("--seed", type=int, required=True,
-                   help="root seed (required for reproducibility)")
-    p.add_argument("--folds")
-    p.add_argument("--k", help="cluster count, or 'auto'")
-    p.add_argument("--target-k", dest="target_k",
-                   help="feature count to keep, or 'auto'")
     p.add_argument("--emit-plot-data", action="store_true",
                    help="write pooled out-of-fold ROC points")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("compare", help="cross-validate several methods side by side")
-    _add_common_data_flags(p)
+    p = _command(sub, "compare", "cross-validate several methods side by side",
+                 cmd_compare, "--folds", seed_required=True)
     p.add_argument("--methods", required=True,
                    help="comma-separated subset of: " + ", ".join(METHODS))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--folds")
-    p.add_argument("--emit-plot-data", action="store_true")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("scan", help="expand rows through sliding-window estimators")
-    _add_common_data_flags(p)
-    p.add_argument("--windows", help="comma-separated window sizes, each in [1, d]")
-    p.add_argument("--stride")
-    p.add_argument("--estimators")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_scan)
-
+    p.add_argument("--emit-plot-data", action="store_true",
+                   help="write pooled out-of-fold ROC points")
+    _command(sub, "scan", "expand rows through sliding-window estimators", cmd_scan,
+             "--windows", "--stride", "--estimators")
     return parser
 
 

@@ -38,8 +38,10 @@ Files are standard INI as read by :mod:`configparser`:
 Every key is optional except [data] path and schema; unknown sections or keys
 are rejected so typos fail loudly, and so is a value below its floor. Each key's
 field, parser, floor and command-line flag are declared once, in :data:`KEYS`;
-a flag overrides its file value and is read by the same parser. The root seed
-comes only from each command's ``--seed`` flag.
+the command line builds each flag from its row (``--help`` names the key), and
+a flag overrides its file value through the same parser. The run settings
+default to :class:`PipelineConfig`'s. The root seed comes only from each
+command's ``--seed`` flag.
 """
 
 from __future__ import annotations
@@ -160,20 +162,20 @@ class ExperimentConfig:
     schema_path: str = ""
     dataset_name: str = ""
     subsample: int = 0
-    scale: bool = True
-    rfe_enabled: bool = True
-    rfe_target_k: int | None = None
-    rfe_step: int = 1
+    scale: bool = PipelineConfig.scale
+    rfe_enabled: bool = PipelineConfig.rfe_enabled
+    rfe_target_k: int | None = PipelineConfig.rfe_target_k
+    rfe_step: int = PipelineConfig.rfe_step
     scanner_windows: tuple = ()
     scanner_stride: int = 1
     scanner_estimators: int = 2
-    kmeans_k: int | None = None
-    kmeans_k_max: int = 10
-    kmeans_restarts: int = 10
-    kmeans_tol: float = 1e-6
-    kmeans_max_iters: int = 300
-    kmeans_init: str = INIT_KMEANSPP
-    cv_folds: int = 5
+    kmeans_k: int | None = PipelineConfig.kmeans_k
+    kmeans_k_max: int = PipelineConfig.kmeans_k_max
+    kmeans_restarts: int = PipelineConfig.kmeans_restarts
+    kmeans_tol: float = PipelineConfig.kmeans_tol
+    kmeans_max_iters: int = PipelineConfig.kmeans_max_iters
+    kmeans_init: str = PipelineConfig.kmeans_init
+    cv_folds: int = PipelineConfig.folds
     output_dir: str = "runs"
 
     def pipeline(self, method: str, seed: int) -> PipelineConfig:

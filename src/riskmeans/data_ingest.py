@@ -11,10 +11,11 @@ column at a time: the fill for missing cells (mean or mode), the category
 code table (first appearance) and, when scaling, the column mean and
 population std. The report is keyed by category strings, never by ids. It
 returns the processed float64 matrix together with the report.
-:func:`apply_report` replays a report on raw rows without refitting. Both
-produce their matrices through one column transform, so replaying the
-training rows reproduces the processed matrix bit for bit and held-out rows
-are transformed with train-side statistics only.
+:func:`apply_report` replays a report on raw rows without refitting, and
+z-scales exactly when the report holds moments. Both produce their matrices
+through one column transform, so replaying the training rows reproduces the
+processed matrix bit for bit and held-out rows are transformed with
+train-side statistics only.
 """
 
 from __future__ import annotations
@@ -418,18 +419,18 @@ def _zscale(vals: np.ndarray, mu: float, sigma: float) -> np.ndarray:
 
 
 def _transform_column(col: np.ndarray, vocab: tuple | None, spec: ColumnSpec,
-                      report: PreprocessReport, scale: bool) -> np.ndarray:
+                      report: PreprocessReport) -> np.ndarray:
     """Map one raw column to floats through the report's recorded statistics.
 
     Missing (NaN) cells take the column's fill. A categorical column's ids
     index one table with an entry per vocabulary category: its code, or the
     overflow code ``len(codes)`` for a category absent from the code table;
-    a last entry, the fill's code, serves the missing cells. With ``scale``
-    the result is z-scaled by the recorded mean and std.
+    a last entry, the fill's code, serves the missing cells. A report that
+    holds moments (fitted with scaling) z-scales by the column's.
     """
     name = spec.name
-    if (name not in report.imputation or (scale and name not in report.means)
-            or (spec.kind != NUMERIC and name not in report.codes)):
+    if (name not in report.imputation or (spec.kind != NUMERIC and name not in report.codes)
+            or (report.means and (name not in report.means or name not in report.stds))):
         raise SchemaError(f"preprocess report has no entry for column {name!r}")
     fill = report.imputation[name]
     if spec.kind == NUMERIC:
@@ -438,7 +439,7 @@ def _transform_column(col: np.ndarray, vocab: tuple | None, spec: ColumnSpec,
         codes = {c: i for i, c in enumerate(report.codes[name])}
         table = np.array([codes.get(c, len(codes)) for c in (*vocab, fill)], dtype=float)
         vals = table[np.where(np.isnan(col), len(vocab), col).astype(np.intp)]
-    if scale:
+    if report.means:
         vals = _zscale(vals, report.means[name], report.stds[name])
     return vals
 
@@ -473,7 +474,7 @@ def preprocess(ds: Dataset, scale: bool = True) -> tuple[Dataset, PreprocessRepo
                 report.imputation[spec.name] = vocab[fill]
                 ids, first = np.unique(np.where(missing, fill, col), return_index=True)
                 report.codes[spec.name] = [vocab[int(i)] for i in ids[np.argsort(first)]]
-            out[:, j] = _transform_column(col, vocab, spec, report, scale=False)
+            out[:, j] = _transform_column(col, vocab, spec, report)  # no moments yet
         for j, spec in enumerate(ds.schema):
             mu, sigma = float(np.mean(out[:, j])), float(np.std(out[:, j]))  # population std
             if not math.isfinite(sigma):
@@ -484,17 +485,19 @@ def preprocess(ds: Dataset, scale: bool = True) -> tuple[Dataset, PreprocessRepo
     return replace(ds, features=out, vocabularies=None), report
 
 
-def apply_report(ds: Dataset, report: PreprocessReport, scale: bool = True) -> Dataset:
+def apply_report(ds: Dataset, report: PreprocessReport) -> Dataset:
     """Replay a fitted report on raw data without refitting anything.
 
-    A schema column the report does not cover raises :class:`SchemaError`. A
-    value too large to scale becomes inf, which scoring rejects by its row.
+    The rows are z-scaled exactly when the report was fitted with scaling. A
+    schema column the report does not cover, moments included, raises
+    :class:`SchemaError`. A value too large to scale becomes inf, which
+    scoring rejects by its row.
     """
     vocabularies = _vocabularies(ds)
     out = np.empty(ds.features.shape, dtype=float)
     with np.errstate(over="ignore"):
         for j, spec in enumerate(ds.schema):
-            out[:, j] = _transform_column(ds.features[:, j], vocabularies[j], spec, report, scale)
+            out[:, j] = _transform_column(ds.features[:, j], vocabularies[j], spec, report)
     return replace(ds, features=out, vocabularies=None)
 
 

@@ -21,14 +21,23 @@ from riskmeans.bench_harness import (
     render_report,
     roc_plot_data,
     run_pipeline,
+    score_fold,
 )
 from riskmeans import bench_harness
 from riskmeans import feature_select as fs
 from riskmeans import kmeans_core as kc
 from riskmeans.cv import stratified_kfold
-from riskmeans.data_ingest import AllMissingColumnError, CellParseError, Dataset, preprocess
+from riskmeans.data_ingest import (
+    AllMissingColumnError,
+    CellParseError,
+    Dataset,
+    PreprocessReport,
+    apply_report,
+    preprocess,
+)
 from riskmeans.feature_select import rfe
 from riskmeans.metrics import MetricBundle
+from riskmeans.seeding import derive_seed
 
 from conftest import make_labeled_blobs, mixed_raw_cells
 
@@ -143,7 +152,7 @@ def test_fold_error_keeps_type_and_message_all_missing():
 
 
 def test_fold_error_keeps_type_and_message_cell_parse(monkeypatch):
-    def failing_score(fit, ds, test_indices, config):
+    def failing_score(fit, ds, test_indices):
         raise CellParseError(row=4, column="amount", token="x?")
 
     monkeypatch.setattr(bench_harness, "score_fold", failing_score)
@@ -152,6 +161,26 @@ def test_fold_error_keeps_type_and_message_cell_parse(monkeypatch):
     assert str(info.value) == str(CellParseError(row=4, column="amount", token="x?"))
     assert (info.value.row, info.value.column) == (4, "amount")
     assert info.value.__notes__ == ["fold 0"]
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_fold_json_forms_score_raw_rows_as_the_fold_does(scale):
+    # Only the fit's JSON forms are read: its preprocess report, its selected
+    # columns and its classifier; the config's scale is not passed.
+    cells, labels, schema = mixed_raw_cells(n=90, seed=3)
+    ds = Dataset.from_cells(cells, labels, schema)
+    config = _config(scale=scale, rfe_target_k=None, kmeans_k=None)
+    report = run_pipeline(ds, config)
+    plan = stratified_kfold(ds.labels, config.folds, derive_seed(config.seed, "folds"))
+    for fit, test in zip(report.fits, plan.test_indices):
+        replay = PreprocessReport.from_json(fit.preprocess.to_json())
+        assert bool(replay.means) is scale
+        raw = replace(ds, features=ds.features[test], labels=ds.labels[test])
+        X = apply_report(raw, replay).features[:, fit.selection.selected]
+        clf = kc.classifier_from_json(kc.classifier_to_json(fit.kmeans))
+        scores = kc.predict_scores(clf, X)
+        assert scores.tobytes() == score_fold(fit, ds, test).tobytes()
+        assert scores.tobytes() == report.oof_scores[test].tobytes()
 
 
 def test_fold_fit_ignores_test_rows():
@@ -394,10 +423,10 @@ def test_compare_methods_fold_errors_keep_type_message_and_note(methods, monkeyp
     # a failure in scoring, past the first fold
     real_score = bench_harness.score_fold
 
-    def failing_score(fit, ds, test_indices, config):
+    def failing_score(fit, ds, test_indices):
         if fit.fold == 1 and fit.logistic is not None:
             raise CellParseError(row=4, column="amount", token="x?")
-        return real_score(fit, ds, test_indices, config)
+        return real_score(fit, ds, test_indices)
 
     monkeypatch.setattr(bench_harness, "score_fold", failing_score)
     with pytest.raises(CellParseError) as info:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -13,10 +14,15 @@ import numpy as np
 import pytest
 
 from riskmeans.bench_harness import fit_fold
-from riskmeans.cli import main
+from riskmeans.cli import build_parser, main
 from riskmeans.config import load_config
 from riskmeans.cv import stratified_kfold
-from riskmeans.data_ingest import load_with_schema
+from riskmeans.data_ingest import (
+    PreprocessReport,
+    apply_report,
+    load_with_schema,
+    write_processed,
+)
 from riskmeans.mg_scanner import window_count
 from riskmeans.seeding import derive_seed
 
@@ -620,3 +626,39 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert payload["fingerprint"]["config"]["folds"] == 4
     assert payload["fingerprint"]["config"]["kmeans_k"] == 2
     assert all(det["chosen_k"] == 2 for det in payload["fold_details"])
+
+
+@pytest.mark.parametrize("argv", [[], ["--no-scale"]])
+def test_ingest_report_replays_to_the_processed_matrix(tmp_path, capsys, argv):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["ingest", "--config", str(config)] + argv) == 0
+    capsys.readouterr()
+    payload = _read_json(tmp_path / "out" / "preprocess.json")
+    report = PreprocessReport.from_json(json.dumps(payload["preprocess"]))
+    assert bool(report.means) is ("--no-scale" not in argv)
+    replayed = apply_report(load_with_schema(data, schema, name="toy"), report)
+    write_processed(replayed, tmp_path / "replayed.csv")
+    assert ((tmp_path / "replayed.csv").read_bytes()
+            == (tmp_path / "out" / "processed.csv").read_bytes())
+
+
+# Each subcommand's option strings; building the flags from KEYS must keep them.
+_DATA_OPTIONS = ["-h", "--help", "--config", "--data", "--schema", "--name", "--out",
+                 "--subsample", "--no-scale"]
+OPTION_STRINGS = {
+    "ingest": _DATA_OPTIONS + ["--seed"],
+    "select-features": _DATA_OPTIONS + ["--target-k", "--seed"],
+    "train": _DATA_OPTIONS + ["--k", "--target-k", "--seed"],
+    "run": _DATA_OPTIONS + ["--method", "--seed", "--folds", "--k", "--target-k",
+                            "--emit-plot-data"],
+    "compare": _DATA_OPTIONS + ["--methods", "--seed", "--folds", "--emit-plot-data"],
+    "scan": _DATA_OPTIONS + ["--windows", "--stride", "--estimators", "--seed"],
+}
+
+
+def test_every_subcommand_keeps_its_option_strings():
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTION_STRINGS)
+    for name, parser in sub.choices.items():
+        options = [s for action in parser._actions for s in action.option_strings]
+        assert sorted(options) == sorted(OPTION_STRINGS[name]), name

@@ -11,7 +11,9 @@ import textwrap
 import pytest
 
 from riskmeans import config as config_module
+from riskmeans.bench_harness import PipelineConfig
 from riskmeans.config import KEYS, ConfigError, ExperimentConfig, load_config
+from riskmeans.kmeans_core import KMeansParams
 
 ROOT = pathlib.Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -231,3 +233,12 @@ def test_pipeline_mapping(tmp_path):
     assert p.rfe_target_k == 7 and p.rfe_step == 2
     assert p.kmeans_k == 3 and p.kmeans_restarts == 6
     assert p.kmeans_init == "uniform"
+
+
+def test_each_default_is_stated_once():
+    assert ExperimentConfig().pipeline("kmeans", seed=0) == PipelineConfig(method="kmeans",
+                                                                           seed=0)
+    p = PipelineConfig()
+    params = KMeansParams(k=2)
+    assert ((p.kmeans_restarts, p.kmeans_max_iters, p.kmeans_tol, p.kmeans_init)
+            == (params.restarts, params.max_iters, params.tol, params.init))

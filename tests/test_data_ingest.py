@@ -578,7 +578,7 @@ def test_replay_reproduces_processed_matrix(raw_dataset):
 
 def test_replay_without_scaling(raw_dataset):
     out, report = preprocess(raw_dataset, scale=False)
-    replayed = apply_report(raw_dataset, report, scale=False)
+    replayed = apply_report(raw_dataset, report)
     assert np.array_equal(np.asarray(out.features, dtype=float),
                           np.asarray(replayed.features, dtype=float))
 
@@ -587,7 +587,7 @@ def test_replay_unseen_category_gets_overflow_code():
     train = _tiny([["a"], ["b"]], ["categorical"])
     test = _tiny([["c"], ["a"]], ["categorical"])
     _, report = preprocess(train, scale=False)
-    assert list(apply_report(test, report, scale=False).features[:, 0]) == [2.0, 0.0]
+    assert list(apply_report(test, report).features[:, 0]) == [2.0, 0.0]
     _, report = preprocess(train)
     assert report.means["c0"] == 0.5 and report.stds["c0"] == 0.5
     assert list(apply_report(test, report).features[:, 0]) == [3.0, -1.0]
@@ -599,7 +599,18 @@ def test_replay_report_missing_a_column_names_it(scale):
     ds = Dataset.from_cells([[1.0, 1.0], [3.0, 2.0]], np.zeros(2, dtype=int),
                             [ColumnSpec("a", "numeric"), ColumnSpec("c0", "numeric")])
     with pytest.raises(SchemaError, match="'a'"):
-        apply_report(ds, report, scale=scale)
+        apply_report(ds, report)
+
+
+@pytest.mark.parametrize("moments", [("means",), ("stds",), ("means", "stds")])
+def test_replay_scaled_report_without_a_columns_moments_names_it(moments):
+    ds = Dataset.from_cells([[1.0, 2.0], [3.0, 5.0]], np.zeros(2, dtype=int),
+                            [ColumnSpec("a", "numeric"), ColumnSpec("b", "numeric")])
+    _, report = preprocess(ds)
+    for moment in moments:
+        del getattr(report, moment)["b"]
+    with pytest.raises(SchemaError, match="'b'"):
+        apply_report(ds, report)
 
 
 def test_replay_report_without_codes_for_a_categorical_column_names_it():
@@ -611,7 +622,7 @@ def test_replay_report_without_codes_for_a_categorical_column_names_it():
         apply_report(train, no_codes)
     _, numeric_report = preprocess(_tiny([[1.0], [2.0]], ["numeric"]), scale=False)
     with pytest.raises(SchemaError, match="'c0'"):  # a numeric column re-declared categorical
-        apply_report(_tiny([["1.0"], ["2.0"]], ["categorical"]), numeric_report, scale=False)
+        apply_report(_tiny([["1.0"], ["2.0"]], ["categorical"]), numeric_report)
 
 
 def test_categorical_column_without_vocabulary_names_it(raw_dataset):
@@ -725,7 +736,7 @@ def _table_dataset(table) -> Dataset:
 def test_replay_property_random_tables(table, scale):
     ds = _table_dataset(table)
     out, report = preprocess(ds, scale=scale)
-    replayed = apply_report(ds, report, scale=scale)
+    replayed = apply_report(ds, report)
     assert replayed.features.tobytes() == out.features.tobytes()
 
 
@@ -925,7 +936,7 @@ def test_interned_preprocess_and_replay_match_object_matrix_oracle(table, scale)
     assert report.to_json() == want_report.to_json()
     assert out.features.tobytes() == want_X.tobytes()
     assert out.vocabularies is None
-    replayed = apply_report(other, report, scale=scale)
+    replayed = apply_report(other, report)
     want_replay = _obj_apply_report(cells[n_train:], SPLIT_SCHEMA, want_report, scale)
     assert replayed.features.dtype == np.float64
     assert replayed.features.tobytes() == want_replay.tobytes()
