@@ -169,29 +169,17 @@ def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
 
 def _fit_kmeans(train: Dataset, config: PipelineConfig,
                 fold_seed: int) -> ClusterClassifier:
-    """The cluster classifier of the fixed or silhouette-chosen k."""
-    Xs = train.features
-    carrier = KMeansParams(
-        k=2, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
+    """The cluster classifier of the fixed or silhouette-chosen k (kmeans_core checks k)."""
+    params = KMeansParams(
+        k=2 if config.kmeans_k is None else config.kmeans_k,
+        max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
         restarts=config.kmeans_restarts,
         seed=derive_seed(fold_seed, "kmeans"), init=config.kmeans_init,
     )
-    distinct = np.unique(Xs, axis=0).shape[0]  # a larger k repeats centroids
     if config.kmeans_k is not None:
-        if config.kmeans_k > distinct:
-            raise ValueError(f"k={config.kmeans_k} exceeds the {distinct} "
-                             "distinct training rows")
-        chosen_k, model = config.kmeans_k, None
-    else:
-        if Xs.shape[0] < 3:  # the silhouette needs 2 <= k <= rows - 1
-            raise ValueError("k = auto needs at least 3 training rows, "
-                             f"but there are {Xs.shape[0]}")
-        if distinct < 2:
-            raise ValueError("k = auto needs at least 2 distinct training rows, "
-                             f"but the selected columns hold {distinct}")
-        k_hi = min(config.kmeans_k_max, Xs.shape[0] - 1, distinct)
-        chosen_k, _, model = choose_k(Xs, range(2, k_hi + 1), carrier)
-    return fit_classifier(train, replace(carrier, k=chosen_k), model=model)
+        return fit_classifier(train, params)
+    _, _, model = choose_k(train.features, range(2, config.kmeans_k_max + 1), params)
+    return fit_classifier(train, params, model=model)
 
 
 def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,

@@ -212,8 +212,8 @@ class SchemaFile:
 def read_schema(path) -> SchemaFile:
     """Parse the plain-text schema grammar.
 
-    Lines: ``column <name> <numeric|categorical> [missing=<token>]``,
-    ``label <name> [positive=<token>]``, optional ``dimension <int>``: the
+    Lines: ``column <name> <numeric|categorical> [missing=<token>]``, one
+    ``label <name> [positive=<token>]``, at most one ``dimension <int>``: the
     column count, label included, which must match the column lines.
     ``#`` starts a comment; blank lines are ignored.
     """
@@ -228,6 +228,8 @@ def read_schema(path) -> SchemaFile:
                 continue
             parts = line.split()
             kw = parts[0]
+            if {"label": label_column, "dimension": declared_dimension}.get(kw) is not None:
+                raise SchemaError(f"{path}:{lineno}: a schema has one {kw} line")
             if kw == "column":
                 if len(parts) < 3:
                     raise SchemaError(f"{path}:{lineno}: column line needs a name and a kind")

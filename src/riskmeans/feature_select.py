@@ -11,7 +11,8 @@ Rankings use |weight| on internally standardized columns so magnitudes are
 comparable across features.
 
 :func:`select_features` is the package's one selection path; its target-size
-search returns the winning candidate's RFE selection, so no rfe runs twice.
+search returns the winning candidate's RFE selection without a rerun. Each
+candidate's rfe starts from all d columns, so shared rounds run once per candidate.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
         for fold in range(plan.k):
             tr, te = plan.train_indices(fold), plan.test_indices[fold]
             train = X[tr][:, sel]
-            # lloyd_fit rejects 2 clusters on one distinct row; one cluster
-            # predicts the labels the 2 repeated centroids did
+            # lloyd_fit rejects 2 clusters on one distinct row, so such a
+            # fold's probe has 1 cluster and labels every query alike
             one_row = not np.ptp(train, axis=0).any()
             clf = fit_classifier(Dataset.numeric(train, y[tr]),
                                  replace(params, k=1) if one_row else params)

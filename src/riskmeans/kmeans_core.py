@@ -134,6 +134,7 @@ class KMeansModel:
     iterations_run: int
     converged: bool
     wcss_trace: tuple = field(default=())
+    repairs: int = 0  # empty clusters reseeded, summed over the iterations
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=float)
@@ -404,7 +405,7 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     points, so translating the points does not move the stopping point. It
     leaves the stack when it converges or reaches ``params.max_iters``. Each
     returned model, in the order of ``ks``, is bit for bit the fit of that
-    run on its own.
+    run on its own, with ``repairs`` counting the empty clusters it reseeded.
     """
     n, d = points.shape
     ids = np.argsort(-np.asarray(ks), kind="stable")  # input position of each stack row
@@ -423,6 +424,7 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     weights = None if tall else np.empty((ks.size, n))  # one point column per run
     labels = np.empty((ks.size, n), dtype=np.intp)  # stack rows r * K + j
     traces: list[list[float]] = [[] for _ in ks]
+    repairs = [0] * ks.size
     models: list[KMeansModel | None] = [None] * ks.size
     for iteration in range(1, params.max_iters + 1):
         R, K = ks.size, int(ks[0])
@@ -448,6 +450,7 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
             # empty-cluster repair: reseed at the point farthest from the
             # stale centroid; keeps k constant and is deterministic
             new[r, j] = points[np.argmax(_sq_dists(points, stack[r, j:j + 1], work=work)[0])]
+            repairs[ids[r]] += 1
 
         shift = (np.linalg.norm(new - stack, axis=2)
                  / (1.0 + np.linalg.norm(stack - mean, axis=2))).max(axis=1)
@@ -461,7 +464,8 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
                 wcss = float(_nearest(_sq_dists(points, centers))[1].sum())
             traces[i].append(wcss)
             models[i] = KMeansModel(centroids=centers, wcss=wcss, iterations_run=iteration,
-                                    converged=bool(converged[r]), wcss_trace=tuple(traces[i]))
+                                    converged=bool(converged[r]), wcss_trace=tuple(traces[i]),
+                                    repairs=repairs[i])
         if done.all():
             break
         keep = ~done
@@ -470,17 +474,15 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     return models
 
 
-def _checked_points(points: np.ndarray, k: int) -> np.ndarray:
-    """``points`` as a float matrix with contiguous columns, checked for k and
-    for squared distances and squared norms within float64 range (the norms
+def _checked_points(points: np.ndarray) -> np.ndarray:
+    """``points`` as a float matrix with contiguous columns, checked for
+    squared distances and squared norms within float64 range (the norms
     bound the centres' norms, which the shift test and the screen take)."""
     points = np.asfortranarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be a 2-D matrix")
     if not np.all(np.isfinite(points)):
         raise ValueError("non-finite input")
-    if points.shape[0] < k:
-        raise ValueError(f"n={points.shape[0]} < k={k}")
     with np.errstate(over="ignore"):  # the squared spans bound every distance
         span = np.ptp(points, axis=0)
         if not np.isfinite((span ** 2).sum()):
@@ -509,14 +511,14 @@ def lloyd_fit(points: np.ndarray, params: KMeansParams) -> KMeansModel:
     Restart r uses the derived seed ``(params.seed, "restart:r")``, so single
     restarts can be reproduced in isolation. The restarts run in lockstep
     (see :func:`_lloyd_runs`); ties keep the earliest restart. A k above the
-    number of distinct rows raises ``ValueError`` naming that number: such a
-    fit can only repeat centroids, so the rows are counted only when the
-    winner does.
+    number D of distinct rows raises ``ValueError`` naming D. Equal rows
+    share a label, so such a fit repairs an empty cluster in every iteration,
+    and the rows are counted only when the winner has a repair (or k > n).
     """
-    points = _checked_points(points, params.k)
-    seeds = _restart_seeds(params)
-    model = _lowest_wcss(_lloyd_runs(points, [params.k] * len(seeds), seeds, params))
-    if np.unique(model.centroids, axis=0).shape[0] < params.k:
+    points, seeds = _checked_points(points), _restart_seeds(params)
+    if params.k <= points.shape[0]:
+        model = _lowest_wcss(_lloyd_runs(points, [params.k] * len(seeds), seeds, params))
+    if params.k > points.shape[0] or model.repairs:  # k > n >= D raises, unfitted
         distinct = np.unique(points, axis=0).shape[0]
         if distinct < params.k:
             raise ValueError(f"k={params.k} exceeds the {distinct} distinct rows")
@@ -593,24 +595,30 @@ def silhouette_score(points: np.ndarray, assignment: np.ndarray, *,
 
 def choose_k(points: np.ndarray, k_range,
              params: KMeansParams) -> tuple[int, list[tuple[int, float]], KMeansModel]:
-    """Fit every k in the inclusive range and pick the silhouette argmax.
+    """Fit every k of the range, capped at n - 1 and at the distinct rows,
+    and pick the silhouette argmax.
 
-    Ties break to the smallest k. Every restart of every k runs in one
+    Ties break to the smallest k. Fewer than 3 rows or 2 distinct rows, or a
+    range that does not start in [2, cap], raise ``ValueError``. Every
+    restart of every k runs in one
     lockstep :func:`_lloyd_runs` call, with the seeds and the lowest-WCSS
     pick of :func:`lloyd_fit`, so each k's model is the one ``lloyd_fit``
     would return. The pairwise distance matrix is built once and shared by
     every k's silhouette. Returns (chosen k, per-k silhouette table, the
     chosen k's fitted model), so the winner need not be fitted again.
     """
-    ks = sorted(k_range)
-    if not ks:
-        raise ValueError("empty k range")
-    points = np.asfortranarray(points, dtype=float)
+    points = _checked_points(points)
     n = points.shape[0]
-    if ks[0] < 2 or ks[-1] > n - 1:
-        bad = ks[0] if ks[0] < 2 else ks[-1]
-        raise ValueError(f"k={bad} outside the valid range [2, {n - 1}]")
-    points = _checked_points(points, ks[-1])
+    if n < 3:  # the silhouette needs 2 <= k <= n - 1
+        raise ValueError(f"k = auto needs at least 3 training rows, but there are {n}")
+    distinct = np.unique(points, axis=0).shape[0]
+    if distinct < 2:
+        raise ValueError("k = auto needs at least 2 distinct training rows, "
+                         f"but the selected columns hold {distinct}")
+    cap = min(n - 1, distinct)
+    ks = [k for k in sorted(k_range) if k <= cap]
+    if not ks or ks[0] < 2:
+        raise ValueError(f"the k range must start in [2, {cap}]")
     seeds = _restart_seeds(params)
     runs = _lloyd_runs(points, [k for k in ks for _ in seeds], seeds * len(ks), params)
     distances = _distance_matrix(points)

@@ -277,20 +277,20 @@ def test_auto_k_sweep_capped_at_distinct_rows(monkeypatch):
     swept = []
 
     def choose(points, k_range, params):
-        swept.append(list(k_range))
-        return real_choose(points, k_range, params)
+        swept.append(real_choose(points, k_range, params))
+        return swept[-1]
 
     monkeypatch.setattr(bench_harness, "choose_k", choose)
     ds = _three_distinct_rows()
     fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, kmeans_k=None,
                                                 kmeans_k_max=10), fold_seed=3)
-    assert swept == [[2, 3]]
+    assert len(swept) == 1 and [k for k, _ in swept[0][1]] == [2, 3]
     assert fit.chosen_k in (2, 3)
 
 
 def test_fixed_k_above_distinct_rows_rejected():
     ds = _three_distinct_rows()
-    with pytest.raises(ValueError, match="k=5 exceeds the 3 distinct training rows"):
+    with pytest.raises(ValueError, match="^k=5 exceeds the 3 distinct rows$"):
         fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, kmeans_k=5), fold_seed=3)
     fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, kmeans_k=3), fold_seed=3)
     assert fit.kmeans.model.k == 3

@@ -536,7 +536,7 @@ def test_k_above_distinct_rows_exits_one(tmp_path, capsys):
         encoding="utf-8")
     assert main(["train", "--config", str(config), "--k", "5",
                  "--target-k", "3"]) == 1
-    assert "k=5 exceeds the 3 distinct training rows" in capsys.readouterr().err
+    assert "error: k=5 exceeds the 3 distinct rows\n" in capsys.readouterr().err
     assert not (tmp_path / "out" / "model.json").exists()
 
 
@@ -615,6 +615,13 @@ def test_bare_schema_dimension_line_exits_two(tmp_path, capsys):
     schema.write_text(schema.read_text(encoding="utf-8") + "dimension\n", encoding="utf-8")
     assert main(["ingest", "--config", str(config)]) == 2
     assert "toy.schema:6: dimension line needs one integer, got none" in capsys.readouterr().err
+
+
+def test_second_schema_label_line_exits_two(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    schema.write_text(schema.read_text(encoding="utf-8") + "label x0\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert "toy.schema:6: a schema has one label line" in capsys.readouterr().err
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

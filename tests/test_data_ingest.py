@@ -422,6 +422,18 @@ def test_read_schema_rejects_a_bad_dimension_line(tmp_path, line, got):
         read_schema(p)
 
 
+@pytest.mark.parametrize("lines,kw", [
+    # a later label line would replace the column but keep positive=good,
+    # which would fail at data time as a label that never occurs
+    ("column y categorical\nlabel y positive=good\nlabel a\n", "label"),
+    ("column y categorical\ndimension 2\ndimension 3\nlabel y\n", "dimension"),
+])
+def test_read_schema_rejects_a_second_label_or_dimension_line(tmp_path, lines, kw):
+    p = write(tmp_path, "column a numeric\n" + lines, name="s.schema")
+    with pytest.raises(SchemaError, match=rf"s\.schema:4: a schema has one {kw} line$"):
+        read_schema(p)
+
+
 def test_load_with_schema_round_trip(tmp_path):
     data = write(tmp_path, "amount,grade,outcome\n10,a,bad\n20,b,good\n")
     schema = write(tmp_path, (

@@ -178,7 +178,51 @@ def test_lloyd_fit_rejects_k_above_the_distinct_rows():
     assert len(np.unique(lloyd_fit(points, KMeansParams(k=2)).centroids, axis=0)) == 2
 
 
-def test_lloyd_fit_counts_distinct_rows_only_after_repeated_centroids(monkeypatch):
+def test_lloyd_fit_rejects_k_above_the_distinct_rows_whose_means_round():
+    # the mean of equal rows of 0.1 is not 0.1 bit for bit, so repeated
+    # centroids of these fits can differ in their last bits: the rule must
+    # not rest on comparing centroids
+    with pytest.raises(ValueError, match=r"^k=2 exceeds the 1 distinct rows$"):
+        lloyd_fit(np.full((3, 1), 0.1), KMeansParams(k=2))
+    with pytest.raises(ValueError, match=r"^k=3 exceeds the 2 distinct rows$"):
+        lloyd_fit(np.repeat([[0.1], [1.1]], 3, axis=0), KMeansParams(k=3))
+    # a repair with k at the distinct rows (two uniform draws of one row) is no error
+    model = lloyd_fit(np.repeat([[0.1], [0.3], [0.7]], 4, axis=0),
+                      KMeansParams(k=3, restarts=1, init=INIT_UNIFORM))
+    assert model.repairs == 1 and sorted(model.centroids[:, 0]) == [0.1, 0.3, 0.7]
+
+
+@st.composite
+def _distinct_row_cases(draw):
+    """Duplicate-heavy tables of tenths (non-dyadic, so means of equal rows
+    round), a k from 1 to n + 2 and parameters with either init."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(-20, 21, size=(draw(st.integers(1, 5)), draw(st.integers(1, 3)))) / 10
+    points = np.repeat(rows, rng.integers(1, 6, size=len(rows)), axis=0)
+    points = np.asfortranarray(points[rng.permutation(len(points))])
+    params = KMeansParams(
+        k=draw(st.integers(1, len(points) + 2)), restarts=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 10**6)), max_iters=draw(st.sampled_from([3, 300])),
+        init=draw(st.sampled_from([INIT_KMEANSPP, INIT_UNIFORM])),
+    )
+    return points, params
+
+
+@given(_distinct_row_cases())
+@settings(deadline=None, max_examples=150)
+def test_lloyd_fit_raises_exactly_above_the_distinct_rows(case):
+    points, params = case
+    distinct = len(np.unique(points, axis=0))
+    if params.k > distinct:
+        with pytest.raises(ValueError,
+                           match=f"^k={params.k} exceeds the {distinct} distinct rows$"):
+            lloyd_fit(points, params)
+    else:
+        assert _model_bits(lloyd_fit(points, params)) == _model_bits(
+            _oracle_lloyd_fit(points, params))
+
+
+def test_lloyd_fit_counts_distinct_rows_only_after_a_repair(monkeypatch):
     shapes = []
     unique = np.unique
 
@@ -187,12 +231,11 @@ def test_lloyd_fit_counts_distinct_rows_only_after_repeated_centroids(monkeypatc
         return unique(ar, *args, **kwargs)
 
     monkeypatch.setattr(kc.np, "unique", spy)
-    lloyd_fit(make_blobs(20, np.eye(3, 4) * 6, seed=1), KMeansParams(k=3))
-    assert shapes == [(3, 4)]  # the winner's centroids alone
-    shapes.clear()
+    assert lloyd_fit(make_blobs(20, np.eye(3, 4) * 6, seed=1), KMeansParams(k=3)).repairs == 0
+    assert shapes == []  # a fit without a repair counts nothing
     with pytest.raises(ValueError, match="exceeds the 2 distinct rows"):
         lloyd_fit(np.repeat([[0.0], [1.0]], 4, axis=0), KMeansParams(k=3))
-    assert shapes == [(3, 1), (8, 1)]
+    assert shapes == [(8, 1)]  # the points, once
 
 
 def test_lloyd_rejects_non_finite():
@@ -372,14 +415,15 @@ def test_lloyd_matches_exhaustive_two_partition_on_small_instances():
 def _oracle_lloyd_single(points, params, seed):
     """Reference Lloyd run: one restart on its own, one Python iteration at a
     time, seeded by a loop k-means++ or :func:`uniform_init`; it stops once no
-    centre c moves by ``tol * (1 + ||c - mean of the points||)`` or more."""
+    centre c moves by ``tol * (1 + ||c - mean of the points||)`` or more, and
+    counts every empty cluster it reseeds."""
     rng = np.random.default_rng(seed)
     init = _loop_kmeanspp_init if params.init == INIT_KMEANSPP else uniform_init
     centers = init(points, params.k, rng)
     mean = np.ascontiguousarray(points.T).mean(axis=1)  # each column summed on its own
 
     trace = []
-    iterations = 0
+    iterations = repairs = 0
     converged = False
     for _ in range(params.max_iters):
         d2 = _loop_sq_dists(points, centers)
@@ -395,6 +439,7 @@ def _oracle_lloyd_single(points, params, seed):
         if counts.min() == 0:
             for j in np.flatnonzero(counts == 0):
                 new_centers[j] = points[np.argmax(d2[:, j])]
+                repairs += 1
 
         shift = np.max(
             np.linalg.norm(new_centers - centers, axis=1)
@@ -408,7 +453,7 @@ def _oracle_lloyd_single(points, params, seed):
     wcss = float(_loop_nearest(_loop_sq_dists(points, centers))[1].sum())
     trace.append(wcss)
     return KMeansModel(centroids=centers, wcss=wcss, iterations_run=iterations,
-                       converged=converged, wcss_trace=tuple(trace))
+                       converged=converged, wcss_trace=tuple(trace), repairs=repairs)
 
 
 def _oracle_lloyd_fit(points, params):
@@ -424,7 +469,7 @@ def _oracle_lloyd_fit(points, params):
 
 def _model_bits(model):
     return (model.centroids.tobytes(), model.centroids.shape, model.wcss,
-            model.iterations_run, model.converged, model.wcss_trace)
+            model.iterations_run, model.converged, model.wcss_trace, model.repairs)
 
 
 @st.composite
@@ -463,7 +508,7 @@ def test_lloyd_runs_match_single_run_oracle_bitwise(case):
         assert _model_bits(model) == _model_bits(want)
     want = _oracle_lloyd_fit(points, params)
     distinct = len(np.unique(points, axis=0))
-    if len(np.unique(want.centroids, axis=0)) < params.k and distinct < params.k:
+    if distinct < params.k:
         with pytest.raises(ValueError, match=f"^k={params.k} exceeds the {distinct} distinct"):
             lloyd_fit(points, params)
     else:
@@ -795,6 +840,22 @@ def test_choose_k_tie_breaks_to_smallest(monkeypatch):
     k, table, model = choose_k(points, range(2, 6), KMeansParams(k=2, restarts=2, seed=0))
     assert k == 2 and model.k == 2
     assert all(s == 0.5 for _, s in table)
+
+
+def test_choose_k_sweeps_no_k_past_n_minus_1_or_the_distinct_rows():
+    params = KMeansParams(k=2, restarts=2)
+    four_rows = np.array([[0.0], [1.0], [3.0], [7.0]])
+    assert [k for k, _ in choose_k(four_rows, range(2, 11), params)[1]] == [2, 3]
+    three_distinct = np.repeat([[0.1, 0.2], [0.3, 0.1], [0.7, 0.9]], 4, axis=0)
+    assert [k for k, _ in choose_k(three_distinct, range(2, 11), params)[1]] == [2, 3]
+    with pytest.raises(ValueError, match=r"^the k range must start in \[2, 3\]$"):
+        choose_k(three_distinct, range(4, 6), params)
+    with pytest.raises(ValueError, match="^k = auto needs at least 3 training rows, "
+                                         "but there are 2$"):
+        choose_k(four_rows[:2], range(2, 4), params)
+    with pytest.raises(ValueError, match="^k = auto needs at least 2 distinct training "
+                                         "rows, but the selected columns hold 1$"):
+        choose_k(np.full((5, 2), 0.1), range(2, 4), params)
 
 
 def test_choose_k_rejects_bad_range():

@@ -163,6 +163,15 @@ def test_kmeans_estimator_rejects_k_above_the_distinct_windows():
     assert [clf.model.k for clf in fit_window_estimators(two, config, seed=0)[2]] == [2, 2]
 
 
+def test_kmeans_estimator_rejects_k_above_the_distinct_windows_whose_means_round():
+    # windows of 0.1 average to a value a bit off 0.1, so 2 centroids fitted
+    # on them can differ in their last bit and still repeat the one window
+    config = ScanConfig(input_dim=4, windows=(2,))
+    flat = Dataset.numeric(np.full((20, 4), 0.1), np.tile([0, 1], 10))
+    with pytest.raises(ValueError, match=r"^k=2 exceeds the 1 distinct rows$"):
+        fit_window_estimators(flat, config, seed=0)
+
+
 def test_estimator_seeds_give_distinct_centroids():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(40, 10))
