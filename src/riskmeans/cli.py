@@ -1,8 +1,12 @@
 """Batch command-line front end.
 
-Subcommands: ingest, select-features, train, run, compare, scan. Every
-artifact-producing command embeds the resolved configuration fingerprint and
-seed in its JSON outputs so any run can be reproduced from its report alone.
+Subcommands: ingest, select-features, train, run, compare, scan. ``main``
+resolves the configuration, checks ``--out`` and loads the dataset once, then
+hands ``(args, cfg, ds)`` to the command. ``preprocess.json``,
+``selection.json``, ``model.json`` and ``scan_meta.json`` hold a
+``fingerprint``: the resolved configuration, its hash and the seed. Each
+``report_<method>.json`` (and each report in ``comparison.json``) holds the
+run settings' fingerprint with ``dataset``, ``n``, ``d`` and ``fold_seed_root``.
 
 Exit codes: 0 success, 1 runtime failure (malformed data, failed fit),
 2 usage or configuration error (bad flags, missing files, bad config values).
@@ -43,6 +47,7 @@ from .data_ingest import (
     write_processed,
 )
 from .kmeans_core import classifier_to_json
+from .mg_scanner import ScanConfig, dump_features, fit_window_estimators, transform_matrix
 from .seeding import derive_seed
 
 
@@ -64,15 +69,12 @@ def _resolve_config(args) -> ExperimentConfig:
     if not cfg.data_path or not cfg.schema_path:
         raise UsageError("a data file and schema are required (--data/--schema "
                          "or a config file with a [data] section)")
+    head = cfg.output_dir  # the output directory, or its nearest existing ancestor
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise UsageError(f"--out/[output] dir: {head} is not a directory")
     return cfg
-
-
-def _load_dataset(cfg: ExperimentConfig, seed: int):
-    name = cfg.dataset_name or os.path.splitext(os.path.basename(cfg.data_path))[0]
-    ds = load_with_schema(cfg.data_path, cfg.schema_path, name=name)
-    if cfg.subsample > 0:
-        ds = balanced_subsample(ds, cfg.subsample, derive_seed(seed, "subsample"))
-    return ds
 
 
 def _write(path: str, text: str) -> None:
@@ -88,37 +90,47 @@ def _write_artifact(path: str, cfg: ExperimentConfig, seed: int, body: dict) -> 
                             indent=2, sort_keys=True) + "\n")
 
 
+def _write_reports(out: str, reports, text: bool, roc: bool) -> list:
+    """Each ``(method, report)``'s ``report_<m>.json``, then ``report_<m>.txt``
+    when ``text`` and ``roc_<m>.csv`` when ``roc``; returns the paths written."""
+    written = []
+    for m, rep in reports:
+        files = {f"report_{m}.json": rep.to_json() + "\n"}
+        if text:
+            files[f"report_{m}.txt"] = render_report(rep)
+        if roc:
+            files[f"roc_{m}.csv"] = roc_plot_data(rep)
+        for name, body in files.items():
+            written.append(os.path.join(out, name))
+            _write(written[-1], body)
+    return written
+
+
 def _outdir(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg.output_dir
 
 
-def cmd_ingest(args) -> int:
-    cfg = _resolve_config(args)
-    seed = args.seed
-    ds = _load_dataset(cfg, seed)
+def cmd_ingest(args, cfg, ds) -> int:
     proc, report = preprocess(ds, scale=cfg.scale)
     out = _outdir(cfg)
     matrix_path = os.path.join(out, "processed.csv")
     report_path = os.path.join(out, "preprocess.json")
     write_processed(proc, matrix_path)
-    _write_artifact(report_path, cfg, seed, {"preprocess": json.loads(report.to_json())})
+    _write_artifact(report_path, cfg, args.seed, {"preprocess": json.loads(report.to_json())})
     pos, neg = ds.class_counts()
     print(f"ingested {ds.name}: n={ds.n}, d={ds.d}, positives={pos}, negatives={neg}")
     print(f"wrote {matrix_path} and {report_path}")
     return 0
 
 
-def cmd_select_features(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_select_features(args, cfg, ds) -> int:
     seed = args.seed
-    ds = _load_dataset(cfg, seed)
     selection = fit_fold(ds, np.arange(ds.n), cfg.pipeline("kmeans", seed=seed), seed,
                          methods=()).selection
     target = len(selection.selected)
     names = ds.column_names()
-    out = _outdir(cfg)
-    path = os.path.join(out, "selection.json")
+    path = os.path.join(_outdir(cfg), "selection.json")
     _write_artifact(path, cfg, seed, {
         "target_k": target,
         "selected_indices": list(selection.selected),
@@ -134,113 +146,67 @@ def cmd_select_features(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    seed = args.seed
-    ds = _load_dataset(cfg, seed)
-    fit = fit_fold(ds, np.arange(ds.n), cfg.pipeline("kmeans", seed=seed), seed)
-    out = _outdir(cfg)
-    path = os.path.join(out, "model.json")
-    _write(path, classifier_to_json(fit.kmeans, seed=seed,
-                                    config_hash=cfg.fingerprint_hash()) + "\n")
+def cmd_train(args, cfg, ds) -> int:
+    fit = fit_fold(ds, np.arange(ds.n), cfg.pipeline("kmeans", seed=args.seed), args.seed)
+    path = os.path.join(_outdir(cfg), "model.json")
+    _write_artifact(path, cfg, args.seed, json.loads(classifier_to_json(fit.kmeans)))
     print(f"trained k={fit.chosen_k} cluster classifier on {ds.name} "
           f"({len(fit.selection.selected)} of {ds.d} features)")
     print(f"wrote {path}")
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = _resolve_config(args)
-    ds = _load_dataset(cfg, args.seed)
-    pcfg = cfg.pipeline(args.method, seed=args.seed)
-    report = run_pipeline(ds, pcfg)
-    out = _outdir(cfg)
-    json_path = os.path.join(out, f"report_{args.method}.json")
-    text_path = os.path.join(out, f"report_{args.method}.txt")
-    _write(json_path, report.to_json() + "\n")
-    _write(text_path, render_report(report))
-    written = [json_path, text_path]
-    if args.emit_plot_data:
-        roc_path = os.path.join(out, f"roc_{args.method}.csv")
-        _write(roc_path, roc_plot_data(report))
-        written.append(roc_path)
+def cmd_run(args, cfg, ds) -> int:
+    report = run_pipeline(ds, cfg.pipeline(args.method, seed=args.seed))
+    written = _write_reports(_outdir(cfg), [(args.method, report)], text=True,
+                             roc=args.emit_plot_data)
     sys.stdout.write(render_report(report))
     print("wrote " + ", ".join(written))
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:  # check_methods allows none: select-features fits no model
-        raise UsageError("--methods is empty; valid methods: " + ", ".join(METHODS))
-    try:
-        check_methods(methods)
-    except ValueError as exc:
-        raise UsageError(f"--methods: {exc}") from None
-    ds = _load_dataset(cfg, args.seed)
-    result = compare_methods(ds, methods, cfg.pipeline(methods[0], seed=args.seed))
+def cmd_compare(args, cfg, ds) -> int:
+    result = compare_methods(ds, args.methods, cfg.pipeline(args.methods[0], seed=args.seed))
     out = _outdir(cfg)
-    json_path = os.path.join(out, "comparison.json")
-    text_path = os.path.join(out, "comparison.txt")
-    _write(json_path, result.to_json() + "\n")
-    _write(text_path, render_comparison(result))
-    written = [json_path, text_path]
-    for m, rep in result.computed:
-        p = os.path.join(out, f"report_{m}.json")
-        _write(p, rep.to_json() + "\n")
-        written.append(p)
-        if args.emit_plot_data:
-            rp = os.path.join(out, f"roc_{m}.csv")
-            _write(rp, roc_plot_data(rep))
-            written.append(rp)
+    written = [os.path.join(out, "comparison.json"), os.path.join(out, "comparison.txt")]
+    _write(written[0], result.to_json() + "\n")
+    _write(written[1], render_comparison(result))
+    written += _write_reports(out, result.computed, text=False, roc=args.emit_plot_data)
     sys.stdout.write(render_comparison(result))
     print("wrote " + ", ".join(written))
     return 0
 
 
-def cmd_scan(args) -> int:
-    from .mg_scanner import (
-        ScanConfig,
-        dump_features,
-        fit_window_estimators,
-        transform_matrix,
-    )
-
-    cfg = _resolve_config(args)
-    seed = args.seed
-    ds = _load_dataset(cfg, seed)
+def cmd_scan(args, cfg, ds) -> int:
     proc, _ = preprocess(ds, scale=cfg.scale)
-    windows = cfg.scanner_windows
-    if not windows or not all(1 <= w <= proc.d for w in windows):
-        raise UsageError(f"--windows/[scanner] windows: need window sizes in [1, {proc.d}], "
-                         f"got {','.join(map(str, windows)) or 'none'}")
     try:
-        scan_cfg = ScanConfig(
-            input_dim=proc.d,
-            windows=windows,
-            stride=cfg.scanner_stride,
-            estimators=cfg.scanner_estimators,
-        )
-    except ValueError as exc:  # a repeated window size
+        scan_cfg = ScanConfig(input_dim=proc.d, windows=cfg.scanner_windows,
+                              stride=cfg.scanner_stride, estimators=cfg.scanner_estimators)
+    except ValueError as exc:  # no window size, one outside [1, d], or a repeated one
         raise UsageError(f"--windows/[scanner] windows: {exc}") from None
-    fitted = fit_window_estimators(proc, scan_cfg, seed=seed)
+    fitted = fit_window_estimators(proc, scan_cfg, seed=args.seed)
     mats = transform_matrix(proc.features, scan_cfg, fitted)
     out = _outdir(cfg)
-    written = []
-    dims = {}
-    for w in scan_cfg.windows:
-        path = os.path.join(out, f"scan_w{w}.csv")
+    written = [os.path.join(out, f"scan_w{w}.csv") for w in scan_cfg.windows]
+    for w, path in zip(scan_cfg.windows, written):
         dump_features(mats[w], scan_cfg, w, path)
-        written.append(path)
-        dims[str(w)] = int(mats[w].shape[1])
-    meta_path = os.path.join(out, "scan_meta.json")
-    _write_artifact(meta_path, cfg, seed, {"output_dims": dims})
-    written.append(meta_path)
+    dims = {str(w): int(mats[w].shape[1]) for w in scan_cfg.windows}
+    written.append(os.path.join(out, "scan_meta.json"))
+    _write_artifact(written[-1], cfg, args.seed, {"output_dims": dims})
     for w in scan_cfg.windows:
         print(f"window {w}: {dims[str(w)]} output dims")
     print("wrote " + ", ".join(written))
     return 0
+
+
+def _methods(text: str) -> list:
+    """``--methods``: comma-separated names, checked by :func:`check_methods`."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    try:
+        check_methods(methods or [text])  # naming none, the whole text is unknown
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return methods
 
 
 def _command(sub, name: str, summary: str, func, *flags: str,
@@ -279,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write pooled out-of-fold ROC points")
     p = _command(sub, "compare", "cross-validate several methods side by side",
                  cmd_compare, "--folds", seed_required=True)
-    p.add_argument("--methods", required=True,
+    p.add_argument("--methods", type=_methods, required=True,
                    help="comma-separated subset of: " + ", ".join(METHODS))
     p.add_argument("--emit-plot-data", action="store_true",
                    help="write pooled out-of-fold ROC points")
@@ -302,8 +268,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
-    except (FileNotFoundError, ConfigError, SchemaError, UsageError) as exc:
+        cfg = _resolve_config(args)
+        name = cfg.dataset_name or os.path.splitext(os.path.basename(cfg.data_path))[0]
+        ds = load_with_schema(cfg.data_path, cfg.schema_path, name=name)
+        if cfg.subsample > 0:
+            ds = balanced_subsample(ds, cfg.subsample, derive_seed(args.seed, "subsample"))
+        return args.func(args, cfg, ds)
+    except (FileNotFoundError, IsADirectoryError, ConfigError, SchemaError,
+            UsageError) as exc:
         _print_error(exc)
         return 2
     except (DataError, ValueError, RuntimeError, OSError) as exc:

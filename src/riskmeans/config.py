@@ -40,8 +40,9 @@ are rejected so typos fail loudly, and so is a value below its floor. Each key's
 field, parser, floor and command-line flag are declared once, in :data:`KEYS`;
 the command line builds each flag from its row (``--help`` names the key), and
 a flag overrides its file value through the same parser. The run settings
-default to :class:`PipelineConfig`'s. The root seed comes only from each
-command's ``--seed`` flag.
+default to :class:`PipelineConfig`'s and the scanner's stride and estimators
+to :class:`ScanConfig`'s. The root seed comes only from each command's
+``--seed`` flag.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 from .bench_harness import PipelineConfig
+from .data_ingest import open_input
 from .kmeans_core import INIT_KMEANSPP, INIT_UNIFORM
+from .mg_scanner import ScanConfig
 
 
 class ConfigError(ValueError):
@@ -89,12 +92,10 @@ def _parse_float(prefix, raw):
 
 
 def _parse_bool(prefix, raw):
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{prefix}: expected a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"{prefix}: expected a boolean, got {raw!r}") from None
 
 
 def _parse_int_list(prefix, raw):
@@ -167,8 +168,8 @@ class ExperimentConfig:
     rfe_target_k: int | None = PipelineConfig.rfe_target_k
     rfe_step: int = PipelineConfig.rfe_step
     scanner_windows: tuple = ()
-    scanner_stride: int = 1
-    scanner_estimators: int = 2
+    scanner_stride: int = ScanConfig.stride
+    scanner_estimators: int = ScanConfig.estimators
     kmeans_k: int | None = PipelineConfig.kmeans_k
     kmeans_k_max: int = PipelineConfig.kmeans_k_max
     kmeans_restarts: int = PipelineConfig.kmeans_restarts
@@ -207,10 +208,8 @@ def load_config(path) -> ExperimentConfig:
     """Read and validate an INI experiment file."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_input(path, "config file") as fh:
             cp.read_file(fh)
-    except FileNotFoundError:
-        raise FileNotFoundError(f"config file not found: {path}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

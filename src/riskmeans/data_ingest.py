@@ -60,6 +60,17 @@ class EmptyDataError(DataError):
     pass
 
 
+def open_input(path, role: str):
+    """Open a text file for reading; a missing path or a directory raises
+    FileNotFoundError or IsADirectoryError naming ``role`` and the path."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{role} not found: {path}") from None
+    except IsADirectoryError:
+        raise IsADirectoryError(f"{role} is a directory: {path}") from None
+
+
 class AllMissingColumnError(DataError):
     def __init__(self, column: str):
         super().__init__(f"column {column!r} has no observed values to impute from")
@@ -221,7 +232,7 @@ def read_schema(path) -> SchemaFile:
     label_column = None
     positive_label = None
     declared_dimension = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, "schema file") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -326,11 +337,7 @@ def load_csv(path, schema: list[ColumnSpec], label_column: str,
     given, that raw token maps to 1 and every other token to 0; otherwise the
     label column must already contain 0/1.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"data file not found: {path}") from None
-    with fh:
+    with open_input(path, "data file") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
     if not lines:
         raise EmptyDataError("no data rows")

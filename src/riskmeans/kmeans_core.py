@@ -708,8 +708,7 @@ def predict_labels(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
     return (predict_scores(clf, X) >= DECISION_THRESHOLD).astype(int)
 
 
-def classifier_to_json(clf: ClusterClassifier, seed: int | None = None,
-                       config_hash: str = "") -> str:
+def classifier_to_json(clf: ClusterClassifier) -> str:
     """Serialize a fitted classifier; floats keep full precision and round-trip."""
     payload = {
         "k": clf.model.k,
@@ -720,8 +719,6 @@ def classifier_to_json(clf: ClusterClassifier, seed: int | None = None,
         "wcss": clf.model.wcss,
         "iterations_run": clf.model.iterations_run,
         "converged": clf.model.converged,
-        "seed": seed,
-        "config_hash": config_hash,
     }
     return json.dumps(payload, indent=2)
 

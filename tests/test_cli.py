@@ -81,6 +81,28 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
     assert "toy.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, role", [("--config", "config file"),
+                                        ("--schema", "schema file"), ("--data", "data file")])
+@pytest.mark.parametrize("fault", ["not found", "is a directory"])
+def test_path_flag_fault_exits_two_naming_its_role(tmp_path, capsys, flag, role, fault):
+    data, schema, config = write_toy_files(tmp_path)
+    path = tmp_path / "nope" if fault == "not found" else tmp_path
+    assert main(["ingest", "--config", str(config), flag, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {role} {fault}: {path}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_at_or_under_a_file_exits_two_before_fitting(tmp_path, capsys, monkeypatch, out):
+    data, schema, config = write_toy_files(tmp_path)
+    (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+    monkeypatch.setattr("riskmeans.cli.fit_fold", None)  # a fit would raise TypeError
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == (f"error: --out/[output] dir: {tmp_path / 'taken'} "
+                                       "is not a directory\n")
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("header, code", [("x0, x1, grade, outcome", 0),
                                           ("x0, x1, grades, outcome", 2)])
 def test_padded_header_loads_and_a_wrong_name_exits_two(tmp_path, capsys, header, code):
@@ -162,8 +184,8 @@ def test_train_writes_model(tmp_path, capsys):
     assert model["centroids"] == fit.kmeans.model.centroids.tolist()
     assert len(model["centroids"]) == 3
     assert len(model["posteriors"]) == 3
-    assert model["seed"] == 2
-    assert model["config_hash"] == dataclasses.replace(
+    assert model["fingerprint"]["seed"] == 2
+    assert model["fingerprint"]["config_hash"] == dataclasses.replace(
         load_config(config), kmeans_k=3).fingerprint_hash()
     assert "threshold" not in model and "preprocess_fingerprint" not in model
 
@@ -176,6 +198,21 @@ def test_train_model_does_not_depend_on_out_dir(tmp_path, capsys):
     capsys.readouterr()
     assert ((tmp_path / "a" / "model.json").read_bytes()
             == (tmp_path / "b" / "model.json").read_bytes())
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("ingest", "preprocess.json"), ("select-features", "selection.json"),
+    ("train", "model.json"), ("scan", "scan_meta.json")])
+def test_every_artifact_carries_the_same_fingerprint(tmp_path, capsys, command, artifact):
+    data, schema, config = write_toy_files(tmp_path)
+    config.write_text(config.read_text(encoding="utf-8") + "\n[scanner]\nwindows = 2\n",
+                      encoding="utf-8")
+    assert main([command, "--config", str(config), "--seed", "6"]) == 0
+    capsys.readouterr()
+    cfg = load_config(config)
+    assert _read_json(tmp_path / "out" / artifact)["fingerprint"] == {
+        "config": json.loads(json.dumps(cfg.fingerprint())),  # windows as a JSON list
+        "config_hash": cfg.fingerprint_hash(), "seed": 6}
 
 
 @pytest.mark.parametrize("config_tail", ["", "\n[rfe]\ntarget_k = 2\n",
@@ -462,7 +499,7 @@ def test_scan_writes_window_features(tmp_path, capsys):
 def test_scan_without_windows_exits_two(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["scan", "--config", str(config), "--seed", "1"]) == 2
-    assert "--windows/[scanner] windows: need window sizes in [1, 3], got none" \
+    assert "--windows/[scanner] windows: at least one window size required" \
         in capsys.readouterr().err
 
 
@@ -470,7 +507,7 @@ def test_scan_window_out_of_range_exits_two(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["scan", "--config", str(config), "--windows", "2,4",
                  "--seed", "1"]) == 2
-    assert "--windows/[scanner] windows: need window sizes in [1, 3], got 2,4" \
+    assert "--windows/[scanner] windows: window size 4 outside [1, 3]" \
         in capsys.readouterr().err
     assert not (tmp_path / "out" / "scan_meta.json").exists()
 

@@ -1032,13 +1032,14 @@ def test_translation_equivariance():
 
 def test_classifier_json_round_trip(blob_dataset):
     clf = fit_classifier(blob_dataset, KMeansParams(k=3, restarts=3, seed=5))
-    text = classifier_to_json(clf, seed=5, config_hash="abc123")
+    text = classifier_to_json(clf)
     clone = classifier_from_json(text)
     assert (clone.model.centroids == clf.model.centroids).all()
     assert (clone.posteriors == clf.posteriors).all()
     assert clone.bandwidth == clf.bandwidth
     raw = json.loads(text)
-    assert raw["seed"] == 5 and raw["config_hash"] == "abc123"
+    assert set(raw) == {"k", "d", "centroids", "posteriors", "bandwidth", "wcss",
+                        "iterations_run", "converged"}  # provenance is the caller's stamp
     assert "threshold" not in raw
     x = np.asarray(blob_dataset.features, dtype=float)[:7]
     assert (predict_scores(clone, x) == predict_scores(clf, x)).all()
