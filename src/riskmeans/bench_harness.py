@@ -9,16 +9,16 @@ structural rather than accidental: :func:`fit_fold` never receives test rows.
 One cross-validation loop serves :func:`run_pipeline` (one method) and
 :func:`compare_methods` (several). The fold plan and each fold's seed come
 from the config's seed alone, and neither preprocessing nor feature
-selection reads the method, so each fold's preprocessing report and
-selection are fitted once, by one :func:`fit_fold` call, and every method's
-model is fitted on them. A method's report is therefore the one it gets
-when run alone.
+selection reads the method, so each fold is fitted once, by one
+:func:`fit_fold` call holding every method's model, and its held-out rows
+are replayed once, by one :func:`score_fold` call that every model scores.
+A method's report is therefore the one it gets when run alone.
 
 Reports carry per-fold and mean metrics, the full config fingerprint needed
 to re-run identically, and wall-clock timing kept in a separate field so that
 same-seed reruns are byte-identical once timing is excluded. A method's
-``wall_seconds`` is what it would cost run alone: each fold's shared state
-plus that method's own model fit and scoring.
+``wall_seconds`` is each fold's elapsed time less the other methods' model
+fits: what it would cost run alone, up to the other models' predict calls.
 
 The comparison table surfaces transcribed results from prior published
 benchmarks on the same datasets alongside the computed rows; those reference
@@ -136,8 +136,9 @@ class FoldFit:
     """All state fitted on one training fold; test rows never touch it.
 
     The preprocessing report and the selection are shared by every model the
-    fit holds: one per method it was asked for. ``fit_seconds`` is the wall
-    time of each model's own fit, by method.
+    fit holds: one per method it was asked for, and each method's report
+    holds this one fit. ``fit_seconds`` is the wall time of each model's own
+    fit, by method, in the order they were fitted.
     """
 
     fold: int
@@ -152,13 +153,6 @@ class FoldFit:
     def chosen_k(self) -> int | None:
         """The k of the k-means model, None without one."""
         return None if self.kmeans is None else self.kmeans.model.k
-
-    def only(self, method: str) -> FoldFit:
-        """This fit with the models of every other method removed."""
-        seconds = {method: self.fit_seconds[method]}
-        if method == "kmeans":
-            return replace(self, logistic=None, fit_seconds=seconds)
-        return replace(self, kmeans=None, fit_seconds=seconds)
 
 
 def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
@@ -219,13 +213,14 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
     return fit
 
 
-def score_fold(fit: FoldFit, ds: Dataset, test_indices: np.ndarray) -> np.ndarray:
-    """Continuous scores for held-out rows using only the fit's own state."""
+def score_fold(fit: FoldFit, ds: Dataset, test_indices: np.ndarray) -> dict:
+    """``{method: scores}`` of the held-out rows by every model the fit holds,
+    in the fit's method order. The rows are replayed once, through the fit's
+    own preprocessing and selected columns, and each model scores them."""
     test_proc = apply_report(_subset(ds, test_indices), fit.preprocess)
     Xt = np.asarray(test_proc.features, dtype=float)[:, fit.selection.selected]
-    if fit.kmeans is not None:
-        return predict_scores(fit.kmeans, Xt)
-    return fit.logistic.predict_proba(Xt)
+    return {m: predict_scores(fit.kmeans, Xt) if m == "kmeans"
+            else fit.logistic.predict_proba(Xt) for m in fit.fit_seconds}
 
 
 @dataclass
@@ -276,13 +271,12 @@ def _cross_validate(ds: Dataset, methods: tuple,
     """One cross-validation loop for every method in ``methods``.
 
     Each fold is fitted once by :func:`fit_fold`, with a model per method,
-    and each method's model is then scored on the fold's test rows. A
-    method's ``wall_seconds`` adds, over the folds, the fold's shared state
-    (the fit less every model's own fit), its own model's fit and its own
-    scoring: what the method costs run alone.
+    and its test rows are scored once by :func:`score_fold`, by every model.
+    A method's ``wall_seconds`` adds, over the folds, the fold's elapsed time
+    less the other methods' model fits: what the method costs run alone.
     """
     plan = stratified_kfold(ds.labels, config.folds, derive_seed(config.seed, "folds"))
-    results = {m: [] for m in methods}
+    results = []
     wall = dict.fromkeys(methods, 0.0)
     for i in range(plan.k):
         try:
@@ -290,40 +284,34 @@ def _cross_validate(ds: Dataset, methods: tuple,
             fold_seed = derive_seed(config.seed, f"fold:{i}")
             fit = fit_fold(ds, plan.train_indices(i), config, fold_seed, fold=i,
                            methods=methods)
-            shared = time.perf_counter() - start - sum(fit.fit_seconds.values())
-            for m in methods:
-                start = time.perf_counter()
-                own = fit.only(m)
-                results[m].append((own, score_fold(own, ds, plan.test_indices[i])))
-                wall[m] += shared + own.fit_seconds[m] + time.perf_counter() - start
+            results.append((fit, score_fold(fit, ds, plan.test_indices[i])))
         except Exception as exc:
             exc.add_note(f"fold {i}")
             raise
-    return {m: _report(ds, replace(config, method=m), plan, results[m], wall[m])
+        shared = time.perf_counter() - start - sum(fit.fit_seconds.values())
+        for m in methods:
+            wall[m] += shared + fit.fit_seconds[m]
+    return {m: _report(ds, replace(config, method=m), plan, results, wall[m])
             for m in methods}
 
 
 def _report(ds: Dataset, config: PipelineConfig, plan: FoldPlan, results: list,
             wall: float) -> CvReport:
+    """The report of ``config.method`` from the folds' shared fits and scores."""
     bundles = []
     details = []
-    fits = []
     oof_scores = np.empty(ds.n)
-    oof_labels = np.empty(ds.n, dtype=int)
     for i, (fit, scores) in enumerate(results):
         test_idx = plan.test_indices[i]
-        y_test = ds.labels[test_idx]
-        bundles.append(compute_bundle(y_test, scores))
-        oof_scores[test_idx] = scores
-        oof_labels[test_idx] = y_test
-        fits.append(fit)
+        bundles.append(compute_bundle(ds.labels[test_idx], scores[config.method]))
+        oof_scores[test_idx] = scores[config.method]
         details.append({
             "fold": i,
             "train_size": int(fit.train_indices.size),
             "test_size": int(test_idx.size),
             "selected_columns": [ds.schema[j].name for j in fit.selection.selected],
             "selected_indices": list(fit.selection.selected),
-            "chosen_k": fit.chosen_k,
+            "chosen_k": fit.chosen_k if config.method == "kmeans" else None,
         })
 
     fingerprint = {
@@ -344,8 +332,8 @@ def _report(ds: Dataset, config: PipelineConfig, plan: FoldPlan, results: list,
         fingerprint=fingerprint,
         timing={"wall_seconds": wall, "wall_minutes": wall / 60.0},
         oof_scores=oof_scores,
-        oof_labels=oof_labels,
-        fits=tuple(fits),
+        oof_labels=ds.labels.copy(),  # every row lies in exactly one test fold
+        fits=tuple(fit for fit, _ in results),
     )
 
 

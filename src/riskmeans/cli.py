@@ -69,6 +69,8 @@ def _resolve_config(args) -> ExperimentConfig:
     if not cfg.data_path or not cfg.schema_path:
         raise UsageError("a data file and schema are required (--data/--schema "
                          "or a config file with a [data] section)")
+    if not cfg.output_dir:
+        raise UsageError("--out/[output] dir: expected a directory, got ''")
     head = cfg.output_dir  # the output directory, or its nearest existing ancestor
     while head and not os.path.exists(head):
         head = os.path.dirname(head)

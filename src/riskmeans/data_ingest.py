@@ -61,10 +61,11 @@ class EmptyDataError(DataError):
 
 
 def open_input(path, role: str):
-    """Open a text file for reading; a missing path or a directory raises
-    FileNotFoundError or IsADirectoryError naming ``role`` and the path."""
+    """Open a UTF-8 text file for reading, skipping a leading byte-order mark;
+    a missing path or a directory raises FileNotFoundError or
+    IsADirectoryError naming ``role`` and the path."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8-sig")
     except FileNotFoundError:
         raise FileNotFoundError(f"{role} not found: {path}") from None
     except IsADirectoryError:
@@ -281,6 +282,8 @@ def read_schema(path) -> SchemaFile:
             f"declared dimension {declared_dimension} implies {declared_dimension - 1} features, "
             f"schema has {len(columns) - 1}"
         )
+    if len(columns) == 1:
+        raise SchemaError(f"{path}: schema declares no feature column")
     return SchemaFile(
         columns=columns,
         label_column=label_column,

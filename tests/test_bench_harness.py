@@ -179,7 +179,7 @@ def test_fold_json_forms_score_raw_rows_as_the_fold_does(scale):
         X = apply_report(raw, replay).features[:, fit.selection.selected]
         clf = kc.classifier_from_json(kc.classifier_to_json(fit.kmeans))
         scores = kc.predict_scores(clf, X)
-        assert scores.tobytes() == score_fold(fit, ds, test).tobytes()
+        assert scores.tobytes() == score_fold(fit, ds, test)["kmeans"].tobytes()
         assert scores.tobytes() == report.oof_scores[test].tobytes()
 
 
@@ -317,24 +317,26 @@ def test_compare_methods_rejects_bad_input():
 @pytest.mark.parametrize("methods", [["kmeans", "lr"], ["lr", "kmeans"], ["lr"]])
 @pytest.mark.parametrize("auto", [False, True], ids=["fixed", "auto"])
 def test_compare_methods_rows_equal_separate_runs(methods, auto):
-    # the shared loop fits each fold's preprocessing and selection once, yet
-    # every row is the report its method gives run alone
+    # the shared loop fits and scores each fold once, yet every row is the
+    # report its method gives run alone
     ds = _bench_dataset()
     config = _config(rfe_target_k=None, kmeans_k=None, kmeans_k_max=4) if auto else _config()
     result = compare_methods(ds, methods, replace(config, method="kmeans"))
     assert [m for m, _ in result.computed] == methods
+    shared = result.computed[0][1].fits
     for m, report in result.computed:
         alone = run_pipeline(ds, replace(config, method=m))
         assert report.to_json(include_timing=False) == alone.to_json(include_timing=False)
         assert report.timing["wall_seconds"] > 0
-        for fit in report.fits:  # each row holds its own method's models only
-            assert (fit.kmeans is not None, fit.logistic is not None) == (m == "kmeans",
-                                                                          m == "lr")
-            assert list(fit.fit_seconds) == [m]
+        assert all(a is b for a, b in zip(report.fits, shared, strict=True))
+    for fit in shared:  # each fold's one fit holds every method's model
+        assert (fit.kmeans is not None, fit.logistic is not None) == ("kmeans" in methods,
+                                                                      "lr" in methods)
+        assert list(fit.fit_seconds) == methods
 
 
 def test_compare_methods_fits_each_fold_state_once(monkeypatch):
-    counts = {"preprocess": 0, "select_features": 0, "fit_fold": 0}
+    counts = {"preprocess": 0, "select_features": 0, "fit_fold": 0, "apply_report": 0}
 
     def counting(name):
         real = getattr(bench_harness, name)
@@ -347,7 +349,7 @@ def test_compare_methods_fits_each_fold_state_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(bench_harness, name, counting(name))
     result = compare_methods(_bench_dataset(), ["kmeans", "lr"], _config())
-    assert counts == {"preprocess": 3, "select_features": 3, "fit_fold": 3}
+    assert counts == {"preprocess": 3, "select_features": 3, "fit_fold": 3, "apply_report": 3}
     assert [len(r.fits) for _, r in result.computed] == [3, 3]
 
 
@@ -379,15 +381,14 @@ def test_fit_fold_fills_the_slot_of_every_method():
     assert list(both.fit_seconds) == ["lr", "kmeans"]
     for method in ("kmeans", "lr"):
         alone = fit_fold(ds, np.arange(ds.n), _config(method=method), fold_seed=5)
-        own = both.only(method)
-        assert own.selection == alone.selection and own.chosen_k == alone.chosen_k
-        assert own.preprocess.to_json() == alone.preprocess.to_json()
+        assert both.selection == alone.selection
+        assert both.preprocess.to_json() == alone.preprocess.to_json()
         if method == "kmeans":
-            assert own.logistic is None
-            assert own.kmeans.model.centroids.tobytes() == alone.kmeans.model.centroids.tobytes()
+            assert alone.logistic is None and both.chosen_k == alone.chosen_k
+            assert both.kmeans.model.centroids.tobytes() == alone.kmeans.model.centroids.tobytes()
         else:
-            assert own.kmeans is None and own.chosen_k is None
-            assert own.logistic.weights.tobytes() == alone.logistic.weights.tobytes()
+            assert alone.kmeans is None and alone.chosen_k is None
+            assert both.logistic.weights.tobytes() == alone.logistic.weights.tobytes()
     with pytest.raises(ValueError, match="unknown method 'svm'"):
         fit_fold(ds, np.arange(ds.n), _config(), fold_seed=5, methods=("kmeans", "svm"))
 
@@ -399,7 +400,6 @@ def test_fold_fit_stores_k_once(k):
                    methods=("kmeans", "lr"))
     assert fit.chosen_k == fit.kmeans.model.k
     assert k is None or fit.chosen_k == k
-    assert fit.only("lr").chosen_k is None
     assert "chosen_k" not in {f.name for f in dataclasses.fields(FoldFit)}
     with pytest.raises(AttributeError):
         fit.chosen_k = 4

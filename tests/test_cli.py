@@ -92,15 +92,46 @@ def test_path_flag_fault_exits_two_naming_its_role(tmp_path, capsys, flag, role,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub", ""])
 def test_out_at_or_under_a_file_exits_two_before_fitting(tmp_path, capsys, monkeypatch, out):
     data, schema, config = write_toy_files(tmp_path)
     (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+    fault = f"{tmp_path / 'taken'} is not a directory"
+    if not out:  # a blank [output] dir; the blank --out falls back to it
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace(f"dir = {tmp_path / 'out'}", "dir ="), encoding="utf-8")
+        fault = "expected a directory, got ''"
     monkeypatch.setattr("riskmeans.cli.fit_fold", None)  # a fit would raise TypeError
-    assert main(["train", "--config", str(config), "--out", str(tmp_path / out)]) == 2
-    assert capsys.readouterr().err == (f"error: --out/[output] dir: {tmp_path / 'taken'} "
-                                       "is not a directory\n")
+    assert main(["train", "--config", str(config), "--out",
+                 str(tmp_path / out) if out else ""]) == 2
+    assert capsys.readouterr().err == f"error: --out/[output] dir: {fault}\n"
     assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["train"], ["scan", "--windows", "1"]])
+def test_schema_without_a_feature_column_exits_two(tmp_path, capsys, command):
+    data, schema, config = write_toy_files(tmp_path)
+    data.write_text("outcome\n" + "bad\ngood\n" * 75, encoding="utf-8")
+    schema.write_text("column outcome categorical\nlabel outcome positive=bad\n",
+                      encoding="utf-8")
+    assert main(command + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {schema}: schema declares no feature column\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("role", ["config", "schema", "data"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, role):
+    paths = dict(zip(("data", "schema", "config"), write_toy_files(tmp_path)))
+
+    def ingest():
+        assert main(["ingest", "--config", str(paths["config"])]) == 0
+        return [(tmp_path / "out" / f).read_bytes() for f in ("processed.csv",
+                                                                "preprocess.json")]
+
+    plain = ingest()
+    paths[role].write_bytes(b"\xef\xbb\xbf" + paths[role].read_bytes())
+    assert ingest() == plain
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("header, code", [("x0, x1, grade, outcome", 0),

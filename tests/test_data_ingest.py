@@ -408,6 +408,9 @@ def test_read_schema_errors(tmp_path):
         read_schema(write(tmp_path, "column a text\nlabel a\n", name="d.schema"))
     with pytest.raises(SchemaError, match="not among"):
         read_schema(write(tmp_path, "column a numeric\nlabel b\n", name="e.schema"))
+    with pytest.raises(SchemaError, match=r"f\.schema: schema declares no feature column$"):
+        read_schema(write(tmp_path, "column a numeric\nlabel a\ndimension 1\n",
+                          name="f.schema"))
 
 
 @pytest.mark.parametrize("line,got", [
