@@ -48,24 +48,6 @@ from .kmeans_core import (
 from .metrics import MetricBundle, compute_bundle, roc_curve
 from .seeding import derive_seed
 
-__all__ = [
-    "FoldPlan",
-    "stratified_kfold",
-    "PipelineConfig",
-    "FoldFit",
-    "CvReport",
-    "ComparisonResult",
-    "REFERENCE_ROWS",
-    "REFERENCE_CLAIMS",
-    "check_methods",
-    "fit_fold",
-    "score_fold",
-    "run_pipeline",
-    "compare_methods",
-    "render_report",
-    "render_comparison",
-]
-
 METHODS = ("kmeans", "lr")
 _COLS = tuple(f.name for f in dataclasses.fields(MetricBundle))  # table column order
 
@@ -163,24 +145,23 @@ def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
 
 def _fit_kmeans(train: Dataset, config: PipelineConfig,
                 fold_seed: int) -> ClusterClassifier:
-    """The cluster classifier of the fixed or silhouette-chosen k (kmeans_core checks k)."""
+    """The cluster classifier of the fixed k, or of the k = auto sweep to ``kmeans_k_max``."""
+    auto = config.kmeans_k is None
     params = KMeansParams(
-        k=2 if config.kmeans_k is None else config.kmeans_k,
+        k=config.kmeans_k_max if auto else config.kmeans_k,
         max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
         restarts=config.kmeans_restarts,
         seed=derive_seed(fold_seed, "kmeans"), init=config.kmeans_init,
     )
-    if config.kmeans_k is not None:
-        return fit_classifier(train, params)
-    _, _, model = choose_k(train.features, range(2, config.kmeans_k_max + 1), params)
-    return fit_classifier(train, params, model=model)
+    return fit_classifier(train, params,
+                          model=choose_k(train.features, params)[2] if auto else None)
 
 
 def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
              fold_seed: int, fold: int = 0, *, methods=None) -> FoldFit:
-    """Fit preprocessing and feature selection on train rows only, then a
-    model for each of ``methods`` (default ``(config.method,)``), in the
-    order given, on that shared state.
+    """Fit preprocessing and the selection (rfe to every column with rfe
+    off) on train rows only, then a model for each of ``methods`` (default
+    ``(config.method,)``), in the order given, on that shared state.
 
     Neither the preprocessing nor the selection reads the method, so each
     model is the one a fit for its method alone would give.
@@ -192,14 +173,10 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
     X = np.asarray(train_proc.features, dtype=float)
     y = np.asarray(train_proc.labels)
 
-    if config.rfe_enabled:
-        selection = select_features(X, y, target_k=config.rfe_target_k,
-                                    step=config.rfe_step, seed=fold_seed)
-    else:
-        selection = RfeResult(selected=range(X.shape[1]), elimination_trace=())
-    selected = selection.selected
-    train = Dataset(features=X[:, selected], labels=y, name=ds.name,
-                    schema=[train_proc.schema[j] for j in selected])
+    target_k = config.rfe_target_k if config.rfe_enabled else X.shape[1]
+    selection = select_features(X, y, target_k=target_k, step=config.rfe_step,
+                                seed=fold_seed)
+    train = Dataset.numeric(X[:, selection.selected], y)
 
     fit = FoldFit(fold=fold, train_indices=np.asarray(train_indices),
                   preprocess=report, selection=selection, kmeans=None, logistic=None)

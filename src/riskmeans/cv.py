@@ -17,7 +17,6 @@ class FoldPlan:
 
     k: int
     test_indices: tuple
-    seed: int
 
     def __post_init__(self):
         folds = tuple(np.asarray(f, dtype=int) for f in self.test_indices)
@@ -64,4 +63,4 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
         for i, j in enumerate(idx):
             buckets[i % k].append(int(j))
     folds = tuple(np.array(sorted(b), dtype=int) for b in buckets)
-    return FoldPlan(k=k, test_indices=folds, seed=seed)
+    return FoldPlan(k=k, test_indices=folds)

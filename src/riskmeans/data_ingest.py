@@ -218,7 +218,6 @@ class SchemaFile:
     columns: list[ColumnSpec]
     label_column: str
     positive_label: str | None = None
-    declared_dimension: int | None = None
 
 
 def read_schema(path) -> SchemaFile:
@@ -284,12 +283,8 @@ def read_schema(path) -> SchemaFile:
         )
     if len(columns) == 1:
         raise SchemaError(f"{path}: schema declares no feature column")
-    return SchemaFile(
-        columns=columns,
-        label_column=label_column,
-        positive_label=positive_label,
-        declared_dimension=declared_dimension,
-    )
+    return SchemaFile(columns=columns, label_column=label_column,
+                      positive_label=positive_label)
 
 
 def _split_line(line: str, delimiter: str | None) -> list[str]:

@@ -11,8 +11,8 @@ Rankings use |weight| on internally standardized columns so magnitudes are
 comparable across features.
 
 :func:`select_features` is the package's one selection path; its target-size
-search returns the winning candidate's RFE selection without a rerun. Each
-candidate's rfe starts from all d columns, so shared rounds run once per candidate.
+search over one fixed grid returns the winner's RFE selection without a rerun.
+Each candidate's rfe starts from all d columns, so shared rounds run once per candidate.
 """
 
 from __future__ import annotations
@@ -185,28 +185,24 @@ def default_candidates(d: int) -> list[int]:
     return sorted(k for k in raw if k >= 1)
 
 
-def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
-                    seed: int = 0, step: int = 1) -> RfeResult:
-    """The rfe selection of the candidate size with the best K-means-classifier CV accuracy.
+def select_target_k(X: np.ndarray, y: np.ndarray, seed: int = 0, step: int = 1) -> RfeResult:
+    """The rfe selection of the :func:`default_candidates` size with the best
+    K-means-classifier accuracy over :data:`TARGET_K_FOLDS` inner folds.
 
     For every candidate: run rfe to that size with ``step``, then cross-validate
     a small fixed-k cluster classifier on the selected columns. Accuracy is
     pooled over folds (total correct / n) so ties are exact; ties break to the
-    smaller candidate, whose RfeResult is returned as computed.
+    smaller candidate, whose RfeResult is returned as computed. A matrix with
+    no columns raises ``ValueError``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("empty candidate list")
-    d = X.shape[1]
-    for c in candidates:
-        if not 1 <= c <= d:
-            raise ValueError(f"candidate {c} outside [1, {d}]")
-    plan = _cv.stratified_kfold(y, cv_folds, derive_seed(seed, "target_k:folds"))
+    if X.shape[1] == 0:
+        raise ValueError("no feature columns to select from")
+    plan = _cv.stratified_kfold(y, TARGET_K_FOLDS, derive_seed(seed, "target_k:folds"))
 
     scored: list[tuple[int, int, RfeResult]] = []  # (candidate, pooled correct, selection)
-    for cand in candidates:
+    for cand in default_candidates(X.shape[1]):
         result = rfe(X, y, target_k=cand, step=step)
         sel = result.selected
         params = replace(PROBE_PARAMS, seed=derive_seed(seed, f"target_k:{cand}"))
@@ -226,11 +222,10 @@ def select_target_k(X: np.ndarray, y: np.ndarray, candidates, cv_folds: int,
 
 def select_features(X: np.ndarray, y: np.ndarray, *, target_k: int | None, step: int,
                     seed: int) -> RfeResult:
-    """The selection of ``fit_fold``: one rfe to a fixed ``target_k``, or for
-    ``None`` the :func:`select_target_k` winner over :func:`default_candidates`
-    with :data:`TARGET_K_FOLDS` folds, seeded (seed, "target_k").
+    """The selection of ``fit_fold``: one rfe to a fixed ``target_k`` (every
+    column when rfe is off), or for ``None`` the :func:`select_target_k`
+    winner, seeded (seed, "target_k").
     """
     if target_k is not None:
         return rfe(X, y, target_k=target_k, step=step)
-    return select_target_k(X, y, default_candidates(np.shape(X)[1]), TARGET_K_FOLDS,
-                           seed=derive_seed(seed, "target_k"), step=step)
+    return select_target_k(X, y, seed=derive_seed(seed, "target_k"), step=step)

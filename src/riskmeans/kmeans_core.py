@@ -593,20 +593,22 @@ def silhouette_score(points: np.ndarray, assignment: np.ndarray, *,
     return float(scores.mean())
 
 
-def choose_k(points: np.ndarray, k_range,
+def choose_k(points: np.ndarray,
              params: KMeansParams) -> tuple[int, list[tuple[int, float]], KMeansModel]:
-    """Fit every k of the range, capped at n - 1 and at the distinct rows,
+    """Fit every k from 2 to ``min(params.k, n - 1, D)``, D the distinct rows,
     and pick the silhouette argmax.
 
-    Ties break to the smallest k. Fewer than 3 rows or 2 distinct rows, or a
-    range that does not start in [2, cap], raise ``ValueError``. Every
-    restart of every k runs in one
+    ``params.k`` is the largest k swept, ``[kmeans] k_max``; below 2 it
+    raises ``ValueError``, as do fewer than 3 rows or 2 distinct rows. Ties
+    break to the smallest k. Every restart of every k runs in one
     lockstep :func:`_lloyd_runs` call, with the seeds and the lowest-WCSS
     pick of :func:`lloyd_fit`, so each k's model is the one ``lloyd_fit``
     would return. The pairwise distance matrix is built once and shared by
     every k's silhouette. Returns (chosen k, per-k silhouette table, the
     chosen k's fitted model), so the winner need not be fitted again.
     """
+    if params.k < 2:
+        raise ValueError(f"k_max must be >= 2, got {params.k}")
     points = _checked_points(points)
     n = points.shape[0]
     if n < 3:  # the silhouette needs 2 <= k <= n - 1
@@ -615,10 +617,7 @@ def choose_k(points: np.ndarray, k_range,
     if distinct < 2:
         raise ValueError("k = auto needs at least 2 distinct training rows, "
                          f"but the selected columns hold {distinct}")
-    cap = min(n - 1, distinct)
-    ks = [k for k in sorted(k_range) if k <= cap]
-    if not ks or ks[0] < 2:
-        raise ValueError(f"the k range must start in [2, {cap}]")
+    ks = range(2, min(params.k, n - 1, distinct) + 1)
     seeds = _restart_seeds(params)
     runs = _lloyd_runs(points, [k for k in ks for _ in seeds], seeds * len(ks), params)
     distances = _distance_matrix(points)

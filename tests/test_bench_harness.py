@@ -266,6 +266,25 @@ def test_fit_fold_runs_rfe_once_per_candidate(monkeypatch):
     assert fit.selection == rfe(proc.features, proc.labels, len(fit.selection.selected))
 
 
+def test_rfe_off_is_one_rfe_to_every_column(monkeypatch):
+    ds = _bench_dataset()
+    real_rfe = fs.rfe
+    targets = []
+
+    def counting_rfe(X, y, target_k, step=1):
+        targets.append(target_k)
+        return real_rfe(X, y, target_k, step)
+
+    monkeypatch.setattr(fs, "rfe", counting_rfe)
+    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False), fold_seed=5)
+    assert targets == [ds.d]
+    assert fit.selection.selected == tuple(range(ds.d))
+    assert fit.selection.elimination_trace == ()
+    # the step is still rfe's, so its floor holds with rfe off too
+    with pytest.raises(ValueError, match="^step must be >= 1$"):
+        fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, rfe_step=0), fold_seed=5)
+
+
 def _three_distinct_rows(n_each=20):
     """Three distinct rows, each repeated with both labels."""
     rows = np.repeat([[0.0, 1.0], [4.0, -2.0], [1.0, 5.0]], n_each, axis=0)
@@ -276,16 +295,18 @@ def test_auto_k_sweep_capped_at_distinct_rows(monkeypatch):
     real_choose = bench_harness.choose_k
     swept = []
 
-    def choose(points, k_range, params):
-        swept.append(real_choose(points, k_range, params))
+    def choose(points, params):
+        swept.append(real_choose(points, params))
         return swept[-1]
 
     monkeypatch.setattr(bench_harness, "choose_k", choose)
     ds = _three_distinct_rows()
-    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, kmeans_k=None,
-                                                kmeans_k_max=10), fold_seed=3)
-    assert len(swept) == 1 and [k for k, _ in swept[0][1]] == [2, 3]
-    assert fit.chosen_k in (2, 3)
+    for k_max in (10, 10**12):
+        swept.clear()
+        fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, kmeans_k=None,
+                                                    kmeans_k_max=k_max), fold_seed=3)
+        assert len(swept) == 1 and [k for k, _ in swept[0][1]] == [2, 3]
+        assert fit.chosen_k in (2, 3)
 
 
 def test_fixed_k_above_distinct_rows_rejected():

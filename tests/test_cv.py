@@ -67,7 +67,7 @@ def test_train_indices_match_loop_oracle_on_300_plans():
     for _ in range(300):
         n, k = int(rng.integers(2, 60)), int(rng.integers(2, 6))
         folds = np.array_split(rng.permutation(n), k)
-        plan = FoldPlan(k=k, test_indices=tuple(np.sort(f) for f in folds), seed=0)
+        plan = FoldPlan(k=k, test_indices=tuple(np.sort(f) for f in folds))
         for i in range(k):
             train = plan.train_indices(i)
             expect = _loop_train_indices(plan, i)

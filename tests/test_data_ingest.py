@@ -392,7 +392,6 @@ def test_read_schema_grammar(tmp_path):
     assert sf.columns[1].missing_token == "NA"
     assert sf.label_column == "outcome"
     assert sf.positive_label == "bad"
-    assert sf.declared_dimension == 3
 
 
 def test_read_schema_errors(tmp_path):

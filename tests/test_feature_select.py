@@ -227,8 +227,10 @@ def test_rfe_permutation_consistency():
 
 
 def test_select_target_k_single_candidate():
+    # one column: the grid is [1], so the search returns rfe to that column
     X, y = _informative_problem()
-    assert len(select_target_k(X, y, [4], cv_folds=3).selected) == 4
+    assert default_candidates(1) == [1]
+    assert select_target_k(X[:, :1], y) == rfe(X[:, :1], y, target_k=1)
 
 
 def test_select_target_k_finds_signal_pair():
@@ -244,7 +246,8 @@ def test_select_target_k_finds_signal_pair():
         6.0 * rng.normal(size=n),
         6.0 * rng.normal(size=n),
     ])
-    assert len(select_target_k(X, y, [1, 2, 4], cv_folds=3, seed=0).selected) == 2
+    assert default_candidates(4) == [1, 2, 3, 4]
+    assert len(select_target_k(X, y, seed=0).selected) == 2
 
 
 def test_select_target_k_tie_prefers_smaller():
@@ -254,7 +257,8 @@ def test_select_target_k_tie_prefers_smaller():
     y = np.array([0, 1] * (n // 2))
     base = np.where(y == 1, 3.0, -3.0) + 0.3 * rng.normal(size=n)
     X = np.column_stack([base, base])
-    assert len(select_target_k(X, y, [2, 1], cv_folds=3, seed=0).selected) == 1
+    assert default_candidates(2) == [1, 2]
+    assert len(select_target_k(X, y, seed=0).selected) == 1
 
 
 def test_select_target_k_probes_one_distinct_row_with_one_cluster():
@@ -263,7 +267,7 @@ def test_select_target_k_probes_one_distinct_row_with_one_cluster():
     X = np.ones((30, 3))
     queries = np.array([[1.0, 1.0, 1.0], [0.0, 2.0, -1.0]])
     for y in (np.array([0, 1, 1] * 10), np.array([1, 0, 0] * 10)):
-        assert len(select_target_k(X, y, [3, 1], cv_folds=3, seed=0).selected) == 1
+        assert len(select_target_k(X, y, seed=0).selected) == 1  # grid [1, 2, 3]
         ds = Dataset.numeric(X, y)
         repeated = KMeansModel(centroids=np.ones((2, 3)), wcss=0.0, iterations_run=1,
                                converged=True, wcss_trace=(0.0, 0.0))
@@ -275,12 +279,8 @@ def test_select_target_k_probes_one_distinct_row_with_one_cluster():
 
 def test_select_target_k_validations():
     X, y = _informative_problem()
-    with pytest.raises(ValueError, match="empty"):
-        select_target_k(X, y, [], cv_folds=3)
-    with pytest.raises(ValueError):
-        select_target_k(X, y, [0], cv_folds=3)
-    with pytest.raises(ValueError):
-        select_target_k(X, y, [9], cv_folds=3)
+    with pytest.raises(ValueError, match="^no feature columns to select from$"):
+        select_target_k(X[:, :0], y)
 
 
 def _correlated_problem(seed=1, n=200, d=8):
@@ -297,7 +297,8 @@ def _correlated_problem(seed=1, n=200, d=8):
 
 def test_select_target_k_returns_winner_ranked_with_step():
     X, y = _correlated_problem()
-    winner = select_target_k(X, y, [2, 4, 6], cv_folds=3, seed=0, step=2)
+    assert default_candidates(8) == [2, 4, 6, 8]
+    winner = select_target_k(X, y, seed=0, step=2)
     assert winner == rfe(X, y, target_k=6, step=2)
     # on this table the step matters: step 1 keeps a different six columns
     assert winner.selected != rfe(X, y, target_k=6, step=1).selected
@@ -311,8 +312,7 @@ def test_select_features_fixed_target_is_one_rfe():
 
 def test_select_features_auto_runs_the_seeded_search():
     X, y = _correlated_problem()
-    expected = select_target_k(X, y, default_candidates(8), 3,
-                               seed=derive_seed(5, "target_k"))
+    expected = select_target_k(X, y, seed=derive_seed(5, "target_k"))
     assert select_features(X, y, target_k=None, step=1, seed=5) == expected
 
 

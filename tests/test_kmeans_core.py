@@ -304,7 +304,7 @@ def test_squared_distance_overflow_raises_instead_of_nan():
     with pytest.raises(ValueError, match=re.escape(message)):
         lloyd_fit(wide, KMeansParams(k=2))
     with pytest.raises(ValueError, match=re.escape(message)):
-        choose_k(wide, range(2, 4), KMeansParams(k=2))
+        choose_k(wide, KMeansParams(k=3))
     clf = _manual_clf(np.array([[0.0, 0.0], [1.0, 1.0]]), [0.2, 0.8])
     for huge in (1e200, np.inf):  # apply_report makes a value too large to scale inf
         with pytest.raises(ValueError, match="row 1: its squared distance to every centroid"):
@@ -630,7 +630,7 @@ def test_points_far_from_the_origin_are_rejected():
     with pytest.raises(ValueError, match=re.escape(message)):
         lloyd_fit(points, KMeansParams(k=3))
     with pytest.raises(ValueError, match=re.escape(message)):
-        choose_k(points, range(2, 5), KMeansParams(k=2))
+        choose_k(points, KMeansParams(k=4))
     model = lloyd_fit(points / 1e150, KMeansParams(k=3))
     assert np.isfinite(model.wcss)
 
@@ -659,10 +659,10 @@ def test_choose_k_equals_per_k_lloyd_fit():
         np.round(np.random.default_rng(6).normal(size=(150, 5)) * 2),
         np.random.default_rng(5).normal(size=(300, 4)),
     ]
-    for points, params in itertools.product(sweeps, (KMeansParams(k=2, restarts=3, seed=1),
-                                                      KMeansParams(k=2, restarts=10, seed=7,
+    for points, params in itertools.product(sweeps, (KMeansParams(k=9, restarts=3, seed=1),
+                                                      KMeansParams(k=9, restarts=10, seed=7,
                                                                    init=INIT_UNIFORM))):
-        k, table, model = choose_k(points, range(2, 10), params)
+        k, table, model = choose_k(points, params)
         want_table, models = [], {}
         for kk in range(2, 10):
             models[kk] = lloyd_fit(points, replace(params, k=kk))
@@ -788,8 +788,8 @@ def test_silhouette_rejects_distances_of_another_shape():
 def test_choose_k_table_equals_silhouette_without_distances():
     # 1100 rows: two full 512-row blocks of the shared matrix and a ragged one
     points = np.random.default_rng(11).normal(size=(1100, 4))
-    params = KMeansParams(k=2, restarts=1, seed=2)
-    _, table, _ = choose_k(points, range(2, 7), params)
+    params = KMeansParams(k=6, restarts=1, seed=2)
+    _, table, _ = choose_k(points, params)
     for k, score in table:
         labels = assign_many(lloyd_fit(points, replace(params, k=k)), points)
         assert score == silhouette_score(points, labels)
@@ -801,11 +801,11 @@ def test_choose_k_winner_matches_loop_silhouette(monkeypatch):
         make_blobs(60, [[0, 0, 0], [4, 0, 0], [0, 4, 0]], spread=1.2, seed=8),
         np.random.default_rng(5).normal(size=(300, 4)),
     ]
-    params = KMeansParams(k=2, restarts=2, seed=1)
-    got = [choose_k(points, range(2, 8), params)[:2] for points in sweeps]
+    params = KMeansParams(k=7, restarts=2, seed=1)
+    got = [choose_k(points, params)[:2] for points in sweeps]
     monkeypatch.setattr(kc, "silhouette_score",
                         lambda p, a, *, distances=None: _loop_silhouette(p, a))
-    want = [choose_k(points, range(2, 8), params)[:2] for points in sweeps]
+    want = [choose_k(points, params)[:2] for points in sweeps]
     for (k_got, table_got), (k_want, table_want) in zip(got, want):
         assert k_got == k_want
         assert all(abs(a - b) <= 1e-15 for (_, a), (_, b) in zip(table_got, table_want))
@@ -813,8 +813,8 @@ def test_choose_k_winner_matches_loop_silhouette(monkeypatch):
 
 def test_choose_k_three_blobs():
     points = make_blobs(30, [[0, 0], [12, 0], [0, 12]], spread=0.5, seed=2)
-    params = KMeansParams(k=2, restarts=4, seed=0)
-    k, table, model = choose_k(points, range(2, 7), params)
+    params = KMeansParams(k=6, restarts=4, seed=0)
+    k, table, model = choose_k(points, params)
     assert k == 3
     assert len(table) == 5 and table[1][0] == 3
     # the returned model is the winner's fit, identical to fitting k=3 alone
@@ -824,46 +824,44 @@ def test_choose_k_three_blobs():
 
 def test_choose_k_single_candidate():
     points = make_blobs(10, [[0, 0], [8, 8]], seed=1)
-    k, _, model = choose_k(points, range(2, 3), KMeansParams(k=2, restarts=2, seed=0))
+    k, _, model = choose_k(points, KMeansParams(k=2, restarts=2, seed=0))
     assert k == 2 and model.k == 2
 
 
 def test_choose_k_two_blobs():
     points = make_blobs(25, [[0, 0], [10, 0]], spread=0.5, seed=4)
-    k, _, _ = choose_k(points, range(2, 5), KMeansParams(k=2, restarts=4, seed=0))
+    k, _, _ = choose_k(points, KMeansParams(k=4, restarts=4, seed=0))
     assert k == 2
 
 
 def test_choose_k_tie_breaks_to_smallest(monkeypatch):
     monkeypatch.setattr(kc, "silhouette_score", lambda p, a, *, distances=None: 0.5)
     points = make_blobs(10, [[0, 0], [9, 9]], seed=0)
-    k, table, model = choose_k(points, range(2, 6), KMeansParams(k=2, restarts=2, seed=0))
+    k, table, model = choose_k(points, KMeansParams(k=5, restarts=2, seed=0))
     assert k == 2 and model.k == 2
     assert all(s == 0.5 for _, s in table)
 
 
 def test_choose_k_sweeps_no_k_past_n_minus_1_or_the_distinct_rows():
-    params = KMeansParams(k=2, restarts=2)
+    params = KMeansParams(k=10, restarts=2)
     four_rows = np.array([[0.0], [1.0], [3.0], [7.0]])
-    assert [k for k, _ in choose_k(four_rows, range(2, 11), params)[1]] == [2, 3]
+    assert [k for k, _ in choose_k(four_rows, params)[1]] == [2, 3]
     three_distinct = np.repeat([[0.1, 0.2], [0.3, 0.1], [0.7, 0.9]], 4, axis=0)
-    assert [k for k, _ in choose_k(three_distinct, range(2, 11), params)[1]] == [2, 3]
-    with pytest.raises(ValueError, match=r"^the k range must start in \[2, 3\]$"):
-        choose_k(three_distinct, range(4, 6), params)
+    assert [k for k, _ in choose_k(three_distinct, params)[1]] == [2, 3]
+    # k_max bounds the sweep but never sizes it
+    assert [k for k, _ in choose_k(three_distinct, replace(params, k=10**12))[1]] == [2, 3]
     with pytest.raises(ValueError, match="^k = auto needs at least 3 training rows, "
                                          "but there are 2$"):
-        choose_k(four_rows[:2], range(2, 4), params)
+        choose_k(four_rows[:2], params)
     with pytest.raises(ValueError, match="^k = auto needs at least 2 distinct training "
                                          "rows, but the selected columns hold 1$"):
-        choose_k(np.full((5, 2), 0.1), range(2, 4), params)
+        choose_k(np.full((5, 2), 0.1), params)
 
 
 def test_choose_k_rejects_bad_range():
     points = make_blobs(5, [[0, 0]], seed=0)
-    with pytest.raises(ValueError):
-        choose_k(points, [], KMeansParams(k=2))
-    with pytest.raises(ValueError):
-        choose_k(points, range(1, 3), KMeansParams(k=2))
+    with pytest.raises(ValueError, match="^k_max must be >= 2, got 1$"):
+        choose_k(points, KMeansParams(k=1))
 
 
 def test_fit_classifier_posterior_smoothing(blob_dataset):
