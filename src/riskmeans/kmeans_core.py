@@ -21,13 +21,16 @@ squared distance adds its d column terms left to right in column order, and
 a score normalises and mixes its k cluster terms in cluster order, so a
 row's distances, label and score depend on that row alone: not on how many
 rows share the call, nor on the memory order of either matrix.
-:func:`choose_k` builds one pairwise distance matrix per sweep, and every
-k's silhouette sums each cluster's columns of its 512-row blocks, so it
-equals a silhouette computed from the points alone.
+:func:`choose_k` builds one pairwise distance matrix per sweep, computing
+the blocks on and above its diagonal and mirroring them, and every k's
+silhouette sums each cluster's columns of its 512-row blocks, so it equals
+a silhouette computed from the points alone.
 
 One engine, :func:`_lloyd_runs`, fits every Lloyd run: all restarts of a
 :func:`lloyd_fit`, and all restarts of every k of a :func:`choose_k` sweep,
-advance in lockstep, each bit for bit the run it would be on its own.
+advance in lockstep, each bit for bit the run it would be on its own. A k
+sweep's runs share the restart seeds, so k-means++ draws once per seed, for
+the widest k, and each narrower run takes the first k of those centres.
 Below ``_TALL_N`` points its update bincounts all runs at once over tiled
 point columns, from there on one run at a time. Every point-centre squared
 distance comes from one kernel, :func:`_sq_dists`.
@@ -151,7 +154,7 @@ class KMeansModel:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None,
-              work: _Slabs | None = None) -> np.ndarray:
+              work: _Slabs | None = None, first: int = 0) -> np.ndarray:
     """Squared Euclidean distances as an (m, n) matrix, one row per centre,
     written into ``out`` when given.
 
@@ -162,14 +165,15 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = 
     each centre column is copied across an (m, n) workspace before the point
     column is subtracted, as numpy subtracts a broadcast (m, 1) column slowly.
     ``work``, a :class:`_Slabs` over ``points``, lends its cached columns and
-    workspace and skips the shape check."""
+    workspace and skips the shape check; with it, ``first`` drops the points
+    before that row, so the matrix has ``n - first`` columns."""
     if work is None:
         if points.ndim != 2 or points.shape[1] != centers.shape[1]:
             raise ValueError(f"expected a matrix with {centers.shape[1]} columns, "
                              f"got shape {points.shape}")
         cols = np.ascontiguousarray(points.T)  # (d, n): one contiguous row per column
     else:
-        cols = work.cols
+        cols = work.cols[:, first:]
     (m, d), n = centers.shape, cols.shape[1]
     if d and m < _COPY_SLAB_MIN:
         sq = np.subtract(cols[:, None, :], centers.T[:, :, None], order="C")  # (d, m, n)
@@ -185,13 +189,18 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = 
     if d == 0:
         out.fill(0.0)
         return out
-    term = np.empty((m, n)) if work is None else work.term[:m]
+    term = np.empty((m, n)) if work is None else _head(work.term, m, n)
     np.copyto(out, centers[:, :1])
     np.square(np.subtract(cols[0], out, out=out), out=out)
     for c in range(1, d):
         np.copyto(term, centers[:, c:c + 1])
         out += np.square(np.subtract(cols[c], term, out=term), out=term)
     return out
+
+
+def _head(workspace: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The first ``m * n`` cells of a contiguous workspace as an (m, n) matrix."""
+    return workspace.ravel()[:m * n].reshape(m, n)
 
 
 def _take_closer(d2: np.ndarray, j: int, best: np.ndarray, labels: np.ndarray,
@@ -222,18 +231,27 @@ def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 
     The nearest squared distances are a running minimum that takes in only
     the newest center's column; ``min`` is exact, so the draws equal those
-    from a fresh minimum over all chosen centers.
+    from a fresh minimum over all chosen centers. Draw j reads only ``rng``
+    and centers 0..j-1, and every row's distances and total are the row's
+    alone, so the first k centers of a wider draw from the same generator
+    state are this draw for k, bit for bit. k below 1 raises ``ValueError``.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     return _Slabs(points, 1).kmeanspp(np.array([k]), [rng])[0]
 
 
 def uniform_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Plain uniform draw of k distinct rows as initial centers."""
+    """Plain uniform draw of k distinct rows as initial centers. Unlike
+    :func:`kmeanspp_init`, a narrower k does not draw a prefix of a wider
+    one. k below 1 raises ``ValueError``."""
     points = np.asarray(points, dtype=float)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k > points.shape[0]:
         raise ValueError(f"k={k} exceeds n={points.shape[0]}")
     idx = rng.choice(points.shape[0], size=k, replace=False)
@@ -394,14 +412,20 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     """One Lloyd fit per (k, seed) pair on the same points, all in lockstep.
 
     Run i starts from ``default_rng(seeds[i])`` and ``params.init`` with
-    ``ks[i]`` centres; ``params.k`` is not read. The runs advance together:
-    one labels pass over the centre stack's slabs (:meth:`_Slabs.nearest`,
-    screened from k = 4) labels every run with stack rows, and one weighted
-    ``np.bincount`` per column over those labels updates every run's
-    centroids, each bin adding its weights in row order
-    (from ``_TALL_N`` points, where tiled weights cost more than they save,
-    each run is bincounted on its own). A run converges when no centre c
-    moves by ``params.tol * (1 + ||c - mu||)`` or more, mu the mean of the
+    ``ks[i]`` centres; ``params.k`` is not read. Runs may share a seed, as
+    every k of a :func:`choose_k` sweep shares the restart seeds: k-means++
+    then draws once per distinct seed, for the widest of its runs, and every
+    run with that seed starts from the first ``ks[i]`` of those centres,
+    which is its own draw bit for bit (see :func:`kmeanspp_init`). Uniform
+    init draws for each run, as its draws are not prefixes across k.
+
+    The runs advance together: one labels pass over the centre stack's
+    slabs (:meth:`_Slabs.nearest`, screened from k = 4) labels every run
+    with stack rows, and one weighted ``np.bincount`` per column over those
+    labels updates every run's centroids, each bin adding its weights in row
+    order (from ``_TALL_N`` points, where tiled weights cost more than they
+    save, each run is bincounted on its own). A run converges when no centre
+    c moves by ``params.tol * (1 + ||c - mu||)`` or more, mu the mean of the
     points, so translating the points does not move the stopping point. It
     leaves the stack when it converges or reaches ``params.max_iters``. Each
     returned model, in the order of ``ks``, is bit for bit the fit of that
@@ -409,16 +433,21 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     """
     n, d = points.shape
     ids = np.argsort(-np.asarray(ks), kind="stable")  # input position of each stack row
-    ks = np.asarray(ks)[ids]
-    rngs = [np.random.default_rng(seeds[i]) for i in ids]
+    ks, seeds = np.asarray(ks)[ids], [seeds[i] for i in ids]
     work = _Slabs(points, ks.size, int(ks[0]))
     mean = work.cols.mean(axis=1)  # the shift test measures centres from here
     if params.init == INIT_KMEANSPP:
-        stack = work.kmeanspp(ks, rngs)
+        # one draw sequence per distinct seed, for its first run in the
+        # stack, its widest; every run with that seed takes a prefix of it
+        distinct = list(dict.fromkeys(seeds))
+        drawn = work.kmeanspp(ks[[seeds.index(seed) for seed in distinct]],
+                              [np.random.default_rng(seed) for seed in distinct])
+        stack = drawn[[distinct.index(seed) for seed in seeds]]
+        stack[np.arange(ks[0]) >= ks[:, None]] = 0.0  # zeros past each run's k
     else:
         stack = np.zeros((ks.size, ks[0], d))
-        for r, rng in enumerate(rngs):
-            stack[r, :ks[r]] = uniform_init(points, int(ks[r]), rng)
+        for r, seed in enumerate(seeds):
+            stack[r, :ks[r]] = uniform_init(points, int(ks[r]), np.random.default_rng(seed))
 
     tall = n >= _TALL_N
     weights = None if tall else np.empty((ks.size, n))  # one point column per run
@@ -532,16 +561,25 @@ def assign_many(model: KMeansModel, X: np.ndarray) -> np.ndarray:
 
 
 def _distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, ``_DISTANCE_ROWS`` rows at a time through
-    :func:`_sq_dists` into (rows, n) workspaces, which are all it allocates
+    """Pairwise Euclidean distances, ``_DISTANCE_ROWS`` rows at a time.
+
+    Only the blocks on and above the diagonal go through :func:`_sq_dists`:
+    rows ``start:stop`` against the points from ``start`` on, into the head
+    of a (rows, n) workspace. Each block fills its rows from ``start`` on
+    and, transposed, its columns below them. ``(a - b)**2 == (b - a)**2``,
+    so the mirror is bit for bit what :func:`_sq_dists` gives there, and
+    the matrix is exactly symmetric. The workspaces are all it allocates
     besides the matrix."""
     n = points.shape[0]
     out = np.empty((n, n), order="F")
     work = _Slabs(points, min(n, _DISTANCE_ROWS))
     for start in range(0, n, _DISTANCE_ROWS):
-        rows = points[start:start + _DISTANCE_ROWS]
-        np.sqrt(_sq_dists(points, rows, work.slab[:len(rows)], work),
-                out=out[start:start + len(rows)])
+        stop = min(start + _DISTANCE_ROWS, n)
+        block = _sq_dists(points, points[start:stop], _head(work.slab, stop - start, n - start),
+                          work, start)
+        np.sqrt(block, out=block)
+        out[start:stop, start:] = block
+        out[start:, start:stop] = block.T
     return out
 
 
@@ -603,7 +641,9 @@ def choose_k(points: np.ndarray,
     break to the smallest k. Every restart of every k runs in one
     lockstep :func:`_lloyd_runs` call, with the seeds and the lowest-WCSS
     pick of :func:`lloyd_fit`, so each k's model is the one ``lloyd_fit``
-    would return. The pairwise distance matrix is built once and shared by
+    would return; k-means++ draws once per restart seed, for the widest k,
+    and each narrower k starts from a prefix of those centres. The pairwise
+    distance matrix is built once, its upper blocks mirrored, and shared by
     every k's silhouette. Returns (chosen k, per-k silhouette table, the
     chosen k's fitted model), so the winner need not be fitted again.
     """

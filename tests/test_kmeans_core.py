@@ -120,6 +120,30 @@ def test_kmeanspp_k_exceeds_n():
         kmeanspp_init(np.zeros((2, 1)), 3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("init", [kmeanspp_init, uniform_init])
+@pytest.mark.parametrize("k", [0, -1])
+def test_inits_reject_k_below_1(init, k):
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        init(np.arange(6, dtype=float).reshape(3, 2), k, np.random.default_rng(0))
+
+
+def test_kmeanspp_narrower_k_draws_a_prefix_bitwise():
+    # draw j reads only the generator and centres 0..j-1, so a k-centre
+    # draw is the first k centres of a wider draw with the same seed; past
+    # three centres every row of the duplicate table sits on one, so its
+    # later draws take the total == 0 branch
+    rng = np.random.default_rng(37)
+    tables = [rng.normal(size=(200, 3)) * [0.01, 1, 100], rng.normal(size=(30, 1)),
+              np.repeat(rng.normal(size=(3, 4)), 9, axis=0)]
+    widest = 12
+    for points, seed in itertools.product(tables, range(4)):
+        for p in (np.ascontiguousarray(points), np.asfortranarray(points)):
+            wide = kmeanspp_init(p, widest, np.random.default_rng(seed))
+            for k in range(1, widest + 1):
+                narrow = kmeanspp_init(p, k, np.random.default_rng(seed))
+                assert wide[:k].tobytes() == narrow.tobytes()
+
+
 def test_uniform_init_distinct_rows():
     points = np.arange(10, dtype=float).reshape(10, 1)
     c = uniform_init(points, 4, np.random.default_rng(0))
@@ -515,6 +539,33 @@ def test_lloyd_runs_match_single_run_oracle_bitwise(case):
         assert _model_bits(lloyd_fit(points, params)) == _model_bits(want)
 
 
+@pytest.mark.parametrize("init", [INIT_KMEANSPP, INIT_UNIFORM])
+def test_lloyd_runs_sharing_seeds_give_each_run_its_model_alone(init):
+    # the sweep's shape: every k from 2 to 9 with the same restart seeds,
+    # on a spread table and on a duplicate-heavy one whose fits repair;
+    # k-means++ draws once per seed and narrower runs take a prefix
+    rng = np.random.default_rng(41)
+    tables = [rng.normal(size=(150, 4)) * [1, 5, 25, 125],
+              np.repeat(rng.normal(size=(6, 3)), 20, axis=0)]
+    params = KMeansParams(k=2, seed=5, init=init)
+    seeds = [derive_seed(5, f"restart:{r}") for r in range(4)]
+    ks = [k for k in range(2, 10) for _ in seeds]
+    for points in tables:
+        points = np.asfortranarray(points)
+        got = kc._lloyd_runs(points, ks, seeds * 8, params)
+        for k, seed, model in zip(ks, seeds * 8, got):
+            alone = kc._lloyd_runs(points, [k], [seed], params)[0]
+            assert _model_bits(model) == _model_bits(alone)
+
+
+def test_choose_k_draws_k_means_pp_once_per_restart_seed(monkeypatch):
+    draws = _spy(monkeypatch, "kmeanspp")
+    points = np.random.default_rng(2).normal(size=(90, 3))
+    choose_k(points, KMeansParams(k=10, restarts=4, seed=9))
+    (_, ks, rngs), = draws
+    assert ks.tolist() == [10] * 4 and len(rngs) == 4
+
+
 def test_lloyd_runs_cover_repairs_wide_slabs_and_tall_inputs():
     rng = np.random.default_rng(23)
     dup = np.repeat(rng.normal(size=(4, 3)), 30, axis=0)  # 4 distinct rows, k up to 9
@@ -783,6 +834,20 @@ def test_silhouette_rejects_distances_of_another_shape():
     for shape in ((6, 5), (5, 6), (36,)):
         with pytest.raises(ValueError, match=re.escape(f"shape {shape} do not match 6 points")):
             silhouette_score(points, labels, distances=np.zeros(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 15, 127, 128, 129, 257])
+def test_distance_matrix_mirrors_the_upper_blocks_bitwise(n):
+    # below 16 rows the one block is squared in a (d, m, n) block; 127 and
+    # 128 rows fill one block; 129 and 257 end in a ragged block of one row
+    rng = np.random.default_rng(n)
+    for d in range(1, 25):
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        want = np.sqrt(kc._sq_dists(points, points)).tobytes()
+        for p in _layouts(points).values():
+            got = kc._distance_matrix(p)
+            assert got.tobytes() == want
+            assert got.T.tobytes() == want  # exactly symmetric
 
 
 def test_choose_k_table_equals_silhouette_without_distances():
