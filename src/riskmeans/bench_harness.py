@@ -41,6 +41,7 @@ from .feature_select import LogisticModel, RfeResult, fit_logistic, select_featu
 from .kmeans_core import (
     ClusterClassifier,
     KMeansParams,
+    RowError,
     choose_k,
     fit_classifier,
     predict_scores,
@@ -170,8 +171,7 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
     check_methods(methods)
     train_raw = _subset(ds, train_indices)
     train_proc, report = preprocess(train_raw, scale=config.scale)
-    X = np.asarray(train_proc.features, dtype=float)
-    y = np.asarray(train_proc.labels)
+    X, y = train_proc.features, train_proc.labels
 
     target_k = config.rfe_target_k if config.rfe_enabled else X.shape[1]
     selection = select_features(X, y, target_k=target_k, step=config.rfe_step,
@@ -191,13 +191,18 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
 
 
 def score_fold(fit: FoldFit, ds: Dataset, test_indices: np.ndarray) -> dict:
-    """``{method: scores}`` of the held-out rows by every model the fit holds,
-    in the fit's method order. The rows are replayed once, through the fit's
-    own preprocessing and selected columns, and each model scores them."""
-    test_proc = apply_report(_subset(ds, test_indices), fit.preprocess)
-    Xt = np.asarray(test_proc.features, dtype=float)[:, fit.selection.selected]
-    return {m: predict_scores(fit.kmeans, Xt) if m == "kmeans"
-            else fit.logistic.predict_proba(Xt) for m in fit.fit_seconds}
+    """``{method: scores}`` of the held-out rows by every model the fit holds.
+    The rows are replayed once, through the fit's own preprocessing and
+    selected columns, and each model scores them. A row that fails to score
+    raises :class:`RowError` naming its row of ``ds`` counted from 1, as
+    ingest errors count data rows."""
+    Xt = apply_report(_subset(ds, test_indices), fit.preprocess).features[:, fit.selection.selected]
+    models = {"kmeans": fit.kmeans, "lr": fit.logistic}
+    try:
+        return {m: predict_scores(model, Xt) if m == "kmeans" else model.predict_proba(Xt)
+                for m, model in models.items() if model is not None}
+    except RowError as exc:
+        raise RowError(int(test_indices[exc.row]) + 1, exc.reason) from None
 
 
 @dataclass

@@ -119,7 +119,7 @@ def cmd_ingest(args, cfg, ds) -> int:
     matrix_path = os.path.join(out, "processed.csv")
     report_path = os.path.join(out, "preprocess.json")
     write_processed(proc, matrix_path)
-    _write_artifact(report_path, cfg, args.seed, {"preprocess": json.loads(report.to_json())})
+    _write_artifact(report_path, cfg, args.seed, {"preprocess": dataclasses.asdict(report)})
     pos, neg = ds.class_counts()
     print(f"ingested {ds.name}: n={ds.n}, d={ds.d}, positives={pos}, negatives={neg}")
     print(f"wrote {matrix_path} and {report_path}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -188,26 +188,14 @@ class PreprocessReport:
     stds: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "imputation": self.imputation,
-                "codes": self.codes,
-                "means": self.means,
-                "stds": self.stds,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        """The fields as sorted JSON, keyed by field name."""
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PreprocessReport":
+        """The report :meth:`to_json` wrote; a missing field reads as empty."""
         raw = json.loads(text)
-        return cls(
-            imputation=raw.get("imputation", {}),
-            codes=raw.get("codes", {}),
-            means=raw.get("means", {}),
-            stds=raw.get("stds", {}),
-        )
+        return cls(**{f.name: raw.get(f.name, {}) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import cv as _cv
 from .data_ingest import Dataset
-from .kmeans_core import PROBE_PARAMS, fit_classifier, predict_labels
+from .kmeans_core import PROBE_PARAMS, RowError, fit_classifier, predict_labels
 from .seeding import derive_seed
 
 PROB_FLOOR = 1e-12
@@ -57,12 +57,12 @@ class LogisticModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """P(y=1 | x), clipped away from exactly 0 and 1; a row whose logit
-        overflows float64 raises ValueError."""
+        overflows float64 raises :class:`~riskmeans.kmeans_core.RowError`."""
         with np.errstate(over="ignore", invalid="ignore"):
             z = np.asarray(X, dtype=float) @ self.weights + self.bias
         if not np.isfinite(z).all():
             row = np.flatnonzero(~np.isfinite(z))[0]
-            raise ValueError(f"row {row}: its logit overflows float64")
+            raise RowError(row, "its logit overflows float64")
         return np.clip(_sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
@@ -200,6 +200,8 @@ def select_target_k(X: np.ndarray, y: np.ndarray, seed: int = 0, step: int = 1) 
     if X.shape[1] == 0:
         raise ValueError("no feature columns to select from")
     plan = _cv.stratified_kfold(y, TARGET_K_FOLDS, derive_seed(seed, "target_k:folds"))
+    splits = ((plan.train_indices(f), plan.test_indices[f]) for f in range(plan.k))
+    folds = [(X[tr], y[tr], X[te], y[te]) for tr, te in splits]  # sliced once, for every candidate
 
     scored: list[tuple[int, int, RfeResult]] = []  # (candidate, pooled correct, selection)
     for cand in default_candidates(X.shape[1]):
@@ -207,15 +209,14 @@ def select_target_k(X: np.ndarray, y: np.ndarray, seed: int = 0, step: int = 1) 
         sel = result.selected
         params = replace(PROBE_PARAMS, seed=derive_seed(seed, f"target_k:{cand}"))
         correct = 0
-        for fold in range(plan.k):
-            tr, te = plan.train_indices(fold), plan.test_indices[fold]
-            train = X[tr][:, sel]
+        for X_tr, y_tr, X_te, y_te in folds:
+            train = X_tr[:, sel]
             # lloyd_fit rejects 2 clusters on one distinct row, so such a
             # fold's probe has 1 cluster and labels every query alike
             one_row = not np.ptp(train, axis=0).any()
-            clf = fit_classifier(Dataset.numeric(train, y[tr]),
+            clf = fit_classifier(Dataset.numeric(train, y_tr),
                                  replace(params, k=1) if one_row else params)
-            correct += int(np.sum(predict_labels(clf, X[te][:, sel]) == y[te]))
+            correct += int(np.sum(predict_labels(clf, X_te[:, sel]) == y_te))
         scored.append((cand, correct, result))
     return min(scored, key=lambda s: (-s[1], s[0]))[2]
 

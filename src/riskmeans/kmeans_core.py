@@ -100,6 +100,16 @@ _SCREEN_MIN_K = 4
 _SCREEN_EPS = 32 * 2.0 ** -53
 
 
+class RowError(ValueError):
+    """A failure of one row of a matrix: ``row <row>: <reason>``. A caller
+    that knows where its rows came from re-raises it with ``row`` naming
+    that place instead of the position in the matrix."""
+
+    def __init__(self, row, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
 @dataclass(frozen=True)
 class KMeansParams:
     k: int
@@ -721,7 +731,8 @@ def predict_scores(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
     softmax cluster weights times posteriors.
 
     The weights are normalised and mixed by adding the k clusters' terms in
-    order, so each row's score depends on that row alone.
+    order, so each row's score depends on that row alone. A row whose
+    distance to every centroid overflows raises :class:`RowError`.
     """
     X = np.asarray(X, dtype=float)
     with np.errstate(over="ignore"):
@@ -729,7 +740,7 @@ def predict_scores(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
     top = logits.max(axis=0)
     if not np.isfinite(top).all():
         row = np.flatnonzero(~np.isfinite(top))[0]
-        raise ValueError(f"row {row}: its squared distance to every centroid overflows float64")
+        raise RowError(row, "its squared distance to every centroid overflows float64")
     logits -= top
     w = np.exp(logits)
     total = w[0].copy()

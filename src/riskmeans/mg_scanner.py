@@ -26,6 +26,7 @@ from .data_ingest import Dataset
 from .kmeans_core import (
     PROBE_PARAMS,
     ClusterClassifier,
+    RowError,
     fit_classifier,
     predict_scores,
 )
@@ -115,7 +116,9 @@ def transform_matrix(X: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
     Layout per w: window index outer, classifier next, class innermost, so
     the flat column index is win*m*c + est*c + cls. Classifier e's score s
     on a window gives the pair (1 - s, s); each classifier scores all n *
-    window_count windows of one size in a single call.
+    window_count windows of one size in a single call. A window that fails
+    to score raises :class:`~riskmeans.kmeans_core.RowError` naming its
+    input row and window index.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != config.input_dim:
@@ -130,7 +133,11 @@ def transform_matrix(X: np.ndarray, config: ScanConfig, fitted: dict) -> dict:
         windows = scan(X, w, config.stride).reshape(-1, w)
         probs = out[w].reshape(windows.shape[0], m, c)
         for e, clf in enumerate(fitted[w]):
-            s = predict_scores(clf, windows)
+            try:
+                s = predict_scores(clf, windows)
+            except RowError as exc:  # name the input row and its window, not the flat window
+                row, win = divmod(int(exc.row), window_count(config.input_dim, w, config.stride))
+                raise RowError(f"{row}, window {win}", exc.reason) from None
             np.subtract(1.0, s, out=probs[:, e, 0])
             probs[:, e, 1] = s
     return out

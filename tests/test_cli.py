@@ -306,40 +306,63 @@ def test_infinite_numeric_cell_exits_one(tmp_path, capsys, token):
 
 def _huge_x0_in_fold_0(tmp_path, split, value="1e200"):
     """Toy files whose first fold-0 ``split`` row (``run --seed 1``, 5 folds)
-    holds x0 = ``value``, a finite value whose square overflows."""
+    holds x0 = ``value``, a finite value whose square overflows; returns the
+    config and that row's data-row number (counted from 1, as ingest counts)."""
     data, schema, config = write_toy_files(tmp_path)
     plan = stratified_kfold(load_with_schema(data, schema).labels, 5, derive_seed(1, "folds"))
     row = int((plan.test_indices[0] if split == "test" else plan.train_indices(0))[0])
     lines = data.read_text(encoding="utf-8").splitlines()
     lines[row + 1] = value + "," + lines[row + 1].split(",", 1)[1]
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return config
+    return config, row + 1
 
 
 def test_huge_cell_in_a_held_out_row_exits_one(tmp_path, capsys):
-    config = _huge_x0_in_fold_0(tmp_path, "test")
+    config, row = _huge_x0_in_fold_0(tmp_path, "test")
     assert main(["run", "--config", str(config), "--seed", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: row 0: its squared distance to every centroid overflows float64",
+        f"error: row {row}: its squared distance to every centroid overflows float64",
         "  fold 0"]
     assert not (tmp_path / "out" / "report_kmeans.json").exists()
 
 
 @pytest.mark.parametrize("argv", [[], ["--no-scale"]])
 def test_lr_logit_overflow_in_a_held_out_row_exits_one(tmp_path, capsys, argv):
-    config = _huge_x0_in_fold_0(tmp_path, "test", "1.7e308")
+    config, row = _huge_x0_in_fold_0(tmp_path, "test", "1.7e308")
     assert main(["run", "--config", str(config), "--seed", "1", "--method", "lr"] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: row 0: its logit overflows float64", "  fold 0"]
+    assert captured.err.splitlines() == [f"error: row {row}: its logit overflows float64",
+                                         "  fold 0"]
     assert not (tmp_path / "out" / "report_lr.json").exists()
+
+
+@pytest.mark.parametrize("method, value, reason", [
+    ("kmeans", "1e200", "its squared distance to every centroid overflows float64"),
+    ("lr", "1.7e308", "its logit overflows float64"),
+])
+def test_held_out_scoring_error_names_the_data_row(tmp_path, capsys, method, value, reason):
+    # 60 rows, y = 1 on every third; data row 36 (counted from 1) holds a huge a
+    # and is held out by fold 0 of run --k 2 --target-k 3 --seed 0
+    rows = [f"{(i % 4) / 4},{(i * 5) % 11},{'pqr'[i % 3]},{int(i % 3 == 0)}" for i in range(60)]
+    rows[35] = value + "," + rows[35].split(",", 1)[1]
+    data, schema = tmp_path / "t.csv", tmp_path / "t.schema"
+    data.write_text("a,b,c,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    schema.write_text("column a numeric\ncolumn b numeric\ncolumn c categorical\n"
+                      "column y numeric\nlabel y\n", encoding="utf-8")
+    plan = stratified_kfold(load_with_schema(data, schema).labels, 5, derive_seed(0, "folds"))
+    assert 35 in plan.test_indices[0]
+    argv = ["run", "--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "o"),
+            "--k", "2", "--target-k", "3", "--seed", "0", "--method", method]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: row 36: {reason}", "  fold 0"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--no-scale"]])
 def test_huge_cell_in_training_rows_exits_one(tmp_path, capsys, argv):
-    config = _huge_x0_in_fold_0(tmp_path, "train")
+    config, _ = _huge_x0_in_fold_0(tmp_path, "train")
     assert main(["run", "--config", str(config), "--seed", "1"] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

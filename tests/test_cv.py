@@ -114,3 +114,35 @@ def test_stratification_within_one_per_class(n_pos, n_neg, seed):
         assert abs(neg - n_neg / k) <= 1
     combined = np.concatenate(plan.test_indices)
     assert sorted(combined) == list(range(labels.size))
+
+
+def _append_loop_kfold(labels: np.ndarray, k: int, seed: int) -> tuple:
+    """The per-index append loop that ``stratified_kfold`` replaced; the oracle."""
+    rng = np.random.default_rng(seed)
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(idx.size)]
+        for i, j in enumerate(idx):
+            buckets[i % k].append(int(j))
+    return tuple(np.array(sorted(b), dtype=int) for b in buckets)
+
+
+def test_stride_dealing_matches_append_loop_oracle_on_300_label_vectors():
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        k, classes = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        sizes = rng.integers(k, 3 * k + 1, size=classes)
+        labels = rng.permutation(np.repeat(np.arange(classes), sizes))
+        plan = stratified_kfold(labels, k, seed=trial)
+        expect = _append_loop_kfold(labels, k, seed=trial)
+        assert len(plan.test_indices) == k
+        for got, want in zip(plan.test_indices, expect):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_empty_labels_give_k_empty_folds():
+    plan = stratified_kfold(np.array([], dtype=int), 4, seed=0)
+    assert plan.k == 4 and plan.n == 0
+    assert [f.size for f in plan.test_indices] == [0, 0, 0, 0]
+    assert all(f.dtype == np.dtype(int) for f in plan.test_indices)

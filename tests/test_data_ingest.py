@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -650,12 +651,25 @@ def test_categorical_column_without_vocabulary_names_it(raw_dataset):
 
 
 def test_report_json_round_trip(raw_dataset):
+    for scale in (True, False):
+        _, report = preprocess(raw_dataset, scale=scale)
+        clone = PreprocessReport.from_json(report.to_json())
+        assert clone == report
+        assert bool(clone.means) is bool(clone.stds) is scale
+        assert clone.to_json() == report.to_json()
+
+
+def test_report_json_keys_are_the_field_names(raw_dataset):
     _, report = preprocess(raw_dataset)
-    clone = PreprocessReport.from_json(report.to_json())
-    assert clone.imputation == report.imputation
-    assert clone.codes == report.codes
-    assert clone.means == report.means
-    assert clone.stds == report.stds
+    assert list(json.loads(report.to_json())) == sorted(f.name for f in fields(PreprocessReport))
+
+
+def test_report_json_reads_missing_fields_as_empty(raw_dataset):
+    _, report = preprocess(raw_dataset, scale=False)
+    assert PreprocessReport.from_json("{}") == PreprocessReport()
+    partial = PreprocessReport.from_json(json.dumps({"imputation": report.imputation,
+                                                     "codes": report.codes}))
+    assert partial == report and partial.means == {} and partial.stds == {}
 
 
 def test_balanced_subsample_counts():

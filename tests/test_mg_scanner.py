@@ -14,6 +14,7 @@ from riskmeans.data_ingest import Dataset
 from riskmeans.kmeans_core import (
     PROBE_PARAMS,
     KMeansParams,
+    RowError,
     fit_classifier,
     predict_labels,
     predict_scores,
@@ -281,6 +282,18 @@ def test_transform_matrix_with_no_rows():
     out = transform_matrix(np.zeros((0, 6)), config, fitted)
     for w in config.windows:
         assert out[w].shape == (0, config.output_dim(w))
+
+
+def test_transform_matrix_names_the_input_row_and_window_that_overflows():
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(40, 3)), np.array([0, 1] * 20)
+    config = ScanConfig(input_dim=3, windows=(2,))
+    fitted = fit_window_estimators(Dataset.numeric(X, y), config, seed=0)
+    X[1, 2] = 1e200  # only window 1 of row 1 (columns 1 and 2) holds it
+    with pytest.raises(RowError) as info:
+        transform_matrix(X, config, fitted)
+    assert str(info.value) == ("row 1, window 1: its squared distance to every centroid "
+                               "overflows float64")
 
 
 def test_transform_matrix_rejects_wrong_width():
