@@ -22,7 +22,6 @@ from .data_ingest import (
     Dataset,
     PreprocessReport,
     apply_report,
-    balanced_subsample,
     load_csv,
     load_with_schema,
     preprocess,

@@ -41,14 +41,12 @@ from .config import KEYS, ConfigError, ExperimentConfig, load_config
 from .data_ingest import (
     DataError,
     SchemaError,
-    balanced_subsample,
     load_with_schema,
     preprocess,
     write_processed,
 )
 from .kmeans_core import classifier_to_json
 from .mg_scanner import ScanConfig, dump_features, fit_window_estimators, transform_matrix
-from .seeding import derive_seed
 
 
 class UsageError(Exception):
@@ -273,8 +271,6 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         name = cfg.dataset_name or os.path.splitext(os.path.basename(cfg.data_path))[0]
         ds = load_with_schema(cfg.data_path, cfg.schema_path, name=name)
-        if cfg.subsample > 0:
-            ds = balanced_subsample(ds, cfg.subsample, derive_seed(args.seed, "subsample"))
         return args.func(args, cfg, ds)
     except (FileNotFoundError, IsADirectoryError, ConfigError, SchemaError,
             UsageError) as exc:

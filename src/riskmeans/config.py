@@ -6,7 +6,6 @@ Files are standard INI as read by :mod:`configparser`:
     path = data/german.data
     schema = data/german.schema
     name = german
-    subsample = 0          ; rows per class; 0 disables balancing
 
     [preprocess]
     scale = true
@@ -136,7 +135,6 @@ KEYS = (
     Key("data", "path", "data_path", _parse_text, flag="--data"),
     Key("data", "schema", "schema_path", _parse_text, flag="--schema"),
     Key("data", "name", "dataset_name", _parse_text, flag="--name"),
-    Key("data", "subsample", "subsample", _parse_int, 0, "--subsample"),
     Key("preprocess", "scale", "scale", _parse_bool),
     Key("rfe", "enabled", "rfe_enabled", _parse_bool),
     Key("rfe", "target_k", "rfe_target_k", _parse_int_or_auto, 1, "--target-k"),
@@ -162,7 +160,6 @@ class ExperimentConfig:
     data_path: str = ""
     schema_path: str = ""
     dataset_name: str = ""
-    subsample: int = 0
     scale: bool = PipelineConfig.scale
     rfe_enabled: bool = PipelineConfig.rfe_enabled
     rfe_target_k: int | None = PipelineConfig.rfe_target_k

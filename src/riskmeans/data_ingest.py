@@ -496,22 +496,6 @@ def apply_report(ds: Dataset, report: PreprocessReport) -> Dataset:
     return replace(ds, features=out, vocabularies=None)
 
 
-def balanced_subsample(ds: Dataset, per_class: int, seed: int) -> Dataset:
-    """Draw ``per_class`` rows per class uniformly without replacement, shuffled."""
-    rng = np.random.default_rng(seed)
-    picks = []
-    for cls in (1, 0):
-        idx = np.flatnonzero(ds.labels == cls)
-        if idx.size < per_class:
-            raise DataError(
-                f"class {cls} has {idx.size} samples, cannot draw {per_class}"
-            )
-        picks.append(rng.choice(idx, size=per_class, replace=False))
-    order = np.concatenate(picks)
-    rng.shuffle(order)
-    return replace(ds, features=ds.features[order], labels=ds.labels[order])
-
-
 def write_processed(ds: Dataset, path) -> None:
     """Dump a processed (numeric) matrix and a last ``label`` column as CSV text."""
     X = np.asarray(ds.features, dtype=float)

@@ -142,13 +142,20 @@ def test_fold_errors_carry_fold_index():
 
 
 def test_fold_error_keeps_type_and_message_all_missing():
-    ds = _bench_dataset()
-    ds.features[:, 1] = np.nan
-    with pytest.raises(AllMissingColumnError) as info:
-        run_pipeline(ds, _config())
-    assert str(info.value) == str(AllMissingColumnError("f1"))
-    assert info.value.column == "f1"
-    assert info.value.__notes__ == ["fold 0"]
+    # held-out rows never feed imputation, so a column observed only in
+    # fold 0's held-out rows is as missing to fold 0's fit as one never observed
+    cfg = _config()
+    plan = stratified_kfold(_bench_dataset().labels, cfg.folds, derive_seed(cfg.seed, "folds"))
+    for observed in ([], plan.test_indices[0]):
+        ds = _bench_dataset()
+        missing = np.ones(ds.n, dtype=bool)
+        missing[observed] = False
+        ds.features[missing, 1] = np.nan
+        with pytest.raises(AllMissingColumnError) as info:
+            run_pipeline(ds, cfg)
+        assert str(info.value) == str(AllMissingColumnError("f1"))
+        assert info.value.column == "f1"
+        assert info.value.__notes__ == ["fold 0"]
 
 
 def test_fold_error_keeps_type_and_message_cell_parse(monkeypatch):

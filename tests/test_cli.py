@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from riskmeans.data_ingest import (
     load_with_schema,
     write_processed,
 )
+from riskmeans.kmeans_core import classifier_from_json, predict_scores
 from riskmeans.mg_scanner import window_count
 from riskmeans.seeding import derive_seed
 
@@ -61,17 +63,6 @@ def test_ingest_writes_artifacts(tmp_path, capsys):
     assert set(payload["preprocess"]) == {"imputation", "codes", "means", "stds"}
     header = processed.read_text(encoding="utf-8").splitlines()[0]
     assert header.split(",")[:2] == ["x0", "x1"]
-
-
-def test_ingest_subsample_balances(tmp_path, capsys):
-    data, schema, config = write_toy_files(tmp_path)
-    assert main(["ingest", "--config", str(config), "--subsample", "30"]) == 0
-    capsys.readouterr()
-    lines = (tmp_path / "out" / "processed.csv").read_text(
-        encoding="utf-8").strip().splitlines()
-    assert len(lines) == 61  # header + 30 per class
-    labels = [line.split(",")[-1] for line in lines[1:]]
-    assert labels.count("1") == 30 and labels.count("0") == 30
 
 
 def test_missing_data_file_exits_two(tmp_path, capsys):
@@ -219,6 +210,14 @@ def test_train_writes_model(tmp_path, capsys):
     assert model["fingerprint"]["config_hash"] == dataclasses.replace(
         load_config(config), kmeans_k=3).fingerprint_hash()
     assert "threshold" not in model and "preprocess_fingerprint" not in model
+    # the file loads as written, fingerprint included, and scores as the fit does
+    loaded = classifier_from_json((tmp_path / "out" / "model.json").read_text(encoding="utf-8"))
+    for got, want in [(loaded.model.centroids, fit.kmeans.model.centroids),
+                      (loaded.posteriors, fit.kmeans.posteriors),
+                      (np.float64(loaded.bandwidth), np.float64(fit.kmeans.bandwidth))]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    X = np.random.default_rng(0).normal(size=(40, model["d"]))
+    assert predict_scores(loaded, X).tobytes() == predict_scores(fit.kmeans, X).tobytes()
 
 
 def test_train_model_does_not_depend_on_out_dir(tmp_path, capsys):
@@ -402,6 +401,26 @@ def test_points_far_from_the_origin_exit_one(tmp_path, capsys, argv, note):
     capsys.readouterr()
 
 
+def test_a_shift_of_1e9_keeps_the_unscaled_fits(tmp_path, capsys):
+    # unscaled, moving two columns by +1e9 and -1e9 keeps every fold's fit (its
+    # k and columns) and its AUC, accuracy, F1 and TPR; only the scores' last
+    # digits move, and with them the Brier score, by under 1e-7
+    data, schema, config = write_toy_files(tmp_path)
+    argv = ["run", "--config", str(config), "--seed", "1", "--no-scale"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[1:] = [f"{float(a) + 1e9!r},{float(b) - 1e9!r},{rest}"
+                 for a, b, rest in (line.split(",", 2) for line in lines[1:])]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(argv + ["--out", str(tmp_path / "shifted")]) == 0
+    capsys.readouterr()
+    plain, shifted = (_read_json(tmp_path / out / "report_kmeans.json")
+                      for out in ("plain", "shifted"))
+    assert shifted["fold_details"] == plain["fold_details"]
+    for got, want in zip(shifted["folds"], plain["folds"]):
+        assert got == dict(want, brier=pytest.approx(want["brier"], abs=1e-7))
+
+
 def test_run_requires_seed(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["run", "--config", str(config)]) == 2
@@ -473,14 +492,21 @@ def test_compare_reports_equal_run_reports(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _run_in_subprocess(tmp_path, config, out, blas_threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-               OMP_NUM_THREADS=str(blas_threads), MKL_NUM_THREADS=str(blas_threads),
+def _cli_in_subprocess(cwd, argv, **env):
+    """Run the command line in a fresh interpreter with ``env`` added; it must exit 0."""
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "riskmeans.cli", "run", "--config", str(config),
-                           "--seed", "9", "--folds", "3", "--out", str(out)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-m", "riskmeans.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_in_subprocess(tmp_path, config, out, blas_threads):
+    threads = str(blas_threads)
+    _cli_in_subprocess(tmp_path, ["run", "--config", str(config), "--seed", "9",
+                                  "--folds", "3", "--out", str(out)],
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
     return json.dumps(_without_timing(out / "report_kmeans.json"), indent=2, sort_keys=True)
 
 
@@ -510,6 +536,43 @@ def test_run_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     one = _run_in_subprocess(tmp_path, config, tmp_path / "one", 1)
     two = _run_in_subprocess(tmp_path, config, tmp_path / "two", 2)
     assert one == two
+
+
+# The wall-time lines of report_<method>.txt and of comparison.txt
+_WALL_LINE = re.compile(rb"^(wall_(seconds|minutes): .*|  \w+: [0-9.]+ s \([0-9.]+ min\))$")
+
+
+def _timing_free_bytes(path):
+    if path.suffix != ".json":
+        return b"\n".join(line for line in path.read_bytes().splitlines()
+                          if not _WALL_LINE.match(line))
+    payload = _read_json(path)
+    for report in [payload, *payload.get("computed", {}).values()]:
+        report.pop("timing", None)
+    return json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+
+
+def test_every_command_is_byte_identical_across_string_hash_seeds(tmp_path):
+    # criterion 8 reruns in one process, so it cannot see an order that
+    # follows string hashing (a set or dict of category tokens)
+    data, schema, config = write_toy_files(tmp_path)
+    commands = [["ingest"], ["select-features"], ["train"],
+                ["run", "--folds", "3", "--emit-plot-data"],
+                ["compare", "--folds", "3", "--methods", "kmeans,lr"],
+                ["scan", "--windows", "2"]]
+    outs = {hash_seed: tmp_path / f"hash{hash_seed}" for hash_seed in ("1", "2")}
+    for hash_seed, out in outs.items():
+        for command in commands:
+            _cli_in_subprocess(tmp_path, command + ["--config", str(config), "--seed", "3",
+                                                    "--out", str(out / command[0])],
+                               PYTHONHASHSEED=hash_seed)
+    files = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*") if p.is_file())
+    assert len(files) == 13
+    assert files == sorted(p.relative_to(outs["2"]) for p in outs["2"].rglob("*")
+                           if p.is_file())
+    for name in files:
+        assert (_timing_free_bytes(outs["1"] / name)
+                == _timing_free_bytes(outs["2"] / name)), name
 
 
 def test_compare_empty_methods_exits_two(tmp_path, capsys):
@@ -670,11 +733,16 @@ def test_too_few_class_members_message_shows_plain_class(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: class 1 has 3 members, fewer than k=5 folds\n"
+    # 2 outer folds pass, but a fold's training rows hold 1 or 2 of the 3
+    # positives, too few for the target-size search's 3 inner folds
+    assert main(["run", "--config", str(config), "--seed", "1", "--folds", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: class 1 has 1 members, fewer than k=3 folds", "  fold 0"]
 
 
 @pytest.mark.parametrize("argv,needle", [
     (["run", "--seed", "1", "--folds", "1"], "folds"),
-    (["train", "--subsample", "-1"], "subsample"),
+    (["train", "--k", "-1"], "--k/[kmeans] k"),
     (["compare", "--methods", "kmeans", "--seed", "1", "--folds", "1"], "--folds/[cv] folds"),
     (["run", "--seed", "1", "--k", "0"], "--k/[kmeans] k"),
     (["train", "--target-k", "0"], "--target-k/[rfe] target_k"),
@@ -691,7 +759,7 @@ def test_out_of_range_flag_exits_two(tmp_path, capsys, argv, needle):
 
 @pytest.mark.parametrize("argv", [
     ["run", "--seed", "1", "--folds"],
-    ["train", "--subsample"],
+    ["compare", "--methods", "kmeans", "--seed", "1", "--folds"],
     ["scan", "--windows", "1", "--stride"],
     ["scan", "--windows", "1", "--estimators"],
 ])
@@ -742,7 +810,7 @@ def test_ingest_report_replays_to_the_processed_matrix(tmp_path, capsys, argv):
 
 # Each subcommand's option strings; building the flags from KEYS must keep them.
 _DATA_OPTIONS = ["-h", "--help", "--config", "--data", "--schema", "--name", "--out",
-                 "--subsample", "--no-scale"]
+                 "--no-scale"]
 OPTION_STRINGS = {
     "ingest": _DATA_OPTIONS + ["--seed"],
     "select-features": _DATA_OPTIONS + ["--target-k", "--seed"],

@@ -30,7 +30,6 @@ FULL = """\
 path = data/toy.csv
 schema = data/toy.schema
 name = toy
-subsample = 40      ; rows per class
 
 [preprocess]
 scale = false
@@ -66,7 +65,6 @@ def test_full_file_round_trip(tmp_path):
     assert cfg.data_path == "data/toy.csv"
     assert cfg.schema_path == "data/toy.schema"
     assert cfg.dataset_name == "toy"
-    assert cfg.subsample == 40
     assert cfg.scale is False
     assert cfg.rfe_target_k == 7 and cfg.rfe_step == 2
     assert cfg.scanner_windows == (4, 6)
@@ -199,12 +197,6 @@ def test_folds_floor_enforced(tmp_path):
 def test_config_floors_enforced(tmp_path, section, key, value, floor):
     p = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be >= {floor}$"):
-        load_config(p)
-
-
-def test_negative_subsample_rejected(tmp_path):
-    p = _write(tmp_path, "[data]\nsubsample = -5\n")
-    with pytest.raises(ConfigError, match="subsample must be >= 0"):
         load_config(p)
 
 

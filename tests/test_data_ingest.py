@@ -28,7 +28,6 @@ from riskmeans.data_ingest import (
     SchemaError,
     _split_line,
     apply_report,
-    balanced_subsample,
     load_csv,
     load_with_schema,
     preprocess,
@@ -36,7 +35,7 @@ from riskmeans.data_ingest import (
     write_processed,
 )
 
-from conftest import mixed_raw_cells, mixed_raw_dataset
+from conftest import mixed_raw_cells
 
 
 SCHEMA = [
@@ -290,6 +289,7 @@ BAD_ROWS = "amount,grade,label\n1,a,bad\n{row2}\n3,c,good\n4,d,bad\n{row5}\n"
     ("2,b", "zz,e,good", RaggedRowError, "row 2: expected 3 fields, got 2"),
     ("2,b,good,extra", "5,e", RaggedRowError, "row 2: expected 3 fields, got 4"),
     ("2,b,good", "5,e", RaggedRowError, "row 5: expected 3 fields, got 2"),
+    ("2 b good", "5 e good", RaggedRowError, "row 2: expected 3 fields, got 1"),
 ])
 def test_load_reports_the_first_bad_row(tmp_path, row2, row5, error, match):
     p = write(tmp_path, BAD_ROWS.format(row2=row2, row5=row5))
@@ -670,35 +670,6 @@ def test_report_json_reads_missing_fields_as_empty(raw_dataset):
     partial = PreprocessReport.from_json(json.dumps({"imputation": report.imputation,
                                                      "codes": report.codes}))
     assert partial == report and partial.means == {} and partial.stds == {}
-
-
-def test_balanced_subsample_counts():
-    ds = mixed_raw_dataset(n=200, seed=1, missing_rate=0.0)
-    out = balanced_subsample(ds, per_class=30, seed=9)
-    pos, neg = out.class_counts()
-    assert pos == 30 and neg == 30
-
-
-def test_balanced_subsample_deterministic():
-    ds = mixed_raw_dataset(n=200, seed=1, missing_rate=0.0)
-    a = balanced_subsample(ds, per_class=25, seed=4)
-    b = balanced_subsample(ds, per_class=25, seed=4)
-    assert (a.labels == b.labels).all()
-    assert all((a.features[i] == b.features[i]).all() for i in range(a.n))
-
-
-def test_balanced_subsample_exhaustive_is_permutation():
-    X = np.arange(8, dtype=float).reshape(8, 1)
-    y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    ds = Dataset.from_cells(X, y, [ColumnSpec("x", "numeric")])
-    out = balanced_subsample(ds, per_class=4, seed=0)
-    assert sorted(float(v) for v in out.features[:, 0]) == list(map(float, range(8)))
-
-
-def test_balanced_subsample_too_few():
-    ds = mixed_raw_dataset(n=50, seed=1)
-    with pytest.raises(DataError):
-        balanced_subsample(ds, per_class=1000, seed=0)
 
 
 def test_write_processed_round_trips_floats(tmp_path, raw_dataset):
