@@ -32,7 +32,6 @@ from .feature_select import (
     RfeResult,
     fit_logistic,
     rfe,
-    select_features,
     select_target_k,
 )
 from .kmeans_core import (

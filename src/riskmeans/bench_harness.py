@@ -37,7 +37,7 @@ import numpy as np
 
 from .cv import FoldPlan, stratified_kfold
 from .data_ingest import Dataset, PreprocessReport, apply_report, preprocess
-from .feature_select import LogisticModel, RfeResult, fit_logistic, select_features
+from .feature_select import LogisticModel, RfeResult, fit_logistic, rfe, select_target_k
 from .kmeans_core import (
     ClusterClassifier,
     KMeansParams,
@@ -160,9 +160,11 @@ def _fit_kmeans(train: Dataset, config: PipelineConfig,
 
 def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
              fold_seed: int, fold: int = 0, *, methods=None) -> FoldFit:
-    """Fit preprocessing and the selection (rfe to every column with rfe
-    off) on train rows only, then a model for each of ``methods`` (default
-    ``(config.method,)``), in the order given, on that shared state.
+    """Fit preprocessing and the selection on train rows only, then a model
+    for each of ``methods`` (default ``(config.method,)``), in the order
+    given, on that shared state. The selection, by ``config.rfe_step``, is
+    rfe to every column with rfe off, rfe to a fixed ``rfe_target_k``, or for
+    ``None`` the :func:`select_target_k` winner seeded (fold_seed, "target_k").
 
     Neither the preprocessing nor the selection reads the method, so each
     model is the one a fit for its method alone would give.
@@ -174,8 +176,10 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
     X, y = train_proc.features, train_proc.labels
 
     target_k = config.rfe_target_k if config.rfe_enabled else X.shape[1]
-    selection = select_features(X, y, target_k=target_k, step=config.rfe_step,
-                                seed=fold_seed)
+    if target_k is None:
+        selection = select_target_k(X, y, derive_seed(fold_seed, "target_k"), config.rfe_step)
+    else:
+        selection = rfe(X, y, target_k, config.rfe_step)
     train = Dataset.numeric(X[:, selection.selected], y)
 
     fit = FoldFit(fold=fold, train_indices=np.asarray(train_indices),

@@ -10,9 +10,9 @@ its accepted trial computed.
 Rankings use |weight| on internally standardized columns so magnitudes are
 comparable across features.
 
-:func:`select_features` is the package's one selection path; its target-size
-search over one fixed grid returns the winner's RFE selection without a rerun.
-Each candidate's rfe starts from all d columns, so shared rounds run once per candidate.
+:func:`select_target_k` returns its winning candidate's RFE selection without a
+rerun; each candidate's rfe starts from all d columns, so shared rounds run once
+per candidate. A fold's route to its selection lives in ``bench_harness.fit_fold``.
 """
 
 from __future__ import annotations
@@ -199,7 +199,11 @@ def select_target_k(X: np.ndarray, y: np.ndarray, seed: int = 0, step: int = 1) 
     y = np.asarray(y)
     if X.shape[1] == 0:
         raise ValueError("no feature columns to select from")
-    plan = _cv.stratified_kfold(y, TARGET_K_FOLDS, derive_seed(seed, "target_k:folds"))
+    try:
+        plan = _cv.stratified_kfold(y, TARGET_K_FOLDS, derive_seed(seed, "target_k:folds"))
+    except ValueError as exc:  # a class with fewer members than the inner folds
+        exc.add_note(f"target-size search ({TARGET_K_FOLDS} inner folds); a fixed target_k skips it")
+        raise
     splits = ((plan.train_indices(f), plan.test_indices[f]) for f in range(plan.k))
     folds = [(X[tr], y[tr], X[te], y[te]) for tr, te in splits]  # sliced once, for every candidate
 
@@ -219,14 +223,3 @@ def select_target_k(X: np.ndarray, y: np.ndarray, seed: int = 0, step: int = 1) 
             correct += int(np.sum(predict_labels(clf, X_te[:, sel]) == y_te))
         scored.append((cand, correct, result))
     return min(scored, key=lambda s: (-s[1], s[0]))[2]
-
-
-def select_features(X: np.ndarray, y: np.ndarray, *, target_k: int | None, step: int,
-                    seed: int) -> RfeResult:
-    """The selection of ``fit_fold``: one rfe to a fixed ``target_k`` (every
-    column when rfe is off), or for ``None`` the :func:`select_target_k`
-    winner, seeded (seed, "target_k").
-    """
-    if target_k is not None:
-        return rfe(X, y, target_k=target_k, step=step)
-    return select_target_k(X, y, seed=derive_seed(seed, "target_k"), step=step)

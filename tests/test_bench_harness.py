@@ -275,14 +275,14 @@ def test_fit_fold_runs_rfe_once_per_candidate(monkeypatch):
 
 def test_rfe_off_is_one_rfe_to_every_column(monkeypatch):
     ds = _bench_dataset()
-    real_rfe = fs.rfe
+    real_rfe = bench_harness.rfe
     targets = []
 
     def counting_rfe(X, y, target_k, step=1):
         targets.append(target_k)
         return real_rfe(X, y, target_k, step)
 
-    monkeypatch.setattr(fs, "rfe", counting_rfe)
+    monkeypatch.setattr(bench_harness, "rfe", counting_rfe)
     fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False), fold_seed=5)
     assert targets == [ds.d]
     assert fit.selection.selected == tuple(range(ds.d))
@@ -290,6 +290,23 @@ def test_rfe_off_is_one_rfe_to_every_column(monkeypatch):
     # the step is still rfe's, so its floor holds with rfe off too
     with pytest.raises(ValueError, match="^step must be >= 1$"):
         fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, rfe_step=0), fold_seed=5)
+
+
+def test_fixed_target_is_one_rfe_with_the_configured_step():
+    ds = _bench_dataset()
+    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_target_k=3, rfe_step=2), fold_seed=5)
+    proc, _ = preprocess(ds, scale=True)
+    assert fit.selection == rfe(proc.features, proc.labels, 3, step=2)
+
+
+def test_auto_target_is_the_search_seeded_by_the_fold_seed():
+    # on pure noise the inner folds, and so the seed, decide the size
+    rng = np.random.default_rng(1)
+    ds = Dataset.numeric(rng.normal(size=(60, 6)), np.tile([0, 1], 30))
+    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_target_k=None), fold_seed=5)
+    X, y = preprocess(ds, scale=True)[0].features, ds.labels
+    assert fit.selection == fs.select_target_k(X, y, derive_seed(5, "target_k"))
+    assert fit.selection != fs.select_target_k(X, y, 5)
 
 
 def _three_distinct_rows(n_each=20):
@@ -364,7 +381,7 @@ def test_compare_methods_rows_equal_separate_runs(methods, auto):
 
 
 def test_compare_methods_fits_each_fold_state_once(monkeypatch):
-    counts = {"preprocess": 0, "select_features": 0, "fit_fold": 0, "apply_report": 0}
+    counts = {"preprocess": 0, "rfe": 0, "fit_fold": 0, "apply_report": 0}
 
     def counting(name):
         real = getattr(bench_harness, name)
@@ -377,7 +394,7 @@ def test_compare_methods_fits_each_fold_state_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(bench_harness, name, counting(name))
     result = compare_methods(_bench_dataset(), ["kmeans", "lr"], _config())
-    assert counts == {"preprocess": 3, "select_features": 3, "fit_fold": 3, "apply_report": 3}
+    assert counts == {"preprocess": 3, "rfe": 3, "fit_fold": 3, "apply_report": 3}
     assert [len(r.fits) for _, r in result.computed] == [3, 3]
 
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,15 @@ def test_help_exits_zero(capsys):
     assert "ingest" in capsys.readouterr().out
 
 
+def test_installed_entry_point_is_main(capsys):
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        module, func = tomllib.load(fh)["project"]["scripts"]["riskmeans"].split(":")
+    entry = getattr(importlib.import_module(module), func)
+    assert entry is main
+    assert entry(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: riskmeans ")
+
+
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -68,8 +79,11 @@ def test_ingest_writes_artifacts(tmp_path, capsys):
 def test_missing_data_file_exits_two(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     data.unlink()
-    assert main(["ingest", "--config", str(config)]) == 2
-    assert "toy.csv" in capsys.readouterr().err
+    for argv in (["ingest"], ["run", "--seed", "1"],
+                 ["compare", "--methods", "kmeans,lr", "--seed", "1"]):
+        assert main(argv + ["--config", str(config)]) == 2, argv
+        assert "toy.csv" in capsys.readouterr().err, argv
+        assert not (tmp_path / "out").exists(), argv
 
 
 @pytest.mark.parametrize("flag, role", [("--config", "config file"),
@@ -457,8 +471,9 @@ def test_run_writes_report_and_rerun_matches(tmp_path, capsys):
 
 def test_compare_writes_all_artifacts(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
-    assert main(["compare", "--config", str(config), "--seed", "4",
-                 "--folds", "3", "--methods", "kmeans,lr"]) == 0
+    argv = ["compare", "--config", str(config), "--seed", "4", "--folds", "3",
+            "--methods", "kmeans,lr"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "not reproduced" in out
     base = tmp_path / "out"
@@ -468,6 +483,13 @@ def test_compare_writes_all_artifacts(tmp_path, capsys):
     assert (base / "comparison.txt").exists()
     assert (base / "report_kmeans.json").exists()
     assert (base / "report_lr.json").exists()
+    assert not list(base.glob("roc_*.csv"))
+    # the paper run: the same with pooled out-of-fold ROC points
+    assert main(argv + ["--emit-plot-data", "--out", str(tmp_path / "paper")]) == 0
+    capsys.readouterr()
+    for method in ("kmeans", "lr"):
+        roc = (tmp_path / "paper" / f"roc_{method}.csv").read_text(encoding="utf-8")
+        assert roc.splitlines()[0] == "fpr,tpr,threshold"
 
 
 def _without_timing(path):
@@ -650,29 +672,6 @@ def test_demo_script_runs_every_command(tmp_path):
     assert len(selection["selected_indices"]) == _read_json(tmp_path / "model.json")["d"]
 
 
-def _run_benchmark(tmp_path, config):
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / "run_benchmark.py"),
-                           "--config", str(config), "--seed", "1", "--folds", "2"],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
-
-
-def test_run_benchmark_script_writes_the_comparison(tmp_path):
-    data, schema, config = write_toy_files(tmp_path)
-    proc = _run_benchmark(tmp_path, config)
-    assert proc.returncode == 0, proc.stderr
-    for name in ("comparison.json", "roc_kmeans.csv"):
-        assert (tmp_path / "out" / name).is_file(), name
-
-
-def test_run_benchmark_script_without_data_exits_one(tmp_path):
-    data, schema, config = write_toy_files(tmp_path)
-    data.unlink()
-    proc = _run_benchmark(tmp_path, config)
-    assert proc.returncode == 1
-    assert "fetch it first" in proc.stderr
-    assert not (tmp_path / "out").exists()
-
-
 def test_fold_error_names_fold(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["run", "--config", str(config), "--seed", "1",
@@ -735,9 +734,17 @@ def test_too_few_class_members_message_shows_plain_class(tmp_path, capsys):
     assert captured.err == "error: class 1 has 3 members, fewer than k=5 folds\n"
     # 2 outer folds pass, but a fold's training rows hold 1 or 2 of the 3
     # positives, too few for the target-size search's 3 inner folds
+    search = "  target-size search (3 inner folds); a fixed target_k skips it"
     assert main(["run", "--config", str(config), "--seed", "1", "--folds", "2"]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: class 1 has 1 members, fewer than k=3 folds", "  fold 0"]
+        "error: class 1 has 1 members, fewer than k=3 folds", search, "  fold 0"]
+    # train fits on every row: 2 positives are too few for the search alone
+    data.write_text("\n".join([header] + kept[:-1]) + "\n", encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: class 1 has 2 members, fewer than k=3 folds", search]
+    assert main(["train", "--config", str(config), "--target-k", "2"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv,needle", [

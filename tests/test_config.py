@@ -107,6 +107,21 @@ def test_shipped_configs_parse(name):
     assert cfg.data_path and cfg.schema_path
 
 
+def test_german_config_is_the_benchmark_config(monkeypatch):
+    # perfbench pins the german.ini settings for cv-auto; the two must not drift
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import GERMAN_INI
+    assert (load_config(CONFIGS / "german.ini").pipeline("kmeans", 0)
+            == PipelineConfig(method="kmeans", seed=0, **GERMAN_INI))
+
+
+def test_australian_config_differs_only_in_data_and_output():
+    german, australian = (load_config(CONFIGS / n) for n in ("german.ini", "australian.ini"))
+    own = {row.field: getattr(australian, row.field) for row in KEYS
+           if row.section in ("data", "output")}
+    assert own and dataclasses.replace(german, **own) == australian
+
+
 def test_docstring_example_parses(tmp_path):
     doc = config_module.__doc__
     block = doc[doc.index("    [data]"):doc.index("\nEvery key")]

@@ -16,11 +16,9 @@ from riskmeans.feature_select import (
     fit_logistic,
     logistic_loss_and_grad,
     rfe,
-    select_features,
     select_target_k,
 )
 from riskmeans.kmeans_core import PROBE_PARAMS, KMeansModel, fit_classifier, predict_labels
-from riskmeans.seeding import derive_seed
 
 from conftest import make_labeled_blobs
 
@@ -281,6 +279,11 @@ def test_select_target_k_validations():
     X, y = _informative_problem()
     with pytest.raises(ValueError, match="^no feature columns to select from$"):
         select_target_k(X[:, :0], y)
+    two_positives = np.r_[1, 1, np.zeros(y.size - 2, dtype=int)]
+    with pytest.raises(ValueError) as info:
+        select_target_k(X, two_positives)
+    assert info.value.args == ("class 1 has 2 members, fewer than k=3 folds",)
+    assert info.value.__notes__ == ["target-size search (3 inner folds); a fixed target_k skips it"]
 
 
 def _correlated_problem(seed=1, n=200, d=8):
@@ -302,18 +305,6 @@ def test_select_target_k_returns_winner_ranked_with_step():
     assert winner == rfe(X, y, target_k=6, step=2)
     # on this table the step matters: step 1 keeps a different six columns
     assert winner.selected != rfe(X, y, target_k=6, step=1).selected
-
-
-def test_select_features_fixed_target_is_one_rfe():
-    X, y = _correlated_problem()
-    assert (select_features(X, y, target_k=3, step=2, seed=0)
-            == rfe(X, y, target_k=3, step=2))
-
-
-def test_select_features_auto_runs_the_seeded_search():
-    X, y = _correlated_problem()
-    expected = select_target_k(X, y, seed=derive_seed(5, "target_k"))
-    assert select_features(X, y, target_k=None, step=1, seed=5) == expected
 
 
 def test_default_candidates_grid():
