@@ -4,8 +4,9 @@
 Creates a small credit-shaped dataset (two informative numerics, one noise
 numeric, one categorical, some missing cells), writes the matching schema and
 experiment file, then drives the command-line pipeline through ingest,
-feature selection, training on all rows, a cross-validated run of one
-method, a comparison of both, and a window scan.
+feature selection, training on all rows, a cross-validated run of both
+methods side by side, and a window scan. The experiment file names its data,
+schema and output directory relative to itself.
 
     python3 scripts/demo_synthetic.py --out runs/demo --seed 0
 """
@@ -55,12 +56,12 @@ def write_dataset(out: Path, n: int, seed: int) -> tuple[Path, Path, Path]:
     config = out / "demo.ini"
     config.write_text(
         "[data]\n"
-        f"path = {data}\n"
-        f"schema = {schema}\n"
+        f"path = {data.name}\n"
+        f"schema = {schema.name}\n"
         "name = demo\n"
         "\n[kmeans]\nk = auto\nk_max = 6\nrestarts = 6\n"
         "\n[cv]\nfolds = 5\n"
-        f"\n[output]\ndir = {out}\n",
+        "\n[output]\ndir = .\n",
         encoding="utf-8",
     )
     return data, schema, config
@@ -89,9 +90,8 @@ def main() -> int:
     run(["ingest", *cfg, "--seed", str(args.seed)])
     run(["select-features", *cfg, "--target-k", "auto", "--seed", str(args.seed)])
     run(["train", *cfg, "--seed", str(args.seed)])
-    run(["run", *cfg, "--method", "kmeans", "--seed", str(args.seed),
+    run(["run", *cfg, "--methods", "kmeans,lr", "--seed", str(args.seed),
          "--emit-plot-data"])
-    run(["compare", *cfg, "--methods", "kmeans,lr", "--seed", str(args.seed)])
     run(["scan", *cfg, "--windows", "2,3", "--seed", str(args.seed)])
 
     print(f"\nall artifacts in {out}")

@@ -1,12 +1,13 @@
 """Batch command-line front end.
 
-Subcommands: ingest, select-features, train, run, compare, scan. ``main``
-resolves the configuration, checks ``--out`` and loads the dataset once, then
-hands ``(args, cfg, ds)`` to the command. ``preprocess.json``,
-``selection.json``, ``model.json`` and ``scan_meta.json`` hold a
-``fingerprint``: the resolved configuration, its hash and the seed. Each
-``report_<method>.json`` (and each report in ``comparison.json``) holds the
-run settings' fingerprint with ``dataset``, ``n``, ``d`` and ``fold_seed_root``.
+Subcommands: ingest, select-features, train, run, scan. ``main`` resolves
+the configuration, checks ``--out`` and loads the dataset once, then hands
+``(args, cfg, ds)`` to the command. ``preprocess.json``, ``selection.json``,
+``model.json`` and ``scan_meta.json`` hold a ``fingerprint``: the resolved
+configuration, its hash and the seed. ``run`` cross-validates the
+``--methods`` side by side; each ``report_<method>.json`` (and each report in
+``comparison.json``) holds the run settings' fingerprint with ``dataset``,
+``n``, ``d`` and ``fold_seed_root``, and is the same alone or beside others.
 
 Exit codes: 0 success, 1 runtime failure (malformed data, failed fit),
 2 usage or configuration error (bad flags, missing files, bad config values).
@@ -35,7 +36,6 @@ from .bench_harness import (
     render_comparison,
     render_report,
     roc_plot_data,
-    run_pipeline,
 )
 from .config import KEYS, ConfigError, ExperimentConfig, load_config
 from .data_ingest import (
@@ -90,22 +90,6 @@ def _write_artifact(path: str, cfg: ExperimentConfig, seed: int, body: dict) -> 
                             indent=2, sort_keys=True) + "\n")
 
 
-def _write_reports(out: str, reports, text: bool, roc: bool) -> list:
-    """Each ``(method, report)``'s ``report_<m>.json``, then ``report_<m>.txt``
-    when ``text`` and ``roc_<m>.csv`` when ``roc``; returns the paths written."""
-    written = []
-    for m, rep in reports:
-        files = {f"report_{m}.json": rep.to_json() + "\n"}
-        if text:
-            files[f"report_{m}.txt"] = render_report(rep)
-        if roc:
-            files[f"roc_{m}.csv"] = roc_plot_data(rep)
-        for name, body in files.items():
-            written.append(os.path.join(out, name))
-            _write(written[-1], body)
-    return written
-
-
 def _outdir(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg.output_dir
@@ -157,23 +141,20 @@ def cmd_train(args, cfg, ds) -> int:
 
 
 def cmd_run(args, cfg, ds) -> int:
-    report = run_pipeline(ds, cfg.pipeline(args.method, seed=args.seed))
-    written = _write_reports(_outdir(cfg), [(args.method, report)], text=True,
-                             roc=args.emit_plot_data)
-    sys.stdout.write(render_report(report))
-    print("wrote " + ", ".join(written))
-    return 0
-
-
-def cmd_compare(args, cfg, ds) -> int:
     result = compare_methods(ds, args.methods, cfg.pipeline(args.methods[0], seed=args.seed))
+    files = {}  # name -> body, in the order written
+    for m, rep in result.computed:
+        files[f"report_{m}.json"] = rep.to_json() + "\n"
+        files[f"report_{m}.txt"] = render_report(rep)
+        if args.emit_plot_data:
+            files[f"roc_{m}.csv"] = roc_plot_data(rep)
+    files["comparison.json"] = result.to_json() + "\n"
+    files["comparison.txt"] = render_comparison(result)
     out = _outdir(cfg)
-    written = [os.path.join(out, "comparison.json"), os.path.join(out, "comparison.txt")]
-    _write(written[0], result.to_json() + "\n")
-    _write(written[1], render_comparison(result))
-    written += _write_reports(out, result.computed, text=False, roc=args.emit_plot_data)
-    sys.stdout.write(render_comparison(result))
-    print("wrote " + ", ".join(written))
+    for name, body in files.items():
+        _write(os.path.join(out, name), body)
+    sys.stdout.write("".join(body for name, body in files.items() if name.endswith(".txt")))
+    print("wrote " + ", ".join(os.path.join(out, name) for name in files))
     return 0
 
 
@@ -238,14 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
              cmd_select_features, "--target-k")
     _command(sub, "train", "fit one cluster classifier on all rows", cmd_train,
              "--k", "--target-k")
-    p = _command(sub, "run", "cross-validate one method", cmd_run,
+    p = _command(sub, "run", "cross-validate one or more methods side by side", cmd_run,
                  "--folds", "--k", "--target-k", seed_required=True)
-    p.add_argument("--method", choices=list(METHODS), default="kmeans")
-    p.add_argument("--emit-plot-data", action="store_true",
-                   help="write pooled out-of-fold ROC points")
-    p = _command(sub, "compare", "cross-validate several methods side by side",
-                 cmd_compare, "--folds", seed_required=True)
-    p.add_argument("--methods", type=_methods, required=True,
+    p.add_argument("--methods", type=_methods, default="kmeans",
                    help="comma-separated subset of: " + ", ".join(METHODS))
     p.add_argument("--emit-plot-data", action="store_true",
                    help="write pooled out-of-fold ROC points")

@@ -35,7 +35,10 @@ Files are standard INI as read by :mod:`configparser`:
     dir = runs
 
 Every key is optional except [data] path and schema; unknown sections or keys
-are rejected so typos fail loudly, and so is a value below its floor. Each key's
+are rejected so typos fail loudly, and so is a value below its floor. A
+relative [data] path, [data] schema or [output] dir is read against the
+config file's directory; the flags that override them (``--data``,
+``--schema``, ``--out``) are read against the working directory. Each key's
 field, parser, floor and command-line flag are declared once, in :data:`KEYS`;
 the command line builds each flag from its row (``--help`` names the key), and
 a flag overrides its file value through the same parser. The run settings
@@ -50,6 +53,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -221,6 +225,9 @@ def load_config(path) -> ExperimentConfig:
     kw = {row.field: row.parse(f"{path}: [{row.section}] {row.key}",
                                cp.get(row.section, row.key))
           for row in KEYS if cp.has_option(row.section, row.key)}
+    for field in ("data_path", "schema_path", "output_dir"):  # relative to the file
+        if kw.get(field) and not os.path.isabs(kw[field]):
+            kw[field] = os.path.normpath(os.path.join(os.path.dirname(path), kw[field]))
     cfg = ExperimentConfig(**kw)
     cfg.check_ranges(str(path))
     return cfg

@@ -80,7 +80,7 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     data.unlink()
     for argv in (["ingest"], ["run", "--seed", "1"],
-                 ["compare", "--methods", "kmeans,lr", "--seed", "1"]):
+                 ["run", "--methods", "kmeans,lr", "--seed", "1"]):
         assert main(argv + ["--config", str(config)]) == 2, argv
         assert "toy.csv" in capsys.readouterr().err, argv
         assert not (tmp_path / "out").exists(), argv
@@ -344,7 +344,7 @@ def test_huge_cell_in_a_held_out_row_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [[], ["--no-scale"]])
 def test_lr_logit_overflow_in_a_held_out_row_exits_one(tmp_path, capsys, argv):
     config, row = _huge_x0_in_fold_0(tmp_path, "test", "1.7e308")
-    assert main(["run", "--config", str(config), "--seed", "1", "--method", "lr"] + argv) == 1
+    assert main(["run", "--config", str(config), "--seed", "1", "--methods", "lr"] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: row {row}: its logit overflows float64",
@@ -368,7 +368,7 @@ def test_held_out_scoring_error_names_the_data_row(tmp_path, capsys, method, val
     plan = stratified_kfold(load_with_schema(data, schema).labels, 5, derive_seed(0, "folds"))
     assert 35 in plan.test_indices[0]
     argv = ["run", "--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "o"),
-            "--k", "2", "--target-k", "3", "--seed", "0", "--method", method]
+            "--k", "2", "--target-k", "3", "--seed", "0", "--methods", method]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: row 36: {reason}", "  fold 0"]
 
@@ -444,7 +444,7 @@ def test_run_requires_seed(tmp_path, capsys):
 def test_run_rejects_unknown_method(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
     assert main(["run", "--config", str(config), "--seed", "1",
-                 "--method", "svm"]) == 2
+                 "--methods", "svm"]) == 2
     capsys.readouterr()
 
 
@@ -471,7 +471,7 @@ def test_run_writes_report_and_rerun_matches(tmp_path, capsys):
 
 def test_compare_writes_all_artifacts(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
-    argv = ["compare", "--config", str(config), "--seed", "4", "--folds", "3",
+    argv = ["run", "--config", str(config), "--seed", "4", "--folds", "3",
             "--methods", "kmeans,lr"]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -481,8 +481,9 @@ def test_compare_writes_all_artifacts(tmp_path, capsys):
     assert set(payload["computed"]) == {"kmeans", "lr"}
     assert set(payload["references"]) == {"RF", "LR", "XGBoost", "LightGBM"}
     assert (base / "comparison.txt").exists()
-    assert (base / "report_kmeans.json").exists()
-    assert (base / "report_lr.json").exists()
+    for method in ("kmeans", "lr"):
+        assert (base / f"report_{method}.json").exists()
+        assert (base / f"report_{method}.txt").exists()
     assert not list(base.glob("roc_*.csv"))
     # the paper run: the same with pooled out-of-fold ROC points
     assert main(argv + ["--emit-plot-data", "--out", str(tmp_path / "paper")]) == 0
@@ -499,19 +500,55 @@ def _without_timing(path):
 
 
 def test_compare_reports_equal_run_reports(tmp_path, capsys):
-    # compare fits each fold's preprocessing and selection once for both
-    # methods; each method's report is still the one run writes
+    # a run of two methods fits each fold's preprocessing and selection once
+    # for both; each method's report is still the one a run of it alone writes
     data, schema, config = write_toy_files(tmp_path)
     common = ["--config", str(config), "--seed", "4", "--folds", "3"]
-    assert main(["compare", *common, "--methods", "kmeans,lr",
-                 "--out", str(tmp_path / "compare")]) == 0
+    assert main(["run", *common, "--methods", "kmeans,lr",
+                 "--out", str(tmp_path / "both")]) == 0
     for method in ("kmeans", "lr"):
-        assert main(["run", *common, "--method", method,
+        assert main(["run", *common, "--methods", method,
                      "--out", str(tmp_path / method)]) == 0
         name = f"report_{method}.json"
-        assert (_without_timing(tmp_path / "compare" / name)
+        assert (_without_timing(tmp_path / "both" / name)
                 == _without_timing(tmp_path / method / name))
     capsys.readouterr()
+
+
+def test_run_prints_its_text_files_in_order_then_the_paths(tmp_path, capsys):
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["run", "--config", str(config), "--seed", "2", "--folds", "3",
+                 "--methods", "lr,kmeans", "--k", "2", "--target-k", "2",
+                 "--emit-plot-data"]) == 0
+    base = tmp_path / "out"
+    names = [f"{kind}_{m}.{ext}" for m in ("lr", "kmeans")
+             for kind, ext in (("report", "json"), ("report", "txt"), ("roc", "csv"))]
+    names += ["comparison.json", "comparison.txt"]
+    texts = [(base / name).read_text(encoding="utf-8") for name in names
+             if name.endswith(".txt")]
+    assert capsys.readouterr().out == "".join(texts) + "wrote " + ", ".join(
+        str(base / name) for name in names) + "\n"
+    assert sorted(p.name for p in base.iterdir()) == sorted(names)
+
+
+def test_config_paths_resolve_against_the_config_file(tmp_path, capsys, monkeypatch):
+    # [data] path, [data] schema and [output] dir are read against the
+    # config's directory; the --out flag against the working directory
+    tree = tmp_path / "tree"
+    (tree / "configs").mkdir(parents=True)
+    write_toy_files(tree)
+    config = tree / "configs" / "toy.ini"
+    config.write_text("[data]\npath = ../toy.csv\nschema = ../toy.schema\nname = toy\n"
+                      "\n[output]\ndir = ../out\n", encoding="utf-8")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    argv = ["run", "--config", str(config), "--seed", "1", "--folds", "2", "--k", "2",
+            "--target-k", "2"]
+    assert main(argv) == 0
+    assert (tree / "out" / "report_kmeans.json").is_file()
+    assert main(argv + ["--out", "here"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "elsewhere" / "here" / "report_kmeans.json").is_file()
 
 
 def _cli_in_subprocess(cwd, argv, **env):
@@ -579,8 +616,7 @@ def test_every_command_is_byte_identical_across_string_hash_seeds(tmp_path):
     # follows string hashing (a set or dict of category tokens)
     data, schema, config = write_toy_files(tmp_path)
     commands = [["ingest"], ["select-features"], ["train"],
-                ["run", "--folds", "3", "--emit-plot-data"],
-                ["compare", "--folds", "3", "--methods", "kmeans,lr"],
+                ["run", "--folds", "3", "--methods", "kmeans,lr", "--emit-plot-data"],
                 ["scan", "--windows", "2"]]
     outs = {hash_seed: tmp_path / f"hash{hash_seed}" for hash_seed in ("1", "2")}
     for hash_seed, out in outs.items():
@@ -589,7 +625,7 @@ def test_every_command_is_byte_identical_across_string_hash_seeds(tmp_path):
                                                     "--out", str(out / command[0])],
                                PYTHONHASHSEED=hash_seed)
     files = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*") if p.is_file())
-    assert len(files) == 13
+    assert len(files) == 14
     assert files == sorted(p.relative_to(outs["2"]) for p in outs["2"].rglob("*")
                            if p.is_file())
     for name in files:
@@ -599,21 +635,21 @@ def test_every_command_is_byte_identical_across_string_hash_seeds(tmp_path):
 
 def test_compare_empty_methods_exits_two(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
-    assert main(["compare", "--config", str(config), "--seed", "1",
+    assert main(["run", "--config", str(config), "--seed", "1",
                  "--methods", " , "]) == 2
     assert "valid methods" in capsys.readouterr().err
 
 
 def test_compare_unknown_method_exits_two(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
-    assert main(["compare", "--config", str(config), "--seed", "1",
+    assert main(["run", "--config", str(config), "--seed", "1",
                  "--methods", "kmeans,svm"]) == 2
     assert "svm" in capsys.readouterr().err
 
 
 def test_compare_repeated_method_exits_two(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
-    assert main(["compare", "--config", str(config), "--seed", "1",
+    assert main(["run", "--config", str(config), "--seed", "1",
                  "--methods", "kmeans,kmeans"]) == 2
     assert "--methods: method 'kmeans' repeated" in capsys.readouterr().err
     assert not (tmp_path / "out" / "comparison.json").exists()
@@ -660,13 +696,14 @@ def test_scan_repeated_window_exits_two(tmp_path, capsys):
 
 
 def test_demo_script_runs_every_command(tmp_path):
-    # the demo drives ingest, select-features, train, run, compare and scan end to end
+    # the demo drives ingest, select-features, train, run and scan end to end
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "demo_synthetic.py"),
                            "--out", str(tmp_path), "--seed", "0"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     for name in ("processed.csv", "selection.json", "model.json", "report_kmeans.json",
-                 "comparison.json", "scan_w2.csv", "scan_w3.csv", "scan_meta.json"):
+                 "report_lr.json", "comparison.json", "scan_w2.csv", "scan_w3.csv",
+                 "scan_meta.json"):
         assert (tmp_path / name).is_file(), name
     selection = _read_json(tmp_path / "selection.json")
     assert len(selection["selected_indices"]) == _read_json(tmp_path / "model.json")["d"]
@@ -750,7 +787,7 @@ def test_too_few_class_members_message_shows_plain_class(tmp_path, capsys):
 @pytest.mark.parametrize("argv,needle", [
     (["run", "--seed", "1", "--folds", "1"], "folds"),
     (["train", "--k", "-1"], "--k/[kmeans] k"),
-    (["compare", "--methods", "kmeans", "--seed", "1", "--folds", "1"], "--folds/[cv] folds"),
+    (["run", "--methods", "kmeans,lr", "--seed", "1", "--folds", "1"], "--folds/[cv] folds"),
     (["run", "--seed", "1", "--k", "0"], "--k/[kmeans] k"),
     (["train", "--target-k", "0"], "--target-k/[rfe] target_k"),
     (["select-features", "--target-k", "0"], "--target-k/[rfe] target_k"),
@@ -766,7 +803,7 @@ def test_out_of_range_flag_exits_two(tmp_path, capsys, argv, needle):
 
 @pytest.mark.parametrize("argv", [
     ["run", "--seed", "1", "--folds"],
-    ["compare", "--methods", "kmeans", "--seed", "1", "--folds"],
+    ["run", "--methods", "kmeans,lr", "--seed", "1", "--folds"],
     ["scan", "--windows", "1", "--stride"],
     ["scan", "--windows", "1", "--estimators"],
 ])
@@ -822,9 +859,8 @@ OPTION_STRINGS = {
     "ingest": _DATA_OPTIONS + ["--seed"],
     "select-features": _DATA_OPTIONS + ["--target-k", "--seed"],
     "train": _DATA_OPTIONS + ["--k", "--target-k", "--seed"],
-    "run": _DATA_OPTIONS + ["--method", "--seed", "--folds", "--k", "--target-k",
+    "run": _DATA_OPTIONS + ["--methods", "--seed", "--folds", "--k", "--target-k",
                             "--emit-plot-data"],
-    "compare": _DATA_OPTIONS + ["--methods", "--seed", "--folds", "--emit-plot-data"],
     "scan": _DATA_OPTIONS + ["--windows", "--stride", "--estimators", "--seed"],
 }
 

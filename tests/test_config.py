@@ -62,8 +62,8 @@ dir = out
 
 def test_full_file_round_trip(tmp_path):
     cfg = load_config(_write(tmp_path, FULL))
-    assert cfg.data_path == "data/toy.csv"
-    assert cfg.schema_path == "data/toy.schema"
+    assert cfg.data_path == str(tmp_path / "data" / "toy.csv")  # against the file's directory
+    assert cfg.schema_path == str(tmp_path / "data" / "toy.schema")
     assert cfg.dataset_name == "toy"
     assert cfg.scale is False
     assert cfg.rfe_target_k == 7 and cfg.rfe_step == 2
@@ -73,7 +73,7 @@ def test_full_file_round_trip(tmp_path):
     assert cfg.kmeans_restarts == 6 and cfg.kmeans_tol == 1e-5
     assert cfg.kmeans_max_iters == 200 and cfg.kmeans_init == "uniform"
     assert cfg.cv_folds == 4
-    assert cfg.output_dir == "out"
+    assert cfg.output_dir == str(tmp_path / "out")
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -128,7 +128,7 @@ def test_docstring_example_parses(tmp_path):
     cfg = load_config(_write(tmp_path, textwrap.dedent(block)))
     assert cfg.dataset_name == "german"
     assert cfg.scanner_windows == (5, 10)
-    assert cfg.output_dir == "runs"
+    assert cfg.output_dir == str(tmp_path / "runs")
 
 
 def test_key_table_fields_are_the_config_fields():
