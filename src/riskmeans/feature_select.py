@@ -2,8 +2,9 @@
 
 The logistic model doubles as the "lr" benchmark baseline, so it is fitted
 deterministically: a damped Newton (IRLS) solve of mean log-loss plus an L2
-penalty on the weights only, started from zero, with the step halved while
-the penalized loss would rise (Hastie, Tibshirani & Friedman, *ESL* §4.4.1).
+penalty on the weights only, with the step halved while the penalized loss
+would rise (Hastie, Tibshirani & Friedman, *ESL* §4.4.1). RFE rounds start
+from the previous round's optimum; every other fit starts from zero.
 The loss, gradient and probabilities come from one helper shared with
 :func:`logistic_loss_and_grad`, so a Newton step reuses the probabilities
 its accepted trial computed.
@@ -90,24 +91,53 @@ def _loss_grad_proba(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,
 NEWTON_TOL = 1e-10  # stop once every gradient entry is below this
 NEWTON_MAX_STEPS = 50
 MAX_HALVINGS = 40  # a step that still raises the loss after this many is rounding noise
+LOSS_AT_ZERO = math.log(2.0)  # every probability 1/2: a start above it is no head start
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
-    """Damped Newton (IRLS) from zero: each step solves H·δ = g, where H is
+def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> LogisticModel:
+    """Damped Newton (IRLS): each step solves H·δ = g, where H is
     [X 1]ᵀ diag(p(1−p)/n) [X 1] plus L2 on the weight diagonal, and halves δ
     while the penalized loss would rise. ``iterations`` counts the steps taken.
+
+    ``start`` holds d + 1 finite values, the weights then the bias, and
+    defaults to zero. :func:`rfe` passes each round the previous round's
+    optimum; every other fit starts from zero. A start whose penalized loss
+    is above :data:`LOSS_AT_ZERO` is replaced by zero, since far-out weights
+    saturate the probabilities and leave H singular. The stopping rule does
+    not depend on the start, so every start reaches the same optimum within
+    :data:`NEWTON_TOL`. ``y`` must hold both of the labels 0 and 1 and
+    nothing else, and every cell of ``X`` must be finite.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("X must be n x d with matching y")
-    if np.unique(y).size < 2:
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"X holds a non-finite cell at row {row}, column {col}")
+    positive = y == 1
+    if not (positive | (y == 0)).all():
+        raise ValueError(f"training labels must be 0/1, got {float(y[~positive & (y != 0)][0]):g}")
+    if positive.all() or not positive.any():
         raise ValueError("training labels contain a single class")
     n, d = X.shape
+    warm = None
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (d + 1,):
+            raise ValueError(f"start must hold d + 1 = {d + 1} values, got shape {start.shape}")
+        if not np.isfinite(start).all():
+            raise ValueError("start holds a non-finite value")
+        with np.errstate(over="ignore", invalid="ignore"):
+            warm = _loss_grad_proba(start[:d].copy(), float(start[d]), X, y, L2)
+    if warm is not None and warm[0] <= LOSS_AT_ZERO:
+        (w, b), (loss, gw, gb, p) = (start[:d].copy(), float(start[d])), warm
+    else:
+        w, b = np.zeros(d), 0.0
+        loss, gw, gb, p = _loss_grad_proba(w, b, X, y, L2)
     A = np.column_stack([X, np.ones(n)])
     ridge = np.diag(np.append(np.full(d, L2), 0.0))
-    w, b, steps = np.zeros(d), 0.0, 0
-    loss, gw, gb, p = _loss_grad_proba(w, b, X, y, L2)
+    steps = 0
     while steps < NEWTON_MAX_STEPS and np.abs(g := np.append(gw, gb)).max() >= NEWTON_TOL:
         delta = np.linalg.solve((A.T * (p * (1.0 - p) / n)) @ A + ridge, g)
         for t in 0.5 ** np.arange(MAX_HALVINGS):
@@ -150,9 +180,10 @@ def _standardize_columns(X: np.ndarray) -> np.ndarray:
 def rfe(X: np.ndarray, y: np.ndarray, target_k: int, step: int = 1) -> RfeResult:
     """Drop the lowest-|weight| features one round at a time until target_k remain.
 
-    Each round refits the logistic ranker on the standardized survivors. Score
-    ties drop the highest original column index first. ``selected`` is sorted
-    ascending by original index.
+    Each round refits the logistic ranker on the standardized survivors,
+    started from the previous round's optimum less the dropped weights (the
+    first round starts from zero). Score ties drop the highest original
+    column index first. ``selected`` is sorted ascending by original index.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -164,8 +195,9 @@ def rfe(X: np.ndarray, y: np.ndarray, target_k: int, step: int = 1) -> RfeResult
     surviving = list(range(d))
     trace: list[tuple[int, int, float]] = []
     round_no = 0
+    start = None
     while len(surviving) > target_k:
-        model = fit_logistic(_standardize_columns(X[:, surviving]), y)
+        model = fit_logistic(_standardize_columns(X[:, surviving]), y, start)
         ranks = np.abs(model.weights)
         n_drop = min(step, len(surviving) - target_k)
         # order by (score asc, original index desc) so ties shed the highest index
@@ -175,6 +207,7 @@ def rfe(X: np.ndarray, y: np.ndarray, target_k: int, step: int = 1) -> RfeResult
         for i in dropped:
             trace.append((round_no, surviving[i], float(ranks[i])))
             surviving.pop(i)
+        start = np.append(np.delete(model.weights, dropped), model.bias)
         round_no += 1
     return RfeResult(selected=tuple(sorted(surviving)), elimination_trace=tuple(trace))
 

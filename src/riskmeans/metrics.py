@@ -235,10 +235,14 @@ def compute_bundle(labels, scores) -> MetricBundle:
     """Evaluate continuous scores against 0/1 labels at :data:`DECISION_THRESHOLD`.
 
     Brier is the binary form, matching the magnitude convention of the
-    published reference tables.
+    published reference tables. Every score must be finite; finite scores
+    outside [0, 1] are clipped for the Brier score only.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=float)
+    if not np.isfinite(scores).all():
+        i = np.flatnonzero(~np.isfinite(scores))[0]
+        raise ValueError(f"score {i} is not finite: {scores.flat[i]}")
     predicted = (scores >= DECISION_THRESHOLD).astype(int)
     cc = confusion(labels, predicted)
     return MetricBundle(

@@ -6,12 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riskmeans import feature_select
 from riskmeans.data_ingest import Dataset
 from riskmeans.feature_select import (
     NEWTON_MAX_STEPS,
     LogisticModel,
     _sigmoid,
+    _standardize_columns,
     default_candidates,
     fit_logistic,
     logistic_loss_and_grad,
@@ -125,6 +129,35 @@ def test_newton_fit_damps_overshooting_steps():
 def test_single_class_rejected():
     with pytest.raises(ValueError, match="single class"):
         fit_logistic(np.zeros((4, 2)), np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cell_rejected(bad):
+    # a NaN gradient fails the `>= NEWTON_TOL` test, which would return zeros
+    X = np.ones((4, 3))
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match=r"^X holds a non-finite cell at row 2, column 1$"):
+        fit_logistic(X, np.array([0, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("labels,first_bad", [([1, 2, 1, 2], "2"), ([-1, 2, -1, 2], "-1"),
+                                              ([0, 1, 0.5, 1], "0.5"), ([0, 1, np.nan, 1], "nan")])
+def test_labels_outside_zero_one_rejected(labels, first_bad):
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [1.0, 3.0]])
+    with pytest.raises(ValueError, match=rf"^training labels must be 0/1, got {first_bad}$"):
+        fit_logistic(X, np.array(labels))
+
+
+@pytest.mark.parametrize("start,message", [
+    (np.zeros(4), r"^start must hold d \+ 1 = 5 values, got shape \(4,\)$"),
+    (np.zeros((5, 1)), r"^start must hold d \+ 1 = 5 values, got shape \(5, 1\)$"),
+    (np.array([0.0, np.nan, 0.0, 0.0, 0.0]), r"^start holds a non-finite value$"),
+    (np.array([0.0, 0.0, 0.0, 0.0, np.inf]), r"^start holds a non-finite value$"),
+])
+def test_malformed_start_rejected(start, message):
+    X, y = _informative_problem()
+    with pytest.raises(ValueError, match=message):
+        fit_logistic(X, y, start)
 
 
 def test_probabilities_stay_in_open_interval():
@@ -318,3 +351,121 @@ def test_rfe_then_fit_on_blobs_preserves_accuracy():
     noisy = np.column_stack([X, np.random.default_rng(2).normal(size=(120, 2)) * 4])
     sel = rfe(noisy, y, target_k=3).selected
     assert set(sel) == {0, 1, 2}
+
+
+def _standardized_problem(seed, n, d, signal):
+    """Standardized n x d normal columns; labels drawn from a logistic model
+    whose weights scale with ``signal``, with both classes present."""
+    rng = np.random.default_rng(seed)
+    X = _standardize_columns(rng.normal(size=(n, d)))
+    logits = X @ (signal * rng.normal(size=d)) + rng.logistic(size=n)
+    y = (logits > 0).astype(int)
+    y[:2] = (0, 1)
+    return X, y
+
+
+def _params(model):
+    return np.append(model.weights, model.bias)
+
+
+def test_warm_start_at_the_optimum_takes_no_steps():
+    X, y = _standardized_problem(seed=21, n=800, d=20, signal=0.5)
+    cold = fit_logistic(X, y)
+    warm = fit_logistic(X, y, _params(cold))
+    assert warm.iterations == 0 < cold.iterations
+    assert _params(warm).tobytes() == _params(cold).tobytes()
+    assert warm.final_loss == cold.final_loss
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e300])
+def test_far_out_start_is_replaced_by_zero(scale):
+    # saturated probabilities leave only the ridge in H, whose bias entry is 0
+    X, y = _standardized_problem(seed=4, n=100, d=4, signal=1.0)
+    start = scale * np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    cold = fit_logistic(X, y)
+    warm = fit_logistic(X, y, start)
+    assert _params(warm).tobytes() == _params(cold).tobytes()
+    assert warm.iterations == cold.iterations
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 300), d=st.integers(1, 8),
+       signal=st.floats(0.0, 3.0), data=st.data())
+@settings(deadline=None, max_examples=100)
+def test_warm_fit_reaches_the_cold_optimum(seed, n, d, signal, data):
+    X, y = _standardized_problem(seed, n, d, signal)
+    cold = fit_logistic(X, y)
+    # any finite start, or one near the optimum as an RFE round's start is
+    anywhere = st.floats(allow_nan=False, allow_infinity=False)
+    start = data.draw(st.one_of(
+        st.lists(anywhere, min_size=d + 1, max_size=d + 1).map(np.array),
+        st.lists(st.floats(-1.0, 1.0), min_size=d + 1, max_size=d + 1).map(
+            lambda offset: _params(cold) + offset)))
+    warm = fit_logistic(X, y, start)
+    assert _max_gradient(warm, X, y) < 1e-8
+    assert np.abs(_params(warm) - _params(cold)).max() <= 1e-6 * np.abs(_params(cold)).max()
+
+
+def _cold_rfe(X, y, target_k):
+    """The reference loop: rfe with step 1 and every round's ranker started
+    from zero. Yields (dropped original index, its score, every survivor's
+    score by original index, Newton steps) per round."""
+    surviving = list(range(X.shape[1]))
+    while len(surviving) > target_k:
+        model = fit_logistic(_standardize_columns(X[:, surviving]), y)
+        ranks = np.abs(model.weights)
+        i = min(range(len(surviving)), key=lambda i: (ranks[i], -surviving[i]))
+        yield surviving[i], float(ranks[i]), dict(zip(surviving, ranks)), model.iterations
+        surviving.pop(i)
+
+
+def _credit_like_table(seed, n=800, d=20):
+    """Eight informative columns of falling strength, then noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.5, 20.0, size=d)
+    strength = np.zeros(d)
+    strength[:8] = np.linspace(1.5, 0.1, 8)
+    y = (_standardize_columns(X) @ strength + rng.logistic(size=n) > 0).astype(int)
+    return X, y
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_rfe_keeps_the_cold_drop_order(seed):
+    X, y = _credit_like_table(seed)
+    warm = rfe(X, y, target_k=1).elimination_trace
+    cold = list(_cold_rfe(X, y, target_k=1))
+    assert [j for _, j, _ in warm] == [j for j, *_ in cold]
+    for (_, _, score), (_, cold_score, *_) in zip(warm, cold):
+        assert abs(score - cold_score) <= 1e-6 * cold_score
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 300), d=st.integers(2, 8),
+       signal=st.floats(0.0, 3.0))
+@settings(deadline=None, max_examples=40)
+def test_warm_rfe_differs_from_cold_only_at_near_ties(seed, n, d, signal):
+    rng = np.random.default_rng(seed)
+    X, y = _standardized_problem(seed, n, d, signal)
+    X = X * rng.uniform(0.1, 10.0, size=d)  # rfe standardizes its rounds itself
+    warm = rfe(X, y, target_k=1).elimination_trace
+    for (_, j, score), (cold_j, cold_score, cold_ranks, _) in zip(warm, _cold_rfe(X, y, 1)):
+        if j != cold_j:
+            # the paths part only where two cold scores nearly tie; after that
+            # they rank different survivor sets, so stop comparing
+            assert abs(cold_ranks[j] - cold_score) <= 1e-6 * cold_ranks[j]
+            break
+        assert abs(score - cold_score) <= 1e-6 * cold_score
+
+
+def test_warm_rfe_takes_fewer_newton_steps(monkeypatch):
+    X, y = _credit_like_table(seed=0)
+    steps = []
+
+    def counting_fit(*args):
+        model = fit_logistic(*args)
+        steps.append(model.iterations)
+        return model
+
+    monkeypatch.setattr(feature_select, "fit_logistic", counting_fit)
+    rfe(X, y, target_k=1)
+    cold = [iterations for *_, iterations in _cold_rfe(X, y, 1)]
+    assert len(steps) == len(cold) == X.shape[1] - 1
+    assert sum(steps) < sum(cold)

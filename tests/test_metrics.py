@@ -251,6 +251,21 @@ def test_compute_bundle_table_order():
     assert bundle.brier == brier_binary(scores, labels)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compute_bundle_rejects_non_finite_scores(bad):
+    # a NaN score used to give auc=0.5 and brier=nan without an error
+    with pytest.raises(ValueError, match=rf"^score 1 is not finite: {bad}$"):
+        compute_bundle([0, 1, 0, 1], [0.1, bad, 0.3, bad])
+
+
+def test_compute_bundle_clips_finite_scores_for_brier_only():
+    labels = np.array([0, 1, 0, 1])
+    scores = np.array([-0.5, 1.5, 0.2, 0.7])
+    bundle = compute_bundle(labels, scores)
+    assert bundle.brier == brier_binary(np.clip(scores, 0.0, 1.0), labels)
+    assert bundle.auc == auc(roc_curve(scores, labels)) == 1.0
+
+
 def test_bundle_reference_row_shape():
     ref = MetricBundle(auc=0.768, acc=0.750, f1=0.554, brier=0.177, tpr=0.492)
     assert ref.as_dict()["acc"] == 0.750
