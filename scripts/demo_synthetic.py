@@ -4,9 +4,10 @@
 Creates a small credit-shaped dataset (two informative numerics, one noise
 numeric, one categorical, some missing cells), writes the matching schema and
 experiment file, then drives the command-line pipeline through ingest,
-feature selection, training on all rows, a cross-validated run of both
-methods side by side, and a window scan. The experiment file names its data,
-schema and output directory relative to itself.
+training on all rows (``model.json`` holds the preprocessing, the selected
+features and the cluster classifier), a cross-validated run of both methods
+side by side, and a window scan. The experiment file names its data, schema
+and output directory relative to itself.
 
     python3 scripts/demo_synthetic.py --out runs/demo --seed 0
 """
@@ -88,7 +89,6 @@ def main() -> int:
 
     cfg = ["--config", str(config)]
     run(["ingest", *cfg, "--seed", str(args.seed)])
-    run(["select-features", *cfg, "--target-k", "auto", "--seed", str(args.seed)])
     run(["train", *cfg, "--seed", str(args.seed)])
     run(["run", *cfg, "--methods", "kmeans,lr", "--seed", str(args.seed),
          "--emit-plot-data"])

@@ -40,6 +40,7 @@ from .data_ingest import Dataset, PreprocessReport, apply_report, preprocess
 from .feature_select import LogisticModel, RfeResult, fit_logistic, rfe, select_target_k
 from .kmeans_core import (
     ClusterClassifier,
+    KMeansModel,
     KMeansParams,
     RowError,
     choose_k,
@@ -124,8 +125,6 @@ class FoldFit:
     fit, by method, in the order they were fitted.
     """
 
-    fold: int
-    train_indices: np.ndarray
     preprocess: PreprocessReport
     selection: RfeResult
     kmeans: ClusterClassifier | None
@@ -136,6 +135,47 @@ class FoldFit:
     def chosen_k(self) -> int | None:
         """The k of the k-means model, None without one."""
         return None if self.kmeans is None else self.kmeans.model.k
+
+    def to_dict(self, names) -> dict:
+        """The preprocessing, the selection (its columns named by ``names``,
+        the dataset's column names) and the k-means model, when there is one,
+        as JSON-ready values that :meth:`from_dict` reads back bit for bit.
+        The lr model is not written."""
+        sel = self.selection
+        out = {
+            "preprocess": dataclasses.asdict(self.preprocess),
+            "selection": {
+                "selected_indices": list(sel.selected),
+                "selected_columns": [names[j] for j in sel.selected],
+                "elimination_trace": [
+                    {"round": r, "dropped_index": j, "dropped_column": names[j], "score": s}
+                    for r, j, s in sel.elimination_trace],
+            },
+        }
+        if self.kmeans is not None:
+            model = self.kmeans.model
+            out["kmeans"] = {
+                "centroids": model.centroids.tolist(),
+                "posteriors": self.kmeans.posteriors.tolist(),
+                "bandwidth": self.kmeans.bandwidth,
+                "wcss": model.wcss,
+                "iterations_run": model.iterations_run,
+                "converged": model.converged,
+            }
+        return out
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "FoldFit":
+        """The fit :meth:`to_dict` wrote, ``kmeans`` None where it holds none."""
+        sel, km = raw["selection"], raw.get("kmeans")
+        trace = [(e["round"], e["dropped_index"], e["score"]) for e in sel["elimination_trace"]]
+        kmeans = None if km is None else ClusterClassifier(
+            model=KMeansModel(centroids=np.array(km["centroids"], dtype=float), wcss=km["wcss"],
+                              iterations_run=km["iterations_run"], converged=km["converged"]),
+            posteriors=np.array(km["posteriors"], dtype=float), bandwidth=km["bandwidth"])
+        return cls(preprocess=PreprocessReport(**raw["preprocess"]),
+                   selection=RfeResult(sel["selected_indices"], trace),
+                   kmeans=kmeans, logistic=None)
 
 
 def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
@@ -159,7 +199,7 @@ def _fit_kmeans(train: Dataset, config: PipelineConfig,
 
 
 def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
-             fold_seed: int, fold: int = 0, *, methods=None) -> FoldFit:
+             fold_seed: int, *, methods=None) -> FoldFit:
     """Fit preprocessing and the selection on train rows only, then a model
     for each of ``methods`` (default ``(config.method,)``), in the order
     given, on that shared state. The selection, by ``config.rfe_step``, is
@@ -182,8 +222,7 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
         selection = rfe(X, y, target_k, config.rfe_step)
     train = Dataset.numeric(X[:, selection.selected], y)
 
-    fit = FoldFit(fold=fold, train_indices=np.asarray(train_indices),
-                  preprocess=report, selection=selection, kmeans=None, logistic=None)
+    fit = FoldFit(preprocess=report, selection=selection, kmeans=None, logistic=None)
     for method in methods:
         start = time.perf_counter()
         if method == "kmeans":
@@ -268,8 +307,7 @@ def _cross_validate(ds: Dataset, methods: tuple,
         try:
             start = time.perf_counter()
             fold_seed = derive_seed(config.seed, f"fold:{i}")
-            fit = fit_fold(ds, plan.train_indices(i), config, fold_seed, fold=i,
-                           methods=methods)
+            fit = fit_fold(ds, plan.train_indices(i), config, fold_seed, methods=methods)
             results.append((fit, score_fold(fit, ds, plan.test_indices[i])))
         except Exception as exc:
             exc.add_note(f"fold {i}")
@@ -293,7 +331,7 @@ def _report(ds: Dataset, config: PipelineConfig, plan: FoldPlan, results: list,
         oof_scores[test_idx] = scores[config.method]
         details.append({
             "fold": i,
-            "train_size": int(fit.train_indices.size),
+            "train_size": int(ds.n - test_idx.size),
             "test_size": int(test_idx.size),
             "selected_columns": [ds.schema[j].name for j in fit.selection.selected],
             "selected_indices": list(fit.selection.selected),

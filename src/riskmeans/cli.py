@@ -1,21 +1,22 @@
 """Batch command-line front end.
 
-Subcommands: ingest, select-features, train, run, scan. ``main`` resolves
-the configuration, checks ``--out`` and loads the dataset once, then hands
-``(args, cfg, ds)`` to the command. ``preprocess.json``, ``selection.json``,
-``model.json`` and ``scan_meta.json`` hold a ``fingerprint``: the resolved
-configuration, its hash and the seed. ``run`` cross-validates the
-``--methods`` side by side; each ``report_<method>.json`` (and each report in
-``comparison.json``) holds the run settings' fingerprint with ``dataset``,
-``n``, ``d`` and ``fold_seed_root``, and is the same alone or beside others.
+Subcommands: ingest, train, run, scan. ``main`` resolves the configuration,
+checks ``--out`` and loads the dataset once, then hands ``(args, cfg, ds)``
+to the command. ``preprocess.json``, ``model.json`` and ``scan_meta.json``
+hold a ``fingerprint``: the resolved configuration, its hash and the seed.
+``run`` cross-validates the ``--methods`` side by side; each
+``report_<method>.json`` (and each report in ``comparison.json``) holds the
+run settings' fingerprint with ``dataset``, ``n``, ``d`` and
+``fold_seed_root``, and is the same alone or beside others.
 
 Exit codes: 0 success, 1 runtime failure (malformed data, failed fit),
 2 usage or configuration error (bad flags, missing files, bad config values).
 
-``train`` fits exactly as one ``run`` fold does (:func:`fit_fold`), on all rows.
-``select-features`` is that same fit without a model (``methods=()``) and
-writes its selection, so both keep the same columns for the same seed and
-settings; with ``[rfe] enabled = false`` both keep every column.
+``train`` fits exactly as one ``run`` fold does (:func:`fit_fold`), on all
+rows, and writes that whole fit to ``model.json``
+(:meth:`FoldFit.to_dict`): the preprocessing report, the selection with its
+elimination trace, and the cluster classifier. :meth:`FoldFit.from_dict`
+reads it back, and :func:`score_fold` then scores raw rows as the fit does.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .data_ingest import (
     preprocess,
     write_processed,
 )
-from .kmeans_core import classifier_to_json
 from .mg_scanner import ScanConfig, dump_features, fit_window_estimators, transform_matrix
 
 
@@ -58,10 +58,8 @@ def _resolve_config(args) -> ExperimentConfig:
     overrides = {"scale": False} if args.no_scale else {}
     for row in KEYS:
         raw = vars(args).get(row.field)  # None: not given, or not this command's flag
-        if raw is not None:
-            value = row.parse(row.flag, raw)  # integer parsers reject a blank value
-            if raw:
-                overrides[row.field] = value
+        if raw is not None:  # a blank value meets the checks a blank file value meets
+            overrides[row.field] = row.parse(row.flag, raw)
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.check_ranges("command line")
     if not cfg.data_path or not cfg.schema_path:
@@ -108,32 +106,10 @@ def cmd_ingest(args, cfg, ds) -> int:
     return 0
 
 
-def cmd_select_features(args, cfg, ds) -> int:
-    seed = args.seed
-    selection = fit_fold(ds, np.arange(ds.n), cfg.pipeline("kmeans", seed=seed), seed,
-                         methods=()).selection
-    target = len(selection.selected)
-    names = ds.column_names()
-    path = os.path.join(_outdir(cfg), "selection.json")
-    _write_artifact(path, cfg, seed, {
-        "target_k": target,
-        "selected_indices": list(selection.selected),
-        "selected_columns": [names[j] for j in selection.selected],
-        "elimination_trace": [
-            {"round": r, "dropped_index": j, "dropped_column": names[j], "score": s}
-            for r, j, s in selection.elimination_trace
-        ],
-    })
-    print(f"selected {target} of {ds.d} features: "
-          + ", ".join(names[j] for j in selection.selected))
-    print(f"wrote {path}")
-    return 0
-
-
 def cmd_train(args, cfg, ds) -> int:
     fit = fit_fold(ds, np.arange(ds.n), cfg.pipeline("kmeans", seed=args.seed), args.seed)
     path = os.path.join(_outdir(cfg), "model.json")
-    _write_artifact(path, cfg, args.seed, json.loads(classifier_to_json(fit.kmeans)))
+    _write_artifact(path, cfg, args.seed, fit.to_dict(ds.column_names()))
     print(f"trained k={fit.chosen_k} cluster classifier on {ds.name} "
           f"({len(fit.selection.selected)} of {ds.d} features)")
     print(f"wrote {path}")
@@ -215,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _command(sub, "ingest", "load, preprocess, and dump a dataset", cmd_ingest)
-    _command(sub, "select-features", "rank features and pick a subset",
-             cmd_select_features, "--target-k")
     _command(sub, "train", "fit one cluster classifier on all rows", cmd_train,
              "--k", "--target-k")
     p = _command(sub, "run", "cross-validate one or more methods side by side", cmd_run,

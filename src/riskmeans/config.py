@@ -195,9 +195,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{source}: {row.name} must be >= {row.floor}")
 
     def fingerprint(self) -> dict:
-        """Every field that can change a result; ``output_dir`` never does."""
+        """Every setting that can change a result. The paths are left out: how
+        a path is spelled never changes one, and ``output_dir`` never does."""
         d = asdict(self)
-        del d["output_dir"]
+        for path in ("data_path", "schema_path", "output_dir"):
+            del d[path]
         return d
 
     def fingerprint_hash(self) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -190,12 +190,6 @@ class PreprocessReport:
     def to_json(self) -> str:
         """The fields as sorted JSON, keyed by field name."""
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PreprocessReport":
-        """The report :meth:`to_json` wrote; a missing field reads as empty."""
-        raw = json.loads(text)
-        return cls(**{f.name: raw.get(f.name, {}) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,6 @@ dense pass.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -756,33 +755,3 @@ def predict_scores(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
 def predict_labels(clf: ClusterClassifier, X: np.ndarray) -> np.ndarray:
     """Hard 0/1 labels: score >= :data:`~riskmeans.metrics.DECISION_THRESHOLD`."""
     return (predict_scores(clf, X) >= DECISION_THRESHOLD).astype(int)
-
-
-def classifier_to_json(clf: ClusterClassifier) -> str:
-    """Serialize a fitted classifier; floats keep full precision and round-trip."""
-    payload = {
-        "k": clf.model.k,
-        "d": clf.model.d,
-        "centroids": [[float(v) for v in row] for row in clf.model.centroids],
-        "posteriors": [float(v) for v in clf.posteriors],
-        "bandwidth": clf.bandwidth,
-        "wcss": clf.model.wcss,
-        "iterations_run": clf.model.iterations_run,
-        "converged": clf.model.converged,
-    }
-    return json.dumps(payload, indent=2)
-
-
-def classifier_from_json(text: str) -> ClusterClassifier:
-    raw = json.loads(text)
-    model = KMeansModel(
-        centroids=np.array(raw["centroids"], dtype=float),
-        wcss=raw["wcss"],
-        iterations_run=raw["iterations_run"],
-        converged=raw["converged"],
-    )
-    return ClusterClassifier(
-        model=model,
-        posteriors=np.array(raw["posteriors"], dtype=float),
-        bandwidth=raw["bandwidth"],
-    )

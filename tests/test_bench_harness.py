@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 from dataclasses import replace
 
@@ -31,8 +32,6 @@ from riskmeans.data_ingest import (
     AllMissingColumnError,
     CellParseError,
     Dataset,
-    PreprocessReport,
-    apply_report,
     preprocess,
 )
 from riskmeans.feature_select import rfe
@@ -172,22 +171,28 @@ def test_fold_error_keeps_type_and_message_cell_parse(monkeypatch):
 
 @pytest.mark.parametrize("scale", [True, False])
 def test_fold_json_forms_score_raw_rows_as_the_fold_does(scale):
-    # Only the fit's JSON forms are read: its preprocess report, its selected
-    # columns and its classifier; the config's scale is not passed.
+    # Every fold of a run, with k auto or fixed and the target size auto,
+    # fixed or off: the fit read back from its JSON form alone scores the
+    # raw rows, held-out and training, bit for bit as the fit does.
     cells, labels, schema = mixed_raw_cells(n=90, seed=3)
     ds = Dataset.from_cells(cells, labels, schema)
-    config = _config(scale=scale, rfe_target_k=None, kmeans_k=None)
-    report = run_pipeline(ds, config)
-    plan = stratified_kfold(ds.labels, config.folds, derive_seed(config.seed, "folds"))
-    for fit, test in zip(report.fits, plan.test_indices):
-        replay = PreprocessReport.from_json(fit.preprocess.to_json())
-        assert bool(replay.means) is scale
-        raw = replace(ds, features=ds.features[test], labels=ds.labels[test])
-        X = apply_report(raw, replay).features[:, fit.selection.selected]
-        clf = kc.classifier_from_json(kc.classifier_to_json(fit.kmeans))
-        scores = kc.predict_scores(clf, X)
-        assert scores.tobytes() == score_fold(fit, ds, test)["kmeans"].tobytes()
-        assert scores.tobytes() == report.oof_scores[test].tobytes()
+    names = ds.column_names()
+    rows = np.arange(ds.n)
+    for kmeans_k in (None, 2):
+        for target in (None, 2, "off"):
+            config = _config(scale=scale, kmeans_k=kmeans_k, rfe_enabled=target != "off",
+                             rfe_target_k=None if target == "off" else target)
+            report = run_pipeline(ds, config)
+            plan = stratified_kfold(ds.labels, config.folds, derive_seed(config.seed, "folds"))
+            for fit, test in zip(report.fits, plan.test_indices):
+                raw = json.loads(json.dumps(fit.to_dict(names)))
+                loaded = FoldFit.from_dict(raw)
+                assert bool(raw["preprocess"]["means"]) is scale
+                assert loaded.to_dict(names) == fit.to_dict(names)
+                assert (score_fold(loaded, ds, rows)["kmeans"].tobytes()
+                        == score_fold(fit, ds, rows)["kmeans"].tobytes())
+                assert (score_fold(loaded, ds, test)["kmeans"].tobytes()
+                        == report.oof_scores[test].tobytes())
 
 
 def test_fold_fit_ignores_test_rows():
@@ -467,9 +472,11 @@ def test_compare_methods_fold_errors_keep_type_message_and_note(methods, monkeyp
 
     # a failure in scoring, past the first fold
     real_score = bench_harness.score_fold
+    scored = []
 
     def failing_score(fit, ds, test_indices):
-        if fit.fold == 1 and fit.logistic is not None:
+        scored.append(fit)
+        if len(scored) == 2 and fit.logistic is not None:  # fold 1
             raise CellParseError(row=4, column="amount", token="x?")
         return real_score(fit, ds, test_indices)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskmeans.bench_harness import fit_fold
+from riskmeans.bench_harness import FoldFit, fit_fold, score_fold
 from riskmeans.cli import build_parser, main
 from riskmeans.config import load_config
 from riskmeans.cv import stratified_kfold
@@ -26,7 +26,6 @@ from riskmeans.data_ingest import (
     load_with_schema,
     write_processed,
 )
-from riskmeans.kmeans_core import classifier_from_json, predict_scores
 from riskmeans.mg_scanner import window_count
 from riskmeans.seeding import derive_seed
 
@@ -102,15 +101,46 @@ def test_out_at_or_under_a_file_exits_two_before_fitting(tmp_path, capsys, monke
     data, schema, config = write_toy_files(tmp_path)
     (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
     fault = f"{tmp_path / 'taken'} is not a directory"
-    if not out:  # a blank [output] dir; the blank --out falls back to it
+    if not out:  # a blank [output] dir, and no --out
         text = config.read_text(encoding="utf-8")
         config.write_text(text.replace(f"dir = {tmp_path / 'out'}", "dir ="), encoding="utf-8")
         fault = "expected a directory, got ''"
     monkeypatch.setattr("riskmeans.cli.fit_fold", None)  # a fit would raise TypeError
-    assert main(["train", "--config", str(config), "--out",
-                 str(tmp_path / out) if out else ""]) == 2
+    assert main(["train", "--config", str(config)]
+                + (["--out", str(tmp_path / out)] if out else [])) == 2
     assert capsys.readouterr().err == f"error: --out/[output] dir: {fault}\n"
     assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+
+_NO_DATA = "a data file and schema are required (--data/--schema or a config file with a [data] section)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--out", ""], "--out/[output] dir: expected a directory, got ''"),
+    (["train", "--data", ""], _NO_DATA),
+    (["train", "--schema", ""], _NO_DATA),
+    (["scan", "--windows", ""], "--windows/[scanner] windows: at least one window size required"),
+], ids=["out", "data", "schema", "windows"])
+def test_blank_flag_value_exits_two(tmp_path, capsys, monkeypatch, argv, message):
+    # a blank flag overrides the file's value and fails as a blank file value does
+    data, schema, config = write_toy_files(tmp_path)
+    config.write_text(config.read_text(encoding="utf-8") + "\n[scanner]\nwindows = 2\n",
+                      encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_select_features_command_is_gone(tmp_path, capsys):
+    # train's model.json holds the selection
+    data, schema, config = write_toy_files(tmp_path)
+    assert main(["select-features", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument command: invalid choice: 'select-features'" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["ingest"], ["train"], ["scan", "--windows", "1"]])
@@ -186,24 +216,24 @@ def test_malformed_numeric_cell_exits_one(tmp_path, capsys):
 
 
 def test_select_features_artifact(tmp_path, capsys):
+    # the selected features are the "selection" section of train's model.json
     data, schema, config = write_toy_files(tmp_path)
-    assert main(["select-features", "--config", str(config),
-                 "--target-k", "2"]) == 0
+    assert main(["train", "--config", str(config), "--target-k", "2"]) == 0
     capsys.readouterr()
-    payload = _read_json(tmp_path / "out" / "selection.json")
-    assert payload["target_k"] == 2
+    payload = _read_json(tmp_path / "out" / "model.json")["selection"]
+    assert set(payload) == {"selected_indices", "selected_columns", "elimination_trace"}
     assert len(payload["selected_indices"]) == 2
     assert len(payload["selected_columns"]) == 2
     assert len(payload["elimination_trace"]) == 1
     entry = payload["elimination_trace"][0]
     assert set(entry) == {"round", "dropped_index", "dropped_column", "score"}
-    assert "fingerprint" in payload
 
 
 def test_target_k_above_column_count_exits_one(tmp_path, capsys):
     data, schema, config = write_toy_files(tmp_path)
-    assert main(["select-features", "--config", str(config), "--target-k", "4"]) == 1
+    assert main(["train", "--config", str(config), "--target-k", "4"]) == 1
     assert "target_k=4 outside [1, 3]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.json").exists()
 
 
 def test_train_writes_model(tmp_path, capsys):
@@ -215,23 +245,32 @@ def test_train_writes_model(tmp_path, capsys):
     ds = load_with_schema(data, schema, name="toy")
     pcfg = dataclasses.replace(load_config(config).pipeline("kmeans", seed=2), kmeans_k=3)
     fit = fit_fold(ds, np.arange(ds.n), pcfg, 2)
-    assert model["k"] == 3
-    assert model["d"] == len(fit.selection.selected)
-    assert model["centroids"] == fit.kmeans.model.centroids.tolist()
-    assert len(model["centroids"]) == 3
-    assert len(model["posteriors"]) == 3
+    assert set(model) == {"fingerprint", "preprocess", "selection", "kmeans"}
+    assert model == {"fingerprint": model["fingerprint"],
+                     **json.loads(json.dumps(fit.to_dict(ds.column_names())))}
+    assert len(model["kmeans"]["centroids"]) == 3
+    assert len(model["kmeans"]["centroids"][0]) == len(fit.selection.selected)
+    assert len(model["kmeans"]["posteriors"]) == 3
     assert model["fingerprint"]["seed"] == 2
     assert model["fingerprint"]["config_hash"] == dataclasses.replace(
         load_config(config), kmeans_k=3).fingerprint_hash()
-    assert "threshold" not in model and "preprocess_fingerprint" not in model
-    # the file loads as written, fingerprint included, and scores as the fit does
-    loaded = classifier_from_json((tmp_path / "out" / "model.json").read_text(encoding="utf-8"))
-    for got, want in [(loaded.model.centroids, fit.kmeans.model.centroids),
-                      (loaded.posteriors, fit.kmeans.posteriors),
-                      (np.float64(loaded.bandwidth), np.float64(fit.kmeans.bandwidth))]:
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    X = np.random.default_rng(0).normal(size=(40, model["d"]))
-    assert predict_scores(loaded, X).tobytes() == predict_scores(fit.kmeans, X).tobytes()
+    # the file alone, read back, scores the raw rows as the fit does
+    loaded = FoldFit.from_dict(model)
+    rows = np.arange(ds.n)
+    assert (score_fold(loaded, ds, rows)["kmeans"].tobytes()
+            == score_fold(fit, ds, rows)["kmeans"].tobytes())
+
+
+def test_train_model_does_not_depend_on_how_the_data_path_is_spelled(
+        tmp_path, capsys, monkeypatch):
+    data, schema, config = write_toy_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name, argv in [("rel", ["--data", data.name, "--schema", schema.name]),
+                       ("abs", ["--data", str(data), "--schema", str(schema)])]:
+        assert main(["train", "--config", str(config), "--out", name] + argv) == 0
+    capsys.readouterr()
+    assert (tmp_path / "rel" / "model.json").read_bytes() == (
+        tmp_path / "abs" / "model.json").read_bytes()
 
 
 def test_train_model_does_not_depend_on_out_dir(tmp_path, capsys):
@@ -245,8 +284,7 @@ def test_train_model_does_not_depend_on_out_dir(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, artifact", [
-    ("ingest", "preprocess.json"), ("select-features", "selection.json"),
-    ("train", "model.json"), ("scan", "scan_meta.json")])
+    ("ingest", "preprocess.json"), ("train", "model.json"), ("scan", "scan_meta.json")])
 def test_every_artifact_carries_the_same_fingerprint(tmp_path, capsys, command, artifact):
     data, schema, config = write_toy_files(tmp_path)
     config.write_text(config.read_text(encoding="utf-8") + "\n[scanner]\nwindows = 2\n",
@@ -261,26 +299,28 @@ def test_every_artifact_carries_the_same_fingerprint(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("config_tail", ["", "\n[rfe]\ntarget_k = 2\n",
                                          "\n[rfe]\nenabled = false\n"])
-def test_select_features_writes_the_selection_of_trains_fit(tmp_path, capsys, config_tail):
+def test_train_model_holds_the_selection_of_its_fit(tmp_path, capsys, config_tail):
     data, schema, config = write_toy_files(tmp_path)
     config.write_text(config.read_text(encoding="utf-8") + config_tail, encoding="utf-8")
-    for command in ("select-features", "train"):
-        assert main([command, "--config", str(config), "--seed", "4"]) == 0
+    assert main(["train", "--config", str(config), "--seed", "4"]) == 0
     capsys.readouterr()
     ds = load_with_schema(data, schema, name="toy")
     fit = fit_fold(ds, np.arange(ds.n), load_config(config).pipeline("kmeans", seed=4), 4,
                    methods=())
-    selection = _read_json(tmp_path / "out" / "selection.json")
+    model = _read_json(tmp_path / "out" / "model.json")
+    selection = model["selection"]
     assert selection["selected_indices"] == list(fit.selection.selected)
+    assert selection["selected_columns"] == [ds.column_names()[j] for j in fit.selection.selected]
     assert ([(e["round"], e["dropped_index"], e["score"]) for e in selection["elimination_trace"]]
             == list(fit.selection.elimination_trace))
-    assert _read_json(tmp_path / "out" / "model.json")["d"] == len(selection["selected_indices"])
+    assert len(model["kmeans"]["centroids"][0]) == len(selection["selected_indices"])
 
 
 @pytest.mark.parametrize("argv", [["--candidates", "2"], ["--cv-folds", "3"]])
 def test_select_features_has_no_search_flags(tmp_path, capsys, argv):
+    # the target-size search has no flags of its own on train, which selects
     data, schema, config = write_toy_files(tmp_path)
-    assert main(["select-features", "--config", str(config)] + argv) == 2
+    assert main(["train", "--config", str(config)] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: " + " ".join(argv) in captured.err
@@ -293,15 +333,12 @@ def test_train_honours_rfe_disabled(tmp_path, capsys):
                       encoding="utf-8")
     assert main(["train", "--config", str(config), "--k", "2",
                  "--target-k", "2", "--seed", "1"]) == 0
-    assert main(["select-features", "--config", str(config),
-                 "--target-k", "2", "--seed", "1"]) == 0
     capsys.readouterr()
-    assert _read_json(tmp_path / "out" / "model.json")["d"] == 3
-    selection = _read_json(tmp_path / "out" / "selection.json")
-    assert selection["selected_indices"] == [0, 1, 2]
-    assert selection["selected_columns"] == ["x0", "x1", "grade"]
-    assert selection["target_k"] == 3
-    assert selection["elimination_trace"] == []
+    model = _read_json(tmp_path / "out" / "model.json")
+    assert len(model["kmeans"]["centroids"][0]) == 3
+    assert model["selection"] == {"selected_indices": [0, 1, 2],
+                                  "selected_columns": ["x0", "x1", "grade"],
+                                  "elimination_trace": []}
 
 
 @pytest.mark.parametrize("token", ["inf", "-inf", "1e400"])
@@ -615,7 +652,7 @@ def test_every_command_is_byte_identical_across_string_hash_seeds(tmp_path):
     # criterion 8 reruns in one process, so it cannot see an order that
     # follows string hashing (a set or dict of category tokens)
     data, schema, config = write_toy_files(tmp_path)
-    commands = [["ingest"], ["select-features"], ["train"],
+    commands = [["ingest"], ["train"],
                 ["run", "--folds", "3", "--methods", "kmeans,lr", "--emit-plot-data"],
                 ["scan", "--windows", "2"]]
     outs = {hash_seed: tmp_path / f"hash{hash_seed}" for hash_seed in ("1", "2")}
@@ -625,7 +662,7 @@ def test_every_command_is_byte_identical_across_string_hash_seeds(tmp_path):
                                                     "--out", str(out / command[0])],
                                PYTHONHASHSEED=hash_seed)
     files = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*") if p.is_file())
-    assert len(files) == 14
+    assert len(files) == 13
     assert files == sorted(p.relative_to(outs["2"]) for p in outs["2"].rglob("*")
                            if p.is_file())
     for name in files:
@@ -696,17 +733,17 @@ def test_scan_repeated_window_exits_two(tmp_path, capsys):
 
 
 def test_demo_script_runs_every_command(tmp_path):
-    # the demo drives ingest, select-features, train, run and scan end to end
+    # the demo drives ingest, train, run and scan end to end
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "demo_synthetic.py"),
                            "--out", str(tmp_path), "--seed", "0"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for name in ("processed.csv", "selection.json", "model.json", "report_kmeans.json",
+    for name in ("processed.csv", "model.json", "report_kmeans.json",
                  "report_lr.json", "comparison.json", "scan_w2.csv", "scan_w3.csv",
                  "scan_meta.json"):
         assert (tmp_path / name).is_file(), name
-    selection = _read_json(tmp_path / "selection.json")
-    assert len(selection["selected_indices"]) == _read_json(tmp_path / "model.json")["d"]
+    model = _read_json(tmp_path / "model.json")
+    assert len(model["selection"]["selected_indices"]) == len(model["kmeans"]["centroids"][0])
 
 
 def test_fold_error_names_fold(tmp_path, capsys):
@@ -790,7 +827,7 @@ def test_too_few_class_members_message_shows_plain_class(tmp_path, capsys):
     (["run", "--methods", "kmeans,lr", "--seed", "1", "--folds", "1"], "--folds/[cv] folds"),
     (["run", "--seed", "1", "--k", "0"], "--k/[kmeans] k"),
     (["train", "--target-k", "0"], "--target-k/[rfe] target_k"),
-    (["select-features", "--target-k", "0"], "--target-k/[rfe] target_k"),
+    (["run", "--seed", "1", "--target-k", "0"], "--target-k/[rfe] target_k"),
     (["scan", "--windows", "1", "--stride", "0"], "--stride/[scanner] stride"),
     (["scan", "--windows", "1", "--estimators", "0"], "--estimators/[scanner] estimators"),
 ])
@@ -844,7 +881,7 @@ def test_ingest_report_replays_to_the_processed_matrix(tmp_path, capsys, argv):
     assert main(["ingest", "--config", str(config)] + argv) == 0
     capsys.readouterr()
     payload = _read_json(tmp_path / "out" / "preprocess.json")
-    report = PreprocessReport.from_json(json.dumps(payload["preprocess"]))
+    report = PreprocessReport(**payload["preprocess"])
     assert bool(report.means) is ("--no-scale" not in argv)
     replayed = apply_report(load_with_schema(data, schema, name="toy"), report)
     write_processed(replayed, tmp_path / "replayed.csv")
@@ -857,7 +894,6 @@ _DATA_OPTIONS = ["-h", "--help", "--config", "--data", "--schema", "--name", "--
                  "--no-scale"]
 OPTION_STRINGS = {
     "ingest": _DATA_OPTIONS + ["--seed"],
-    "select-features": _DATA_OPTIONS + ["--target-k", "--seed"],
     "train": _DATA_OPTIONS + ["--k", "--target-k", "--seed"],
     "run": _DATA_OPTIONS + ["--methods", "--seed", "--folds", "--k", "--target-k",
                             "--emit-plot-data"],

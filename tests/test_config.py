@@ -230,6 +230,17 @@ def test_fingerprint_hash_tracks_content():
     int(a.fingerprint_hash(), 16)
 
 
+def test_fingerprint_hash_does_not_depend_on_how_paths_are_spelled(monkeypatch):
+    # one file named relative to the working directory and by its absolute
+    # path: the data and schema paths differ as strings, the hash does not
+    monkeypatch.chdir(ROOT)
+    rel, absolute = load_config("configs/german.ini"), load_config(CONFIGS / "german.ini")
+    assert rel.data_path != absolute.data_path and rel.schema_path != absolute.schema_path
+    assert rel.fingerprint() == absolute.fingerprint()
+    assert rel.fingerprint_hash() == absolute.fingerprint_hash()
+    assert not {"data_path", "schema_path", "output_dir"} & set(rel.fingerprint())
+
+
 def test_pipeline_mapping(tmp_path):
     cfg = load_config(_write(tmp_path, FULL))
     p = cfg.pipeline("lr", seed=99)

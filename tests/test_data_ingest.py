@@ -586,7 +586,7 @@ def test_preprocess_leaves_no_missing(raw_dataset):
 
 def test_replay_reproduces_processed_matrix(raw_dataset):
     out, report = preprocess(raw_dataset)
-    replayed = apply_report(raw_dataset, PreprocessReport.from_json(report.to_json()))
+    replayed = apply_report(raw_dataset, PreprocessReport(**json.loads(report.to_json())))
     assert replayed.features.dtype == out.features.dtype == np.float64
     assert replayed.features.tobytes() == out.features.tobytes()
 
@@ -653,7 +653,7 @@ def test_categorical_column_without_vocabulary_names_it(raw_dataset):
 def test_report_json_round_trip(raw_dataset):
     for scale in (True, False):
         _, report = preprocess(raw_dataset, scale=scale)
-        clone = PreprocessReport.from_json(report.to_json())
+        clone = PreprocessReport(**json.loads(report.to_json()))
         assert clone == report
         assert bool(clone.means) is bool(clone.stds) is scale
         assert clone.to_json() == report.to_json()
@@ -665,10 +665,11 @@ def test_report_json_keys_are_the_field_names(raw_dataset):
 
 
 def test_report_json_reads_missing_fields_as_empty(raw_dataset):
+    # a fold fit's dict holds the report's fields, read back as keywords
     _, report = preprocess(raw_dataset, scale=False)
-    assert PreprocessReport.from_json("{}") == PreprocessReport()
-    partial = PreprocessReport.from_json(json.dumps({"imputation": report.imputation,
-                                                     "codes": report.codes}))
+    assert PreprocessReport(**json.loads("{}")) == PreprocessReport()
+    partial = PreprocessReport(**json.loads(json.dumps({"imputation": report.imputation,
+                                                        "codes": report.codes})))
     assert partial == report and partial.means == {} and partial.stds == {}
 
 

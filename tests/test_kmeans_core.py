@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskmeans.kmeans_core as kc
-from riskmeans.data_ingest import Dataset
+from riskmeans.bench_harness import FoldFit
+from riskmeans.data_ingest import Dataset, PreprocessReport
+from riskmeans.feature_select import RfeResult
 from riskmeans.kmeans_core import (
     INIT_KMEANSPP,
     INIT_UNIFORM,
@@ -22,8 +24,6 @@ from riskmeans.kmeans_core import (
     KMeansParams,
     assign_many,
     choose_k,
-    classifier_from_json,
-    classifier_to_json,
     fit_classifier,
     kmeanspp_init,
     lloyd_fit,
@@ -1094,16 +1094,20 @@ def test_translation_equivariance():
 
 
 def test_classifier_json_round_trip(blob_dataset):
+    # a classifier's JSON form is the "kmeans" section of a fold fit's dict
     clf = fit_classifier(blob_dataset, KMeansParams(k=3, restarts=3, seed=5))
-    text = classifier_to_json(clf)
-    clone = classifier_from_json(text)
-    assert (clone.model.centroids == clf.model.centroids).all()
-    assert (clone.posteriors == clf.posteriors).all()
+    fit = FoldFit(preprocess=PreprocessReport(), selection=RfeResult(range(blob_dataset.d), ()),
+                  kmeans=clf, logistic=None)
+    raw = json.loads(json.dumps(fit.to_dict(blob_dataset.column_names())))
+    clone = FoldFit.from_dict(raw).kmeans
+    assert clone.model.centroids.tobytes() == clf.model.centroids.tobytes()
+    assert clone.posteriors.tobytes() == clf.posteriors.tobytes()
     assert clone.bandwidth == clf.bandwidth
-    raw = json.loads(text)
-    assert set(raw) == {"k", "d", "centroids", "posteriors", "bandwidth", "wcss",
-                        "iterations_run", "converged"}  # provenance is the caller's stamp
-    assert "threshold" not in raw
+    assert (clone.model.wcss, clone.model.iterations_run, clone.model.converged) == (
+        clf.model.wcss, clf.model.iterations_run, clf.model.converged)
+    # k and d are the shapes of the centroids; provenance is the caller's stamp
+    assert set(raw["kmeans"]) == {"centroids", "posteriors", "bandwidth", "wcss",
+                                  "iterations_run", "converged"}
     x = np.asarray(blob_dataset.features, dtype=float)[:7]
     assert (predict_scores(clone, x) == predict_scores(clf, x)).all()
 
