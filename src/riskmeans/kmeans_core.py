@@ -41,10 +41,9 @@ cheaper pass. One matrix
 product per slab, ``[-2c, ‖c‖²] · [p, 1]``, gives each centre its screen
 value ``s_j = ‖c_j‖² - 2 c_j·p``: the squared distance ``D_j`` less
 ``P = ‖p‖²``, which is the same for every centre of a point. The strict-<
-pass over the s_j picks a winner b and tracks the runner-up, and only
-``D_b`` is then computed, its columns added left to right as
-:func:`_sq_dists` adds them. With ``u = 2**-53``, ``γ_m = m·u / (1 - m·u)``
-and ``M`` the largest ``‖c‖²`` of the run, the two roundings are bounded:
+pass over the s_j picks a winner b and tracks the runner-up; no exact
+distance is computed. With ``u = 2**-53``, ``γ_m = m·u / (1 - m·u)`` and
+``M`` the largest ``‖c‖²`` of the run, the two roundings are bounded:
 
 * the screen: ``‖c‖²`` sums d squares, off by at most ``γ_d·‖c‖²``; the
   product adds d + 1 terms in any order, off by at most ``γ_{d+1}`` times
@@ -65,8 +64,11 @@ of its winner (every point with an exact tie) gets the dense strict-< pass
 over its run's centres instead. The screen runs only while
 ``4·(max P + max M)`` is finite, so no product or partial sum overflows
 (:func:`lloyd_fit` and :func:`choose_k` reject points whose P overflows).
-Labels, distances, traces and models are therefore bit for bit those of the
-dense pass.
+So the labels are bit for bit those of the dense pass. A dense pass has
+every exact distance anyway; after a screened pass, :meth:`_Slabs.exact`
+computes ``D_b``, its columns added left to right as :func:`_sq_dists` adds
+them, only for the WCSS a returned model reads (see :func:`_lloyd_runs`),
+so traces and models are bit for bit those of the dense pass too.
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ PROBE_PARAMS = KMeansParams(k=2, restarts=2, max_iters=100)
 
 @dataclass(frozen=True)
 class KMeansModel:
-    """Fitted centroids plus the fit diagnostics needed to audit the run."""
+    """Fitted centroids plus the fit diagnostics needed to audit the run.
+    ``wcss_trace`` is the WCSS of each labels pass (each point's squared
+    distance to the centre it was labelled with, summed), then ``wcss``."""
 
     centroids: np.ndarray
     wcss: float
@@ -334,14 +338,15 @@ class _Slabs:
                            out=d2[:m])
         return stack
 
-    def nearest(self, stack: np.ndarray, ks: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def nearest(self, stack: np.ndarray, ks: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
         """Label every point of every run with its nearest centre (ties to the
         lowest index, as the strict-< pass of :func:`_nearest` gives them),
         written into ``labels`` as stack rows ``r * K + j``, and return the
-        (R, n) squared distances to it.
+        (R, n) squared distances to it, which the dense pass has anyway.
 
-        From a widest k of ``_SCREEN_MIN_K``, :meth:`screen` gives the same,
-        whenever its products stay finite."""
+        From a widest k of ``_SCREEN_MIN_K``, :meth:`screen` gives the same
+        labels, whenever its products stay finite, and returns ``None``:
+        :meth:`exact` gives those distances on demand."""
         R, K = ks.size, int(ks[0])
         lab, below = self.marks[:, :R]
         lab.fill(0)
@@ -360,14 +365,14 @@ class _Slabs:
         return best
 
     def screen(self, stack: np.ndarray, ks: np.ndarray, squares: np.ndarray,
-               labels: np.ndarray) -> np.ndarray:
+               labels: np.ndarray) -> None:
         """:meth:`nearest` through the screen (see the module docstring).
 
         One matrix product ``[-2c, ‖c‖²] · [p, 1]`` per slab ranks every
         run's centres by ``‖c‖² - 2 c·p`` in the strict-< pass, which also
-        tracks each point's runner-up; the winner then gets its exact
-        squared distance, and points whose runner-up lies within τ of the
-        winner get the dense pass from :meth:`fallback`."""
+        tracks each point's runner-up; points whose runner-up lies within τ
+        of the winner get the dense pass from :meth:`fallback`. No exact
+        distance is computed."""
         R, K = ks.size, int(ks[0])
         lab, below = self.marks[:, :R]
         best, second = self.best[:R], self.term[:R]
@@ -386,17 +391,6 @@ class _Slabs:
         gaps = np.subtract(second, best, out=second)
         np.add(lab, (np.arange(R) * K)[:, None], out=labels)
 
-        # the exact distance to the winner, columns added in order
-        gathered = self.slab[:R]
-        centres = np.ascontiguousarray(stack.reshape(R * K, -1).T)  # (d, R * K)
-        for c, col in enumerate(self.cols):
-            np.take(centres[c], labels, out=gathered, mode="wrap")  # in range by construction
-            np.subtract(col, gathered, out=gathered)
-            if c == 0:
-                np.square(gathered, out=best)
-            else:
-                best += np.square(gathered, out=gathered)
-
         # tau = scale * (P + M); a run whose smallest gap exceeds its largest
         # tau has no point to check
         scale = _SCREEN_EPS * (len(self.cols) + 3)
@@ -404,21 +398,33 @@ class _Slabs:
         for r in np.flatnonzero(~(gaps.min(axis=1) > scale * self.norms.max() + centre_tau)):
             close = np.flatnonzero(~(gaps[r] > scale * self.norms + centre_tau[r]))
             if close.size:
-                self.fallback(stack[r, :ks[r]], close, labels[r], best[r], r * K)
-        return best
+                self.fallback(stack[r, :ks[r]], close, labels[r], r * K)
 
     def fallback(self, centres: np.ndarray, rows: np.ndarray, labels: np.ndarray,
-                 best: np.ndarray, offset: int) -> None:
-        """Exact labels and squared distances of ``rows`` of one run, from the
-        strict-< pass over all its centres, written at ``rows`` of that run's
-        ``labels`` (as stack rows, from ``offset``) and ``best``."""
-        lab, d2 = _nearest(_sq_dists(self.points[rows], centres))
-        labels[rows] = lab + offset
-        best[rows] = d2
+                 offset: int) -> None:
+        """Exact labels of ``rows`` of one run, from the strict-< pass over all
+        its centres, written at ``rows`` of that run's ``labels`` (as stack
+        rows, from ``offset``)."""
+        labels[rows] = _nearest(_sq_dists(self.points[rows], centres))[0] + offset
+
+    def exact(self, centres: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The (m, n) squared distances of every point to the row of the
+        (M, d) ``centres`` that each of the m <= runs rows of ``labels``
+        names, its columns added left to right as :func:`_sq_dists` adds
+        them, written into the head of :attr:`best`."""
+        out, gathered = self.best[:len(labels)], self.slab[:len(labels)]
+        out.fill(0.0)
+        cols = np.ascontiguousarray(centres.T)  # (d, M)
+        for c, col in enumerate(self.cols):
+            np.take(cols[c], labels, out=gathered, mode="wrap")  # in range by construction
+            out += np.square(np.subtract(col, gathered, out=gathered), out=gathered)
+        return out
 
 
 def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMeansModel]:
-    """One Lloyd fit per (k, seed) pair on the same points, all in lockstep.
+    """One Lloyd fit per (k, seed) pair on the same points, all in lockstep,
+    and for each distinct k, in the order the ks first appear, the first of
+    its runs with the lowest WCSS.
 
     Run i starts from ``default_rng(seeds[i])`` and ``params.init`` with
     ``ks[i]`` centres; ``params.k`` is not read. Runs may share a seed, as
@@ -436,9 +442,15 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     save, each run is bincounted on its own). A run converges when no centre
     c moves by ``params.tol * (1 + ||c - mu||)`` or more, mu the mean of the
     points, so translating the points does not move the stopping point. It
-    leaves the stack when it converges or reaches ``params.max_iters``. Each
-    returned model, in the order of ``ks``, is bit for bit the fit of that
-    run on its own, with ``repairs`` counting the empty clusters it reseeded.
+    leaves the stack when it converges or reaches ``params.max_iters``.
+
+    A dense pass's WCSS goes into the traces at once. After a screened pass
+    each run keeps its labels (n bytes per run and pass for k up to 255,
+    freed on return) and centres, and after the loop :meth:`_Slabs.exact`
+    sums, in blocks of the workspace rows, only the last pass of each run
+    that ended on the centres it saw (its WCSS picks the winners), then the
+    winners' other screened passes. Each returned model is bit for bit the
+    fit of its run alone, ``repairs`` counting the clusters it reseeded.
     """
     n, d = points.shape
     ids = np.argsort(-np.asarray(ks), kind="stable")  # input position of each stack row
@@ -461,14 +473,32 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     tall = n >= _TALL_N
     weights = None if tall else np.empty((ks.size, n))  # one point column per run
     labels = np.empty((ks.size, n), dtype=np.intp)  # stack rows r * K + j
-    traces: list[list[float]] = [[] for _ in ks]
+    # per run, each labels pass's WCSS, or (centres, labels) of a screened pass
+    traces: list[list] = [[] for _ in ks]
     repairs = [0] * ks.size
-    models: list[KMeansModel | None] = [None] * ks.size
+    # per run: centres, final WCSS (None: its last pass's), iterations, converged
+    fits: list[tuple] = [()] * ks.size
+
+    def settle(entries):  # sums screened trace entries (run, position), by workspace rows
+        for start in range(0, len(entries), work.runs):
+            block = entries[start:start + work.runs]
+            centres = [traces[i][t][0] for i, t in block]
+            offsets = np.cumsum([0] + [len(c) for c in centres])
+            for b, (i, t) in enumerate(block):
+                np.add(traces[i][t][1], offsets[b], out=labels[b])
+            totals = work.exact(np.concatenate(centres), labels[:len(block)]).sum(axis=1)
+            for (i, t), total in zip(block, totals.tolist()):
+                traces[i][t] = total
+
     for iteration in range(1, params.max_iters + 1):
         R, K = ks.size, int(ks[0])
         nearest = work.nearest(stack, ks, labels[:R])
-        for i, total in zip(ids, nearest.sum(axis=1).tolist()):
-            traces[i].append(total)
+        if nearest is None:  # keep each run's labels within the run
+            own = np.empty((R, n), dtype=work.marks.dtype)
+            np.subtract(labels[:R], (np.arange(R) * K)[:, None], out=own, casting="unsafe")
+        entries = zip(stack, own) if nearest is None else nearest.sum(axis=1).tolist()
+        for i, entry in zip(ids, entries):
+            traces[i].append(entry)
 
         sums = np.empty((R, K, d))
         flat = labels[:R].ravel()
@@ -495,21 +525,30 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
         converged = shift < params.tol
         done = converged | (iteration == params.max_iters)
         for r in np.flatnonzero(done):
-            centers, i = new[r, :ks[r]].copy(), ids[r]
-            if np.array_equal(centers, stack[r, :ks[r]]):
-                wcss = traces[i][-1]  # the last labels pass saw these centres
-            else:
-                wcss = float(_nearest(_sq_dists(points, centers))[1].sum())
-            traces[i].append(wcss)
-            models[i] = KMeansModel(centroids=centers, wcss=wcss, iterations_run=iteration,
-                                    converged=bool(converged[r]), wcss_trace=tuple(traces[i]),
-                                    repairs=repairs[i])
+            centers = new[r, :ks[r]].copy()
+            # None when the last labels pass saw these centres
+            wcss = (None if np.array_equal(centers, stack[r, :ks[r]])
+                    else float(_nearest(_sq_dists(points, centers))[1].sum()))
+            fits[ids[r]] = (centers, wcss, iteration, bool(converged[r]))
         if done.all():
             break
         keep = ~done
         ks, ids = ks[keep], ids[keep]
         stack = np.ascontiguousarray(new[keep][:, :ks[0]])
-    return models
+
+    settle([(i, -1) for i, trace in enumerate(traces)
+            if fits[i][1] is None and isinstance(trace[-1], tuple)])
+    wcss = [traces[i][-1] if fit[1] is None else fit[1] for i, fit in enumerate(fits)]
+    winners: dict = {}  # k: the input position of its first lowest-WCSS run
+    for i, (centers, *_) in enumerate(fits):
+        k = len(centers)
+        if k not in winners or wcss[i] < wcss[winners[k]]:
+            winners[k] = i
+    settle([(i, t) for i in winners.values()
+            for t, entry in enumerate(traces[i]) if isinstance(entry, tuple)])
+    return [KMeansModel(centroids=fits[i][0], wcss=wcss[i], iterations_run=fits[i][2],
+                        converged=fits[i][3], wcss_trace=(*traces[i], wcss[i]),
+                        repairs=repairs[i]) for i in winners.values()]
 
 
 def _checked_points(points: np.ndarray) -> np.ndarray:
@@ -538,11 +577,6 @@ def _restart_seeds(params: KMeansParams) -> list[int]:
     return [derive_seed(params.seed, f"restart:{r}") for r in range(params.restarts)]
 
 
-def _lowest_wcss(models: list[KMeansModel]) -> KMeansModel:
-    """The first of the models with the lowest WCSS."""
-    return min(models, key=lambda model: model.wcss)
-
-
 def lloyd_fit(points: np.ndarray, params: KMeansParams) -> KMeansModel:
     """Run Lloyd's algorithm ``params.restarts`` times and keep the lowest-WCSS fit.
 
@@ -555,7 +589,7 @@ def lloyd_fit(points: np.ndarray, params: KMeansParams) -> KMeansModel:
     """
     points, seeds = _checked_points(points), _restart_seeds(params)
     if params.k <= points.shape[0]:
-        model = _lowest_wcss(_lloyd_runs(points, [params.k] * len(seeds), seeds, params))
+        model, = _lloyd_runs(points, [params.k] * len(seeds), seeds, params)
     if params.k > points.shape[0] or model.repairs:  # k > n >= D raises, unfitted
         distinct = np.unique(points, axis=0).shape[0]
         if distinct < params.k:
@@ -668,12 +702,11 @@ def choose_k(points: np.ndarray,
                          f"but the selected columns hold {distinct}")
     ks = range(2, min(params.k, n - 1, distinct) + 1)
     seeds = _restart_seeds(params)
-    runs = _lloyd_runs(points, [k for k in ks for _ in seeds], seeds * len(ks), params)
+    models = _lloyd_runs(points, [k for k in ks for _ in seeds], seeds * len(ks), params)
     distances = _distance_matrix(points)
     table: list[tuple[int, float]] = []
     best_k, best_score, best_model = None, -np.inf, None
-    for i, k in enumerate(ks):
-        model = _lowest_wcss(runs[i * len(seeds):(i + 1) * len(seeds)])
+    for k, model in zip(ks, models):
         score = silhouette_score(points, assign_many(model, points), distances=distances)
         table.append((k, score))
         if score > best_score:

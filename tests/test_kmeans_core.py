@@ -183,7 +183,8 @@ def test_lloyd_stopping_rule_ignores_where_the_points_sit():
     fits = {}
     for offset in (0.0, 1e6, 1e10):
         points = np.asfortranarray(x + offset)
-        runs = kc._lloyd_runs(points, ks, seeds, KMeansParams(k=2))
+        runs = [kc._lloyd_runs(points, [k], [seed], KMeansParams(k=2))[0]
+                for k, seed in zip(ks, seeds)]
         fits[offset] = [(m.iterations_run, m.converged, assign_many(m, points).tolist())
                         for m in runs]
     assert fits[1e6] == fits[0.0]
@@ -496,6 +497,24 @@ def _model_bits(model):
             model.iterations_run, model.converged, model.wcss_trace, model.repairs)
 
 
+def _assert_runs_match_oracle(points, ks, seeds, params):
+    """Each run alone is the single-run oracle, and one lockstep call, as
+    shipped and with every stack screened, returns each distinct k's first
+    lowest-WCSS oracle run, in the order the ks first appear, bit for bit."""
+    winners = {}
+    for k, seed in zip(ks, seeds):
+        want = _oracle_lloyd_single(points, replace(params, k=k), seed)
+        assert _model_bits(kc._lloyd_runs(points, [k], [seed], params)[0]) == _model_bits(want)
+        if k not in winners or want.wcss < winners[k].wcss:
+            winners[k] = want
+    for min_k in (kc._SCREEN_MIN_K, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kc, "_SCREEN_MIN_K", min_k)
+            got = kc._lloyd_runs(points, ks, seeds, params)
+        assert [_model_bits(model) for model in got] == [_model_bits(model)
+                                                          for model in winners.values()]
+
+
 @st.composite
 def _lloyd_cases(draw, n_max=60):
     """Points (normal, rounded or duplicate-heavy, so that clusters empty and
@@ -523,13 +542,11 @@ def _lloyd_cases(draw, n_max=60):
 @given(_lloyd_cases())
 @settings(deadline=None, max_examples=150)
 def test_lloyd_runs_match_single_run_oracle_bitwise(case):
-    # every run of a lockstep call, whatever k its neighbours have, is the
-    # run on its own; lloyd_fit is the oracle's restart loop
+    # a lockstep call, whatever k the neighbours of each run have, returns
+    # each k's winner as its runs on their own give it; lloyd_fit is the
+    # oracle's restart loop
     points, ks, seeds, params = case
-    got = kc._lloyd_runs(points, ks, seeds, params)
-    for k, seed, model in zip(ks, seeds, got):
-        want = _oracle_lloyd_single(points, replace(params, k=k), seed)
-        assert _model_bits(model) == _model_bits(want)
+    _assert_runs_match_oracle(points, ks, seeds, params)
     want = _oracle_lloyd_fit(points, params)
     distinct = len(np.unique(points, axis=0))
     if distinct < params.k:
@@ -551,11 +568,7 @@ def test_lloyd_runs_sharing_seeds_give_each_run_its_model_alone(init):
     seeds = [derive_seed(5, f"restart:{r}") for r in range(4)]
     ks = [k for k in range(2, 10) for _ in seeds]
     for points in tables:
-        points = np.asfortranarray(points)
-        got = kc._lloyd_runs(points, ks, seeds * 8, params)
-        for k, seed, model in zip(ks, seeds * 8, got):
-            alone = kc._lloyd_runs(points, [k], [seed], params)[0]
-            assert _model_bits(model) == _model_bits(alone)
+        _assert_runs_match_oracle(np.asfortranarray(points), ks, seeds * 8, params)
 
 
 def test_choose_k_draws_k_means_pp_once_per_restart_seed(monkeypatch):
@@ -579,9 +592,7 @@ def test_lloyd_runs_cover_repairs_wide_slabs_and_tall_inputs():
         points = np.asfortranarray(points)
         params = KMeansParams(k=2, max_iters=max_iters, seed=4)
         seeds = [derive_seed(9, f"run:{i}") for i in range(len(ks))]
-        for model, k, seed in zip(kc._lloyd_runs(points, ks, seeds, params), ks, seeds):
-            want = _oracle_lloyd_single(points, replace(params, k=k), seed)
-            assert _model_bits(model) == _model_bits(want)
+        _assert_runs_match_oracle(points, ks, seeds, params)
 
 
 @st.composite
@@ -617,14 +628,7 @@ def _screen_cases(draw):
 @settings(deadline=None, max_examples=100)
 def test_screened_labels_match_the_dense_oracle_bitwise(case):
     # as shipped, and with every stack screened (any k)
-    points, ks, seeds, params = case
-    want = [_model_bits(_oracle_lloyd_single(points, replace(params, k=k), seed))
-            for k, seed in zip(ks, seeds)]
-    for min_k in (kc._SCREEN_MIN_K, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kc, "_SCREEN_MIN_K", min_k)
-            got = kc._lloyd_runs(points, ks, seeds, params)
-        assert [_model_bits(model) for model in got] == want
+    _assert_runs_match_oracle(*case)
 
 
 def _spy(monkeypatch, name):
@@ -640,25 +644,72 @@ def _spy(monkeypatch, name):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e9])
-def test_exact_ties_fall_back_to_the_dense_pass(monkeypatch, offset):
+def test_exact_ties_fall_back_to_the_dense_pass(offset):
     # rows 1 and 3 are exactly as far from centres 1 and 2 as from centre 0,
     # so their screen values tie; around 1e9 the screen's squared norms also
     # round (to multiples of 128), where the exact distances do not
     centres = offset + np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [9.0, 9.0]])
     points = np.asfortranarray(offset + np.array(
         [[0.0, -1.0], [1.0, 1.0], [9.0, 8.0], [1.0, 1.0], [3.0, 0.0]]))
-    fallbacks = _spy(monkeypatch, "fallback")
-    work, labels = kc._Slabs(points, 1, 4), np.empty((1, 5), dtype=np.intp)
-    best = work.nearest(centres[None], np.array([4]), labels)
     want_labels, want_best = _loop_nearest(_loop_sq_dists(points, centres))
-    assert labels[0].tolist() == want_labels.tolist() == [0, 0, 3, 0, 1]
-    assert best[0].tobytes() == want_best.tobytes()
-    assert len(fallbacks) == 1
-    rows = fallbacks[0][2].tolist()
-    if offset == 0:
-        assert rows == [1, 3]
-    else:  # every row lies within the bound of a second centre there
-        assert {1, 3} <= set(rows)
+    for min_k in (kc._SCREEN_MIN_K, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kc, "_SCREEN_MIN_K", min_k)
+            fallbacks = _spy(mp, "fallback")
+            work, labels = kc._Slabs(points, 1, 4), np.empty((1, 5), dtype=np.intp)
+            # the screen gives labels only; the exact distances come on demand
+            assert work.nearest(centres[None], np.array([4]), labels) is None
+        assert labels[0].tolist() == want_labels.tolist() == [0, 0, 3, 0, 1]
+        assert work.exact(centres, labels)[0].tobytes() == want_best.tobytes()
+        assert len(fallbacks) == 1
+        rows = fallbacks[0][2].tolist()
+        if offset == 0:
+            assert rows == [1, 3]
+        else:  # every row lies within the bound of a second centre there
+            assert {1, 3} <= set(rows)
+
+
+@pytest.mark.parametrize("kind", ["offset", "grid"])
+def test_screened_traces_sum_the_labels_the_fallback_wrote(monkeypatch, kind):
+    # the fallback corrects a row's label in the stack-row labels only, and
+    # around 1e9 nearly every row falls back: each winner's trace, summed
+    # after the loop from the kept labels, is still the oracle's
+    rng = np.random.default_rng(12)
+    if kind == "offset":
+        points = 1e9 + rng.normal(size=(40, 2))
+    else:  # exact ties
+        points = rng.integers(-2, 3, size=(40, 3)).astype(float)
+    points = np.asfortranarray(points)
+    monkeypatch.setattr(kc, "_SCREEN_MIN_K", 1)
+    fallbacks, passes = _spy(monkeypatch, "fallback"), _spy(monkeypatch, "nearest")
+    ks, params = [1, 2, 3, 4, 5] * 2, KMeansParams(k=2, seed=3)
+    seeds = [derive_seed(2, f"run:{i}") for i in range(len(ks))]
+    got = kc._lloyd_runs(points, ks, seeds, params)
+    fallen = sum(call[2].size for call in fallbacks)
+    labelled = sum(call[3].size for call in passes)
+    assert fallen > labelled / 2 if kind == "offset" else fallen > 0
+    winners = {}
+    for k, seed in zip(ks, seeds):
+        want = _oracle_lloyd_single(points, replace(params, k=k), seed)
+        if k not in winners or want.wcss < winners[k].wcss:
+            winners[k] = want
+    assert [(m.wcss, m.wcss_trace) for m in got] == [(m.wcss, m.wcss_trace)
+                                                     for m in winners.values()]
+
+    # the gather, point by point, on a screened pass of the same stack
+    order, work = np.sort(ks)[::-1], kc._Slabs(points, len(ks), 5)  # k = 5 down to 1
+    stack = work.kmeanspp(order, [np.random.default_rng(seed) for seed in seeds])
+    stack[np.arange(5) >= order[:, None]] = 0.0
+    labels = np.empty((len(ks), points.shape[0]), dtype=np.intp)
+    fallbacks.clear()
+    assert work.nearest(stack, order, labels) is None
+    assert fallbacks
+    got = work.exact(stack.reshape(-1, points.shape[1]), labels)
+    for r, k in enumerate(order):
+        d2 = _loop_sq_dists(points, stack[r, :k])
+        want_labels, want = _loop_nearest(d2)
+        assert (labels[r] - 5 * r).tolist() == want_labels.tolist()
+        assert got[r].tobytes() == want.tobytes()
 
 
 def test_only_stacks_from_k_4_take_the_screen(monkeypatch):
@@ -696,9 +747,7 @@ def test_squared_norms_near_the_float64_limit_take_the_dense_pass(monkeypatch):
     assert np.isfinite(np.square(points).sum(axis=1)).all()
     params = KMeansParams(k=4, seed=2)
     ks, seeds = [4, 4, 5], [derive_seed(5, f"run:{i}") for i in range(3)]
-    for model, k, seed in zip(kc._lloyd_runs(points, ks, seeds, params), ks, seeds):
-        want = _oracle_lloyd_single(points, replace(params, k=k), seed)
-        assert _model_bits(model) == _model_bits(want)
+    _assert_runs_match_oracle(points, ks, seeds, params)
     assert lloyd_fit(points, params).iterations_run > 1
     assert screens == []
 
