@@ -90,7 +90,10 @@ def check_methods(methods) -> None:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything that determines a cross-validated run, minus the dataset."""
+    """Everything that determines a cross-validated run, minus the dataset.
+    ``rfe_step`` (rfe drops one column per round) and ``kmeans_init`` (Lloyd
+    seeds by k-means++) are fixed; they stay because every report's
+    fingerprint records them, and any other value raises ``ValueError``."""
 
     method: str = "kmeans"
     folds: int = 5
@@ -104,12 +107,14 @@ class PipelineConfig:
     kmeans_restarts: int = KMeansParams.restarts
     kmeans_max_iters: int = KMeansParams.max_iters
     kmeans_tol: float = KMeansParams.tol
-    kmeans_init: str = KMeansParams.init
+    kmeans_init: str = "kmeanspp"
 
     def __post_init__(self):
         check_methods((self.method,))
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if (self.rfe_step, self.kmeans_init) != (1, "kmeanspp"):
+            raise ValueError("rfe_step must be 1 and kmeans_init 'kmeanspp'")
 
     def fingerprint(self) -> dict:
         return dataclasses.asdict(self)
@@ -192,7 +197,7 @@ def _fit_kmeans(train: Dataset, config: PipelineConfig,
         k=config.kmeans_k_max if auto else config.kmeans_k,
         max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
         restarts=config.kmeans_restarts,
-        seed=derive_seed(fold_seed, "kmeans"), init=config.kmeans_init,
+        seed=derive_seed(fold_seed, "kmeans"),
     )
     return fit_classifier(train, params,
                           model=choose_k(train.features, params)[2] if auto else None)
@@ -202,9 +207,9 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
              fold_seed: int, *, methods=None) -> FoldFit:
     """Fit preprocessing and the selection on train rows only, then a model
     for each of ``methods`` (default ``(config.method,)``), in the order
-    given, on that shared state. The selection, by ``config.rfe_step``, is
-    rfe to every column with rfe off, rfe to a fixed ``rfe_target_k``, or for
-    ``None`` the :func:`select_target_k` winner seeded (fold_seed, "target_k").
+    given, on that shared state. The selection is rfe to every column with
+    rfe off, rfe to a fixed ``rfe_target_k``, or for ``None`` the
+    :func:`select_target_k` winner seeded (fold_seed, "target_k").
 
     Neither the preprocessing nor the selection reads the method, so each
     model is the one a fit for its method alone would give.
@@ -217,9 +222,9 @@ def fit_fold(ds: Dataset, train_indices: np.ndarray, config: PipelineConfig,
 
     target_k = config.rfe_target_k if config.rfe_enabled else X.shape[1]
     if target_k is None:
-        selection = select_target_k(X, y, derive_seed(fold_seed, "target_k"), config.rfe_step)
+        selection = select_target_k(X, y, derive_seed(fold_seed, "target_k"))
     else:
-        selection = rfe(X, y, target_k, config.rfe_step)
+        selection = rfe(X, y, target_k)
     train = Dataset.numeric(X[:, selection.selected], y)
 
     fit = FoldFit(preprocess=report, selection=selection, kmeans=None, logistic=None)

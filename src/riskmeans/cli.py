@@ -106,7 +106,15 @@ def cmd_ingest(args, cfg, ds) -> int:
     return 0
 
 
+def _check_target_k(cfg: ExperimentConfig, ds) -> None:
+    """Reject a fixed rfe target above the table's feature count (rfe off never reads it)."""
+    if cfg.rfe_enabled and (cfg.rfe_target_k or 0) > ds.d:
+        raise UsageError(f"--target-k/[rfe] target_k: {cfg.rfe_target_k} "
+                         f"exceeds the {ds.d} feature columns")
+
+
 def cmd_train(args, cfg, ds) -> int:
+    _check_target_k(cfg, ds)
     fit = fit_fold(ds, np.arange(ds.n), cfg.pipeline("kmeans", seed=args.seed), args.seed)
     path = os.path.join(_outdir(cfg), "model.json")
     _write_artifact(path, cfg, args.seed, fit.to_dict(ds.column_names()))
@@ -117,6 +125,7 @@ def cmd_train(args, cfg, ds) -> int:
 
 
 def cmd_run(args, cfg, ds) -> int:
+    _check_target_k(cfg, ds)
     result = compare_methods(ds, args.methods, cfg.pipeline(args.methods[0], seed=args.seed))
     files = {}  # name -> body, in the order written
     for m, rep in result.computed:

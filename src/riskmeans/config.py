@@ -13,7 +13,6 @@ Files are standard INI as read by :mod:`configparser`:
     [rfe]
     enabled = true
     target_k = auto        ; or an integer
-    step = 1
 
     [scanner]
     windows = 5,10         ; required by the scan command; each in [1, d]
@@ -26,7 +25,6 @@ Files are standard INI as read by :mod:`configparser`:
     restarts = 10
     tol = 1e-6
     max_iters = 300
-    init = kmeanspp        ; or uniform
 
     [cv]
     folds = 5
@@ -59,7 +57,6 @@ from typing import Callable, NamedTuple
 
 from .bench_harness import PipelineConfig
 from .data_ingest import open_input
-from .kmeans_core import INIT_KMEANSPP, INIT_UNIFORM
 from .mg_scanner import ScanConfig
 
 
@@ -108,15 +105,6 @@ def _parse_int_list(prefix, raw):
         raise ConfigError(f"{prefix}: expected comma-separated integers, got {raw!r}") from None
 
 
-def _parse_init(prefix, raw):
-    init = raw.strip()
-    if init not in (INIT_KMEANSPP, INIT_UNIFORM):
-        raise ConfigError(
-            f"{prefix}: expected {INIT_KMEANSPP!r} or {INIT_UNIFORM!r}, got {init!r}"
-        )
-    return init
-
-
 class Key(NamedTuple):
     """One config key: where it is read from, what it sets and its lowest value."""
 
@@ -142,7 +130,6 @@ KEYS = (
     Key("preprocess", "scale", "scale", _parse_bool),
     Key("rfe", "enabled", "rfe_enabled", _parse_bool),
     Key("rfe", "target_k", "rfe_target_k", _parse_int_or_auto, 1, "--target-k"),
-    Key("rfe", "step", "rfe_step", _parse_int, 1),
     Key("scanner", "windows", "scanner_windows", _parse_int_list, flag="--windows"),
     Key("scanner", "stride", "scanner_stride", _parse_int, 1, "--stride"),
     Key("scanner", "estimators", "scanner_estimators", _parse_int, 1, "--estimators"),
@@ -151,7 +138,6 @@ KEYS = (
     Key("kmeans", "restarts", "kmeans_restarts", _parse_int, 1),
     Key("kmeans", "tol", "kmeans_tol", _parse_float, 0),
     Key("kmeans", "max_iters", "kmeans_max_iters", _parse_int, 1),
-    Key("kmeans", "init", "kmeans_init", _parse_init),
     Key("cv", "folds", "cv_folds", _parse_int, 2, "--folds"),
     Key("output", "dir", "output_dir", _parse_text, flag="--out"),
 )
@@ -167,7 +153,6 @@ class ExperimentConfig:
     scale: bool = PipelineConfig.scale
     rfe_enabled: bool = PipelineConfig.rfe_enabled
     rfe_target_k: int | None = PipelineConfig.rfe_target_k
-    rfe_step: int = PipelineConfig.rfe_step
     scanner_windows: tuple = ()
     scanner_stride: int = ScanConfig.stride
     scanner_estimators: int = ScanConfig.estimators
@@ -176,7 +161,6 @@ class ExperimentConfig:
     kmeans_restarts: int = PipelineConfig.kmeans_restarts
     kmeans_tol: float = PipelineConfig.kmeans_tol
     kmeans_max_iters: int = PipelineConfig.kmeans_max_iters
-    kmeans_init: str = PipelineConfig.kmeans_init
     cv_folds: int = PipelineConfig.folds
     output_dir: str = "runs"
 

@@ -177,11 +177,11 @@ def _standardize_columns(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def rfe(X: np.ndarray, y: np.ndarray, target_k: int, step: int = 1) -> RfeResult:
-    """Drop the lowest-|weight| features one round at a time until target_k remain.
+def rfe(X: np.ndarray, y: np.ndarray, target_k: int) -> RfeResult:
+    """Drop the lowest-|weight| feature, one per round, until target_k remain.
 
     Each round refits the logistic ranker on the standardized survivors,
-    started from the previous round's optimum less the dropped weights (the
+    started from the previous round's optimum less the dropped weight (the
     first round starts from zero). Score ties drop the highest original
     column index first. ``selected`` is sorted ascending by original index.
     """
@@ -190,25 +190,16 @@ def rfe(X: np.ndarray, y: np.ndarray, target_k: int, step: int = 1) -> RfeResult
     d = X.shape[1]
     if not 1 <= target_k <= d:
         raise ValueError(f"target_k={target_k} outside [1, {d}]")
-    if step < 1:
-        raise ValueError("step must be >= 1")
     surviving = list(range(d))
     trace: list[tuple[int, int, float]] = []
-    round_no = 0
     start = None
     while len(surviving) > target_k:
         model = fit_logistic(_standardize_columns(X[:, surviving]), y, start)
         ranks = np.abs(model.weights)
-        n_drop = min(step, len(surviving) - target_k)
-        # order by (score asc, original index desc) so ties shed the highest index
-        order = sorted(range(len(surviving)),
-                       key=lambda i: (ranks[i], -surviving[i]))
-        dropped = sorted(order[:n_drop], reverse=True)  # pop from the back safely
-        for i in dropped:
-            trace.append((round_no, surviving[i], float(ranks[i])))
-            surviving.pop(i)
-        start = np.append(np.delete(model.weights, dropped), model.bias)
-        round_no += 1
+        # the lowest score goes; ties shed the highest original index
+        i = min(range(len(surviving)), key=lambda i: (ranks[i], -surviving[i]))
+        trace.append((len(trace), surviving.pop(i), float(ranks[i])))
+        start = np.append(np.delete(model.weights, i), model.bias)
     return RfeResult(selected=tuple(sorted(surviving)), elimination_trace=tuple(trace))
 
 
@@ -218,15 +209,15 @@ def default_candidates(d: int) -> list[int]:
     return sorted(k for k in raw if k >= 1)
 
 
-def select_target_k(X: np.ndarray, y: np.ndarray, seed: int = 0, step: int = 1) -> RfeResult:
+def select_target_k(X: np.ndarray, y: np.ndarray, seed: int = 0) -> RfeResult:
     """The rfe selection of the :func:`default_candidates` size with the best
     K-means-classifier accuracy over :data:`TARGET_K_FOLDS` inner folds.
 
-    For every candidate: run rfe to that size with ``step``, then cross-validate
-    a small fixed-k cluster classifier on the selected columns. Accuracy is
-    pooled over folds (total correct / n) so ties are exact; ties break to the
-    smaller candidate, whose RfeResult is returned as computed. A matrix with
-    no columns raises ``ValueError``.
+    For every candidate: run rfe to that size, then cross-validate a small
+    fixed-k cluster classifier on the selected columns. Accuracy is pooled
+    over folds (total correct / n) so ties are exact; ties break to the
+    smaller candidate, whose RfeResult is returned as computed. A matrix
+    with no columns raises ``ValueError``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -242,7 +233,7 @@ def select_target_k(X: np.ndarray, y: np.ndarray, seed: int = 0, step: int = 1) 
 
     scored: list[tuple[int, int, RfeResult]] = []  # (candidate, pooled correct, selection)
     for cand in default_candidates(X.shape[1]):
-        result = rfe(X, y, target_k=cand, step=step)
+        result = rfe(X, y, target_k=cand)
         sel = result.selected
         params = replace(PROBE_PARAMS, seed=derive_seed(seed, f"target_k:{cand}"))
         correct = 0

@@ -82,9 +82,6 @@ from .data_ingest import Dataset
 from .metrics import DECISION_THRESHOLD
 from .seeding import derive_seed
 
-INIT_KMEANSPP = "kmeanspp"
-INIT_UNIFORM = "uniform"
-
 # rows per block of the silhouette
 _SILHOUETTE_ROWS = 512
 # rows per block of choose_k's distance matrix build
@@ -118,7 +115,6 @@ class KMeansParams:
     tol: float = 1e-6
     restarts: int = 10
     seed: int = 0
-    init: str = INIT_KMEANSPP
 
     def __post_init__(self):
         if self.k < 1:
@@ -131,8 +127,6 @@ class KMeansParams:
             raise ValueError("tol must be >= 0")
         if self.tol == float("inf"):  # would stop every run after one update
             raise ValueError("tol must be finite")
-        if self.init not in (INIT_KMEANSPP, INIT_UNIFORM):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 # The target-size search's and the scanner's cluster classifiers; seed with ``replace``.
@@ -256,19 +250,6 @@ def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     return _Slabs(points, 1).kmeanspp(np.array([k]), [rng])[0]
-
-
-def uniform_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Plain uniform draw of k distinct rows as initial centers. Unlike
-    :func:`kmeanspp_init`, a narrower k does not draw a prefix of a wider
-    one. k below 1 raises ``ValueError``."""
-    points = np.asarray(points, dtype=float)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > points.shape[0]:
-        raise ValueError(f"k={k} exceeds n={points.shape[0]}")
-    idx = rng.choice(points.shape[0], size=k, replace=False)
-    return points[idx].astype(float)
 
 
 def _workspace() -> cached_property:
@@ -426,13 +407,12 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     and for each distinct k, in the order the ks first appear, the first of
     its runs with the lowest WCSS.
 
-    Run i starts from ``default_rng(seeds[i])`` and ``params.init`` with
-    ``ks[i]`` centres; ``params.k`` is not read. Runs may share a seed, as
-    every k of a :func:`choose_k` sweep shares the restart seeds: k-means++
-    then draws once per distinct seed, for the widest of its runs, and every
-    run with that seed starts from the first ``ks[i]`` of those centres,
-    which is its own draw bit for bit (see :func:`kmeanspp_init`). Uniform
-    init draws for each run, as its draws are not prefixes across k.
+    Run i starts from the k-means++ draw of ``ks[i]`` centres by
+    ``default_rng(seeds[i])``; ``params.k`` is not read. Runs may share a
+    seed, as every k of a :func:`choose_k` sweep shares the restart seeds:
+    k-means++ then draws once per distinct seed, for the widest of its runs,
+    and every run with that seed starts from the first ``ks[i]`` of those
+    centres, which is its own draw bit for bit (see :func:`kmeanspp_init`).
 
     The runs advance together: one labels pass over the centre stack's
     slabs (:meth:`_Slabs.nearest`, screened from k = 4) labels every run
@@ -457,18 +437,13 @@ def _lloyd_runs(points: np.ndarray, ks, seeds, params: KMeansParams) -> list[KMe
     ks, seeds = np.asarray(ks)[ids], [seeds[i] for i in ids]
     work = _Slabs(points, ks.size, int(ks[0]))
     mean = work.cols.mean(axis=1)  # the shift test measures centres from here
-    if params.init == INIT_KMEANSPP:
-        # one draw sequence per distinct seed, for its first run in the
-        # stack, its widest; every run with that seed takes a prefix of it
-        distinct = list(dict.fromkeys(seeds))
-        drawn = work.kmeanspp(ks[[seeds.index(seed) for seed in distinct]],
-                              [np.random.default_rng(seed) for seed in distinct])
-        stack = drawn[[distinct.index(seed) for seed in seeds]]
-        stack[np.arange(ks[0]) >= ks[:, None]] = 0.0  # zeros past each run's k
-    else:
-        stack = np.zeros((ks.size, ks[0], d))
-        for r, seed in enumerate(seeds):
-            stack[r, :ks[r]] = uniform_init(points, int(ks[r]), np.random.default_rng(seed))
+    # one draw sequence per distinct seed, for its first run in the stack,
+    # its widest; every run with that seed takes a prefix of it
+    distinct = list(dict.fromkeys(seeds))
+    drawn = work.kmeanspp(ks[[seeds.index(seed) for seed in distinct]],
+                          [np.random.default_rng(seed) for seed in distinct])
+    stack = drawn[[distinct.index(seed) for seed in seeds]]
+    stack[np.arange(ks[0]) >= ks[:, None]] = 0.0  # zeros past each run's k
 
     tall = n >= _TALL_N
     weights = None if tall else np.empty((ks.size, n))  # one point column per run

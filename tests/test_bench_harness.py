@@ -254,14 +254,14 @@ def test_fit_fold_reuses_sweep_winner(monkeypatch):
 def test_fit_fold_runs_rfe_once_per_candidate(monkeypatch):
     # the target search's winning selection is the fold's selection: no
     # elimination runs after the search, so the only logistic fits are the
-    # d - c step-1 rounds of each candidate c
+    # d - c rounds of each candidate c
     ds = _bench_dataset()
     real_rfe, real_fit = fs.rfe, fs.fit_logistic
     targets, fits = [], []
 
-    def counting_rfe(X, y, target_k, step=1):
+    def counting_rfe(X, y, target_k):
         targets.append(target_k)
-        return real_rfe(X, y, target_k, step)
+        return real_rfe(X, y, target_k)
 
     def counting_fit(*args, **kwargs):
         fits.append(1)
@@ -283,25 +283,31 @@ def test_rfe_off_is_one_rfe_to_every_column(monkeypatch):
     real_rfe = bench_harness.rfe
     targets = []
 
-    def counting_rfe(X, y, target_k, step=1):
+    def counting_rfe(X, y, target_k):
         targets.append(target_k)
-        return real_rfe(X, y, target_k, step)
+        return real_rfe(X, y, target_k)
 
     monkeypatch.setattr(bench_harness, "rfe", counting_rfe)
     fit = fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False), fold_seed=5)
     assert targets == [ds.d]
     assert fit.selection.selected == tuple(range(ds.d))
     assert fit.selection.elimination_trace == ()
-    # the step is still rfe's, so its floor holds with rfe off too
-    with pytest.raises(ValueError, match="^step must be >= 1$"):
-        fit_fold(ds, np.arange(ds.n), _config(rfe_enabled=False, rfe_step=0), fold_seed=5)
 
 
 def test_fixed_target_is_one_rfe_with_the_configured_step():
+    # the configured step is PipelineConfig's fixed one column per round
     ds = _bench_dataset()
-    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_target_k=3, rfe_step=2), fold_seed=5)
+    fit = fit_fold(ds, np.arange(ds.n), _config(rfe_target_k=3), fold_seed=5)
     proc, _ = preprocess(ds, scale=True)
-    assert fit.selection == rfe(proc.features, proc.labels, 3, step=2)
+    assert fit.selection == rfe(proc.features, proc.labels, 3)
+    assert len(fit.selection.elimination_trace) == ds.d - 3
+
+
+@pytest.mark.parametrize("fixed", [{"rfe_step": 2}, {"kmeans_init": "uniform"}])
+def test_pipeline_config_rejects_a_second_step_or_init(fixed):
+    # both fields stay only for the reports' fingerprints; no other value runs
+    with pytest.raises(ValueError, match="^rfe_step must be 1 and kmeans_init 'kmeanspp'$"):
+        PipelineConfig(**fixed)
 
 
 def test_auto_target_is_the_search_seeded_by_the_fold_seed():

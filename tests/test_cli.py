@@ -229,11 +229,35 @@ def test_select_features_artifact(tmp_path, capsys):
     assert set(entry) == {"round", "dropped_index", "dropped_column", "score"}
 
 
-def test_target_k_above_column_count_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_target_k_above_the_feature_columns_exits_two(tmp_path, capsys, command):
+    # checked once the table is loaded, before any fold fits: nothing is
+    # printed to stdout or written
     data, schema, config = write_toy_files(tmp_path)
-    assert main(["train", "--config", str(config), "--target-k", "4"]) == 1
-    assert "target_k=4 outside [1, 3]" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "model.json").exists()
+    argv = [command, "--config", str(config), "--target-k", "4", "--seed", "0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --target-k/[rfe] target_k: 4 exceeds the 3 feature columns\n"
+    assert not (tmp_path / "out").exists()
+    # with rfe off the target is not read
+    config.write_text(config.read_text(encoding="utf-8") + "\n[rfe]\nenabled = false\n",
+                      encoding="utf-8")
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("section,key,value", [("kmeans", "init", "kmeanspp"),
+                                               ("rfe", "step", "1")])
+def test_retired_init_and_step_keys_exit_two(tmp_path, capsys, section, key, value):
+    data, schema, _ = write_toy_files(tmp_path)
+    config = tmp_path / "retired.ini"
+    config.write_text(f"[data]\npath = {data}\nschema = {schema}\n\n[{section}]\n"
+                      f"{key} = {value}\n\n[output]\ndir = {tmp_path / 'out'}\n",
+                      encoding="utf-8")
+    assert main(["run", "--config", str(config), "--seed", "0"]) == 2
+    assert f"[{section}] unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_writes_model(tmp_path, capsys):

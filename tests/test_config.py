@@ -37,7 +37,6 @@ scale = false
 [rfe]
 enabled = true
 target_k = 7
-step = 2
 
 [scanner]
 windows = 4,6
@@ -50,7 +49,6 @@ k_max = 8
 restarts = 6
 tol = 1e-5
 max_iters = 200
-init = uniform
 
 [cv]
 folds = 4
@@ -66,12 +64,12 @@ def test_full_file_round_trip(tmp_path):
     assert cfg.schema_path == str(tmp_path / "data" / "toy.schema")
     assert cfg.dataset_name == "toy"
     assert cfg.scale is False
-    assert cfg.rfe_target_k == 7 and cfg.rfe_step == 2
+    assert cfg.rfe_target_k == 7
     assert cfg.scanner_windows == (4, 6)
     assert cfg.scanner_stride == 2 and cfg.scanner_estimators == 3
     assert cfg.kmeans_k == 3 and cfg.kmeans_k_max == 8
     assert cfg.kmeans_restarts == 6 and cfg.kmeans_tol == 1e-5
-    assert cfg.kmeans_max_iters == 200 and cfg.kmeans_init == "uniform"
+    assert cfg.kmeans_max_iters == 200
     assert cfg.cv_folds == 4
     assert cfg.output_dir == str(tmp_path / "out")
 
@@ -179,9 +177,13 @@ def test_infinite_tol_rejected(tmp_path, value):
         load_config(p)
 
 
-def test_bad_init_rejected(tmp_path):
-    p = _write(tmp_path, "[kmeans]\ninit = random\n")
-    with pytest.raises(ConfigError, match="kmeanspp"):
+@pytest.mark.parametrize("section,key,value", [("kmeans", "init", "kmeanspp"),
+                                               ("rfe", "step", "1")])
+def test_retired_init_and_step_keys_are_unknown(tmp_path, section, key, value):
+    # k-means++ and one column per round are fixed, so naming either key,
+    # even with that value, is an unknown key
+    p = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] unknown key '{key}'$"):
         load_config(p)
 
 
@@ -199,7 +201,6 @@ def test_folds_floor_enforced(tmp_path):
 
 @pytest.mark.parametrize("section,key,value,floor", [
     ("rfe", "target_k", "0", 1),
-    ("rfe", "step", "0", 1),
     ("kmeans", "k", "0", 1),
     ("kmeans", "k_max", "1", 2),
     ("kmeans", "restarts", "0", 1),
@@ -248,9 +249,8 @@ def test_pipeline_mapping(tmp_path):
     assert p.seed == 99
     assert p.folds == 4
     assert p.scale is False
-    assert p.rfe_target_k == 7 and p.rfe_step == 2
+    assert p.rfe_target_k == 7
     assert p.kmeans_k == 3 and p.kmeans_restarts == 6
-    assert p.kmeans_init == "uniform"
 
 
 def test_each_default_is_stated_once():
@@ -258,5 +258,5 @@ def test_each_default_is_stated_once():
                                                                            seed=0)
     p = PipelineConfig()
     params = KMeansParams(k=2)
-    assert ((p.kmeans_restarts, p.kmeans_max_iters, p.kmeans_tol, p.kmeans_init)
-            == (params.restarts, params.max_iters, params.tol, params.init))
+    assert ((p.kmeans_restarts, p.kmeans_max_iters, p.kmeans_tol)
+            == (params.restarts, params.max_iters, params.tol))

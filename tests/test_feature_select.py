@@ -200,7 +200,7 @@ def test_rfe_finds_informative_feature():
     X, y = _informative_problem()
     result = rfe(X, y, target_k=1)
     assert result.selected == (0,)
-    assert len(result.elimination_trace) == 3
+    assert [r for r, _, _ in result.elimination_trace] == [0, 1, 2]  # one column a round
     dropped = {j for _, j, _ in result.elimination_trace}
     assert dropped == {1, 2, 3}
 
@@ -225,14 +225,6 @@ def test_rfe_deterministic_replay():
     b = rfe(X, y, target_k=2)
     assert a.selected == b.selected
     assert a.elimination_trace == b.elimination_trace
-
-
-def test_rfe_step_bigger_than_one():
-    X, y = _informative_problem(seed=2)
-    result = rfe(X, y, target_k=1, step=2)
-    assert result.selected == (0,)
-    rounds = [r for r, _, _ in result.elimination_trace]
-    assert rounds == [0, 0, 1]  # 2 dropped in round 0, then the clamped 1
 
 
 def test_rfe_tie_drops_highest_index():
@@ -331,13 +323,13 @@ def _correlated_problem(seed=1, n=200, d=8):
     return X, y
 
 
-def test_select_target_k_returns_winner_ranked_with_step():
+def test_select_target_k_returns_rfe_to_its_own_size():
+    # the winner is returned as its candidate's rfe ranked it, trace and all
     X, y = _correlated_problem()
     assert default_candidates(8) == [2, 4, 6, 8]
-    winner = select_target_k(X, y, seed=0, step=2)
-    assert winner == rfe(X, y, target_k=6, step=2)
-    # on this table the step matters: step 1 keeps a different six columns
-    assert winner.selected != rfe(X, y, target_k=6, step=1).selected
+    winner = select_target_k(X, y, seed=0)
+    assert winner == rfe(X, y, target_k=len(winner.selected))
+    assert len(winner.elimination_trace) == 6  # the 2-column candidate won
 
 
 def test_default_candidates_grid():
@@ -406,9 +398,9 @@ def test_warm_fit_reaches_the_cold_optimum(seed, n, d, signal, data):
 
 
 def _cold_rfe(X, y, target_k):
-    """The reference loop: rfe with step 1 and every round's ranker started
-    from zero. Yields (dropped original index, its score, every survivor's
-    score by original index, Newton steps) per round."""
+    """The reference loop: rfe with every round's ranker started from zero.
+    Yields (dropped original index, its score, every survivor's score by
+    original index, Newton steps) per round."""
     surviving = list(range(X.shape[1]))
     while len(surviving) > target_k:
         model = fit_logistic(_standardize_columns(X[:, surviving]), y)

@@ -17,8 +17,6 @@ from riskmeans.bench_harness import FoldFit
 from riskmeans.data_ingest import Dataset, PreprocessReport
 from riskmeans.feature_select import RfeResult
 from riskmeans.kmeans_core import (
-    INIT_KMEANSPP,
-    INIT_UNIFORM,
     ClusterClassifier,
     KMeansModel,
     KMeansParams,
@@ -29,7 +27,6 @@ from riskmeans.kmeans_core import (
     lloyd_fit,
     predict_scores,
     silhouette_score,
-    uniform_init,
 )
 from riskmeans.seeding import derive_seed
 
@@ -120,7 +117,7 @@ def test_kmeanspp_k_exceeds_n():
         kmeanspp_init(np.zeros((2, 1)), 3, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("init", [kmeanspp_init, uniform_init])
+@pytest.mark.parametrize("init", [kmeanspp_init])
 @pytest.mark.parametrize("k", [0, -1])
 def test_inits_reject_k_below_1(init, k):
     with pytest.raises(ValueError, match="^k must be >= 1$"):
@@ -142,12 +139,6 @@ def test_kmeanspp_narrower_k_draws_a_prefix_bitwise():
             for k in range(1, widest + 1):
                 narrow = kmeanspp_init(p, k, np.random.default_rng(seed))
                 assert wide[:k].tobytes() == narrow.tobytes()
-
-
-def test_uniform_init_distinct_rows():
-    points = np.arange(10, dtype=float).reshape(10, 1)
-    c = uniform_init(points, 4, np.random.default_rng(0))
-    assert len(set(c[:, 0])) == 4
 
 
 def test_lloyd_two_blobs_recovers_means():
@@ -211,16 +202,12 @@ def test_lloyd_fit_rejects_k_above_the_distinct_rows_whose_means_round():
         lloyd_fit(np.full((3, 1), 0.1), KMeansParams(k=2))
     with pytest.raises(ValueError, match=r"^k=3 exceeds the 2 distinct rows$"):
         lloyd_fit(np.repeat([[0.1], [1.1]], 3, axis=0), KMeansParams(k=3))
-    # a repair with k at the distinct rows (two uniform draws of one row) is no error
-    model = lloyd_fit(np.repeat([[0.1], [0.3], [0.7]], 4, axis=0),
-                      KMeansParams(k=3, restarts=1, init=INIT_UNIFORM))
-    assert model.repairs == 1 and sorted(model.centroids[:, 0]) == [0.1, 0.3, 0.7]
 
 
 @st.composite
 def _distinct_row_cases(draw):
     """Duplicate-heavy tables of tenths (non-dyadic, so means of equal rows
-    round), a k from 1 to n + 2 and parameters with either init."""
+    round), a k from 1 to n + 2 and parameters."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.integers(-20, 21, size=(draw(st.integers(1, 5)), draw(st.integers(1, 3)))) / 10
     points = np.repeat(rows, rng.integers(1, 6, size=len(rows)), axis=0)
@@ -228,7 +215,6 @@ def _distinct_row_cases(draw):
     params = KMeansParams(
         k=draw(st.integers(1, len(points) + 2)), restarts=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 10**6)), max_iters=draw(st.sampled_from([3, 300])),
-        init=draw(st.sampled_from([INIT_KMEANSPP, INIT_UNIFORM])),
     )
     return points, params
 
@@ -439,12 +425,11 @@ def test_lloyd_matches_exhaustive_two_partition_on_small_instances():
 
 def _oracle_lloyd_single(points, params, seed):
     """Reference Lloyd run: one restart on its own, one Python iteration at a
-    time, seeded by a loop k-means++ or :func:`uniform_init`; it stops once no
-    centre c moves by ``tol * (1 + ||c - mean of the points||)`` or more, and
-    counts every empty cluster it reseeds."""
+    time, seeded by a loop k-means++; it stops once no centre c moves by
+    ``tol * (1 + ||c - mean of the points||)`` or more, and counts every
+    empty cluster it reseeds."""
     rng = np.random.default_rng(seed)
-    init = _loop_kmeanspp_init if params.init == INIT_KMEANSPP else uniform_init
-    centers = init(points, params.k, rng)
+    centers = _loop_kmeanspp_init(points, params.k, rng)
     mean = np.ascontiguousarray(points.T).mean(axis=1)  # each column summed on its own
 
     trace = []
@@ -534,7 +519,6 @@ def _lloyd_cases(draw, n_max=60):
         k=ks[0], restarts=draw(st.integers(1, 5)), seed=draw(st.integers(0, 10**6)),
         tol=draw(st.sampled_from([0.0, 1e-6, 1e-3])),
         max_iters=draw(st.sampled_from([1, 3, 300])),
-        init=draw(st.sampled_from([INIT_KMEANSPP, INIT_UNIFORM])),
     )
     return np.asfortranarray(points), ks, seeds, params
 
@@ -556,19 +540,22 @@ def test_lloyd_runs_match_single_run_oracle_bitwise(case):
         assert _model_bits(lloyd_fit(points, params)) == _model_bits(want)
 
 
-@pytest.mark.parametrize("init", [INIT_KMEANSPP, INIT_UNIFORM])
-def test_lloyd_runs_sharing_seeds_give_each_run_its_model_alone(init):
+def test_lloyd_runs_sharing_seeds_give_each_run_its_model_alone():
     # the sweep's shape: every k from 2 to 9 with the same restart seeds,
     # on a spread table and on a duplicate-heavy one whose fits repair;
     # k-means++ draws once per seed and narrower runs take a prefix
     rng = np.random.default_rng(41)
     tables = [rng.normal(size=(150, 4)) * [1, 5, 25, 125],
               np.repeat(rng.normal(size=(6, 3)), 20, axis=0)]
-    params = KMeansParams(k=2, seed=5, init=init)
+    params = KMeansParams(k=2, seed=5)
     seeds = [derive_seed(5, f"restart:{r}") for r in range(4)]
     ks = [k for k in range(2, 10) for _ in seeds]
     for points in tables:
         _assert_runs_match_oracle(np.asfortranarray(points), ks, seeds * 8, params)
+    # k above the table's 6 distinct rows empties k - 6 clusters in each of
+    # the 300 passes, so k-means++ seeding alone reaches the repair path
+    winners = kc._lloyd_runs(np.asfortranarray(tables[1]), ks, seeds * 8, params)
+    assert [model.repairs for model in winners[5:]] == [300, 600, 900]
 
 
 def test_choose_k_draws_k_means_pp_once_per_restart_seed(monkeypatch):
@@ -619,7 +606,6 @@ def _screen_cases(draw):
     params = KMeansParams(
         k=widest, restarts=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10**6)),
         tol=draw(st.sampled_from([0.0, 1e-6])), max_iters=draw(st.sampled_from([2, 300])),
-        init=draw(st.sampled_from([INIT_KMEANSPP, INIT_UNIFORM])),
     )
     return np.asfortranarray(points), ks, seeds, params
 
@@ -760,8 +746,7 @@ def test_choose_k_equals_per_k_lloyd_fit():
         np.random.default_rng(5).normal(size=(300, 4)),
     ]
     for points, params in itertools.product(sweeps, (KMeansParams(k=9, restarts=3, seed=1),
-                                                      KMeansParams(k=9, restarts=10, seed=7,
-                                                                   init=INIT_UNIFORM))):
+                                                      KMeansParams(k=9, restarts=10, seed=7))):
         k, table, model = choose_k(points, params)
         want_table, models = [], {}
         for kk in range(2, 10):
@@ -1168,8 +1153,6 @@ def test_params_validation():
         KMeansParams(k=2, tol=-1.0)
     with pytest.raises(ValueError, match="^tol must be >= 0$"):
         KMeansParams(k=2, tol=float("nan"))  # no shift is below a NaN tol
-    with pytest.raises(ValueError):
-        KMeansParams(k=2, init="fancy")
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         KMeansParams(k=2, restarts=0)
     with pytest.raises(ValueError, match="max_iters must be >= 1"):
